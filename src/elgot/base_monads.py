@@ -96,11 +96,49 @@ class NdState:
 # Kleene iteration (shared by all three instances)
 # ---------------------------------------------------------------------------
 
+def approximants(m: ElgotMonad, roots, step_at: Callable):
+    """The endless Kleene chain of h |-> [unit, h]* . step_at from bottom.
+
+    step_at(p) is an m-value over Inl(result) + Inr(point).  Roots are expanded
+    before round 1; each round expands what the last expansion found, then
+    yields (table, stable) from a Jacobi step over every expanded point: a
+    point not in the table is at bottom; stable = none found, none changed.
+    """
+    bot, unit = m.bottom(), m.unit
+    seen, steps = set(roots), {}
+
+    def expand(batch):
+        found = []
+        for p in batch:
+            v = steps[p] = step_at(p)
+            for e in m.elements(v):
+                if isinstance(e, Inr) and e.value not in seen:
+                    seen.add(e.value)
+                    found.append(e.value)
+        return found
+
+    batch, prev = expand(roots), {}
+    while True:
+        batch = expand(batch)
+
+        def step(e, _prev=prev):
+            if isinstance(e, Inl):
+                return unit(e.value)
+            if isinstance(e, Inr):
+                return _prev.get(e.value, bot)
+            raise TypeError("iteration over a non-sum element %r" % (e,))
+
+        table = {p: m.bind(v, step) for p, v in steps.items()}
+        yield table, not batch and all(m.equal(v, prev.get(p, bot))
+                                       for p, v in table.items())
+        prev = table
+
+
 def kleene_iterate(f: KleisliFn) -> KleisliFn:
     """Least solution of h = [unit, h]* . f for f : X -> T(Y+X).
 
-    Iterates from the bottom function until two successive iterates agree;
-    stabilization is guaranteed on the finite lattice and asserted against a
+    Takes the Kleene chain until two successive iterates agree;
+    stabilization is guaranteed on the finite lattice and checked against a
     generous structural bound rather than cut off by fuel.
     """
     m = f.monad
@@ -116,23 +154,11 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
     states = len(getattr(m, "states", ())) + 1
     bound = (len(dom.elements) + 1) * (len(universe) + 2) * states * states + 8
 
-    cur = {x: m.bottom() for x in dom.elements}
-    steps = 0
-    while True:
-        new = {}
-        for x in dom.elements:
-            def step(e, _cur=cur):
-                if isinstance(e, Inl):
-                    return m.unit(e.value)
-                if isinstance(e, Inr):
-                    return _cur[e.value]
-                raise TypeError("iteration over a non-sum element %r" % (e,))
-            new[x] = m.bind(f(x), step)
-        steps += 1
-        assert steps <= bound, "Kleene iteration failed to stabilize"
-        if all(m.equal(new[x], cur[x]) for x in dom.elements):
-            return KleisliFn(m, dom, cod, new)
-        cur = new
+    for rounds, (table, stable) in enumerate(approximants(m, dom.elements, f), 1):
+        if rounds > bound:
+            raise RuntimeError("Kleene iteration did not stabilize in %d rounds" % bound)
+        if stable:
+            return KleisliFn(m, dom, cod, table)
 
 
 # ---------------------------------------------------------------------------

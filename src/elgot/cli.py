@@ -11,22 +11,32 @@ import json
 import os
 import sys
 
-from .core import CarrierMismatchError, ConfigError, carrier, make_kleisli
+from .core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair, carrier,
+                   make_kleisli, unit_carrier)
 from .base_monads import Just, NOTHING, NdState, elgot_instance, finset
-from .core import Pair
 from .handler import (EffectInterpretation, InterpretationError, MonadMorphism,
-                      handle, identity_morphism, finset_to_nondetstate,
+                      handle, finset_to_nondetstate,
                       maybe_to_finset, maybe_to_nondetstate)
 from .bsp import BspLoadError, load_bsp, lts_to_csv, lts_to_dot, lts_to_text, \
     solve_and_unfold
-from .laws import GenConfig, run_axiom_suite, run_handler_suite, run_morphism_suite
-from .resumption import OpDecl, ResumptionMonad, Signature, Thunk
+from .laws import Gen, GenConfig, run_axiom_suite, run_handler_suite, run_morphism_suite
+from .resumption import OpDecl, OpNode, ResumptionMonad, Signature, Thunk
 from .while_lang import SemanticError, WhileSyntaxError, make_env, parse, run
 
 
 def _default_seed() -> int:
     env = os.environ.get("ELGOT_SEED")
     return int(env) if env else 42
+
+
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return value
+    return integer
 
 
 def _add_seed(p):
@@ -47,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alphabet", default=None,
                        help="comma separated channel alphabet (default 0..7)")
     p_run.add_argument("--input", required=True, help="initial channel value")
-    p_run.add_argument("--depth", type=int, default=3)
+    p_run.add_argument("--depth", type=_int_at_least(0), default=3)
     p_run.add_argument("--trace", action="store_true",
                        help="echo the parsed program before the result")
 
     p_bsp = sub.add_parser("bsp", help="solve a process definition")
     p_bsp.add_argument("spec", help="definition file (key/value text or JSON)")
-    p_bsp.add_argument("--depth", type=int, default=1)
+    p_bsp.add_argument("--depth", type=_int_at_least(0), default=1)
     p_bsp.add_argument("--format", choices=("text", "dot", "csv"), default="text")
 
     p_laws = sub.add_parser("laws", help="run law suites")
@@ -61,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
                                             "morphism", "handler"),
                         default="all")
     _add_seed(p_laws)
-    p_laws.add_argument("--samples", type=int, default=50)
-    p_laws.add_argument("--depth", type=int, default=6)
+    p_laws.add_argument("--samples", type=_int_at_least(1), default=50)
+    p_laws.add_argument("--depth", type=_int_at_least(0), default=6)
     p_laws.add_argument("--report", default=None,
                         help="also write the structured report to this file")
 
     p_handle = sub.add_parser("handle", help="evaluate a serialized tree")
     p_handle.add_argument("file", help="JSON description of tree and interpretation")
-    p_handle.add_argument("--fuel", type=int, default=None)
+    p_handle.add_argument("--fuel", type=_int_at_least(0), default=None)
 
     return ap
 
@@ -122,7 +132,6 @@ def cmd_bsp(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _standard_resumption(base_kind: str, depth: int) -> ResumptionMonad:
-    from .core import unit_carrier
     params = carrier("p", ("p0", "p1"))
     two = carrier("2", ("l", "r"))
     sig = Signature((OpDecl("act", params, unit_carrier()),
@@ -153,7 +162,6 @@ def cmd_laws(args) -> int:
         sigma = maybe_to_finset(rm.base, target)
         gen_cfg = GenConfig(seed=config.seed + 1, samples=config.samples,
                             depth=config.depth)
-        from .laws import Gen
         upsilon = Gen(gen_cfg).effect_interpretation(rm.sig, target)
         reports.append(run_handler_suite(rm, sigma, upsilon, config))
 
@@ -192,11 +200,8 @@ def _parse_value(monad, data, parse_elem):
 def _parse_tree(rm, data):
     def parse_payload(p):
         if isinstance(p, dict) and "leaf" in p:
-            from .core import Inl
             return Inl(p["leaf"])
         if isinstance(p, dict) and "op" in p:
-            from .core import Inr
-            from .resumption import OpNode
             decl = rm.sig.op(p["op"])
             kids = tuple((a, Thunk.ready(_parse_tree(rm, p["children"][a])))
                          for a in decl.arity.elements)
@@ -206,7 +211,13 @@ def _parse_tree(rm, data):
     return rm.out_inv(_parse_value(rm.base, data, parse_payload))
 
 
-_SIGMAS = {"identity": lambda s, t: identity_morphism(s),
+def _identity(s, t) -> MonadMorphism:
+    if s.name != t.name:
+        raise InterpretationError("no identity morphism from %s to %s" % (s.name, t.name))
+    return MonadMorphism("identity", s, t, lambda v: v)
+
+
+_SIGMAS = {"identity": _identity,
            "maybe-to-finset": maybe_to_finset,
            "maybe-to-nondetstate": maybe_to_nondetstate,
            "finset-to-nondetstate": finset_to_nondetstate}

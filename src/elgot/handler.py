@@ -3,9 +3,9 @@
 Given a monad morphism sigma from the base into the target and a generic
 effect for every signature operation, a tree is consumed one layer per step:
 leaves pass through, operation nodes are replaced by their generic effect
-returning the child trees.  Iterating that step from bottom gives a monotone
-chain of approximants; on trees whose reachable node set is finite the chain
-stabilizes and the result is exact.
+returning the child trees.  Iterating that step from bottom over the nodes reached
+is the Kleene chain of base iteration (`base_monads.approximants`); on trees
+whose reachable node set is finite the chain stabilizes and the result is exact.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from .base_monads import approximants
 from .core import ElgotMonad, Inl, Inr, KleisliFn, render_elem
 from .resumption import ResTree, ResumptionMonad
 
@@ -138,55 +139,16 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     if not S.has_bottom:
         raise InterpretationError(
             "target %s has no bottom; approximants need one" % S.name)
-    trees = {t.token: t}
-    table = {t.token: S.bottom()}
-    steps = {}
-
-    def expand(tok) -> bool:
-        grew = False
-        zv = zeta(rm, trees[tok], sigma, upsilon)
-        steps[tok] = zv
-        for e in S.elements(zv):
-            if isinstance(e, Inr) and e.value.token not in trees:
-                trees[e.value.token] = e.value
-                table[e.value.token] = S.bottom()
-                grew = True
-        return grew
-
-    expand(t.token)
-    rounds = 0
-    converged = False
-    bot = S.bottom()
-
-    def one_round(prev):
-        grew = False
-        for tok in list(trees):
-            if tok not in steps:
-                grew = expand(tok) or grew
-
-        def step(e):
-            if isinstance(e, Inl):
-                return S.unit(e.value)
-            return prev.get(e.value.token, bot)
-
-        new = {tok: (S.bind(steps[tok], step) if tok in steps else bot)
-               for tok in trees}
-        stable = not grew and all(S.equal(new[tok], prev.get(tok, bot))
-                                  for tok in new)
-        return new, stable
-
-    for _ in range(fuel):
-        rounds += 1
-        table, stable = one_round(table)
+    chain = approximants(S, (t,), lambda tree: zeta(rm, tree, sigma, upsilon))
+    value = S.bottom()
+    for rounds, (table, stable) in enumerate(chain, 1):
+        if rounds > fuel:
+            # one probe round, not returned: converged means the next
+            # approximant agrees with this one on every reached node
+            return HandleResult(value, stable, fuel)
+        value = table[t]
         if stable:
-            converged = True
-            break
-    if not converged:
-        # one probe round, not returned: converged means the next
-        # approximant agrees with this one on every reached node
-        _probe, stable = one_round(table)
-        converged = stable
-    return HandleResult(table[t.token], converged, rounds)
+            return HandleResult(value, True, rounds)
 
 
 # ---------------------------------------------------------------------------

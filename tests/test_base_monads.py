@@ -3,9 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
     make_kleisli, KleisliFn
-from elgot.base_monads import (EMPTY_SET, Just, NOTHING, NdState,
-                               elgot_instance, finset, kleene_iterate,
-                               partition_iterate_maybe)
+from elgot.base_monads import (EMPTY_SET, FinSetMonad, Just, NOTHING, NdState,
+                               approximants, elgot_instance, finset,
+                               kleene_iterate, partition_iterate_maybe)
+
+KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
 
 
 def test_maybe_order():
@@ -58,8 +60,7 @@ def test_kleene_three_element_example():
     assert fd("x2") is NOTHING
 
 
-@pytest.mark.parametrize("kind,kw", [("maybe", {}), ("finset", {}),
-                                     ("nondetstate", {"state_set": ("s0", "s1")})])
+@pytest.mark.parametrize("kind,kw", KINDS)
 def test_kleene_self_loop_is_bottom(kind, kw):
     m = elgot_instance(kind, **kw)
     x = carrier("x", ("a", "b"))
@@ -77,6 +78,39 @@ def test_kleene_finset_two_step_example():
     table = {"x0": finset([Inr("x1")]), "x1": finset([Inl("y1"), Inl("y2")])}
     fd = kleene_iterate(make_kleisli(m, x, sum_carrier(y, x), table.__getitem__))
     assert fd("x0") == finset(["y1", "y2"])
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+def test_chain_ascends_to_the_kleene_fixpoint(kind, kw):
+    m = elgot_instance(kind, **kw)
+    x = carrier("x", ("x0", "x1", "x2", "x3"))
+    y = carrier("y", ("y",))
+    nxt = dict(zip(x.elements, x.elements[1:]))
+    f = make_kleisli(m, x, sum_carrier(y, x),
+                     lambda v: m.unit(Inr(nxt[v]) if v in nxt else Inl("y")))
+    prev = dict.fromkeys(x.elements, m.bottom())
+    for rounds, (table, stable) in enumerate(approximants(m, x.elements, f), 1):
+        assert all(m.leq(prev[v], table[v]) for v in x.elements)
+        if stable:
+            break
+        prev = table
+    # the reversed chain of four points fills one point per round
+    assert rounds == 5
+    assert table == kleene_iterate(f).table
+
+
+class _NeverEqual(FinSetMonad):
+    def equal(self, a, b):
+        return False
+
+
+def test_kleene_bound_is_an_explicit_error():
+    m = _NeverEqual()
+    x = carrier("x", ("x0",))
+    y = carrier("y", ("y0",))
+    f = make_kleisli(m, x, sum_carrier(y, x), lambda v: finset([Inl("y0")]))
+    with pytest.raises(RuntimeError, match="did not stabilize in 14 rounds"):
+        kleene_iterate(f)
 
 
 def _maybe_fn_space(x_atoms, y_atoms):

@@ -108,6 +108,36 @@ def test_usage_errors_exit_two():
     assert cli("frobnicate").returncode == 2               # unknown command
     assert cli("run", "x.whl", "--input", "0",
                "--wat").returncode == 2                    # unknown flag
+    prog, spec = str(GOLDEN / "sect7_prog.whl"), str(GOLDEN / "two_state.bsp")
+    toss = str(GOLDEN / "handle_toss.json")
+    for args in (("run", prog, "--input", "0", "--depth", "-1"),
+                 ("bsp", spec, "--depth", "-1"),
+                 ("laws", "--depth", "-1"),
+                 ("laws", "--samples", "0"),
+                 ("handle", toss, "--fuel", "-1"),
+                 ("handle", toss, "--fuel", "many")):
+        r = cli(*args)
+        assert r.returncode == 2 and "Traceback" not in r.stderr, args
+
+
+def _identity_file(tmp_path, base, tree):
+    doc = {"signature": [{"name": "toss", "param": ["*"], "arity": ["h", "t"]}],
+           "base": base, "target": "finset", "sigma": "identity",
+           "effects": {"toss": {"*": {"set": ["h"]}}}, "tree": tree}
+    path = tmp_path / ("identity_%s.json" % base)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_handle_identity_morphism(tmp_path):
+    node = {"op": "toss", "param": "*",
+            "children": {"h": {"set": [{"leaf": "heads"}]}, "t": {"set": []}}}
+    r = cli("handle", _identity_file(tmp_path, "finset", {"set": [node]}))
+    assert r.returncode == 0 and r.stdout == "{heads}\nconverged\n"
+
+    r = cli("handle", _identity_file(tmp_path, "maybe", {"just": node}))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "maybe" in r.stderr and "finset" in r.stderr
 
 
 def test_parse_errors_exit_two(tmp_path):

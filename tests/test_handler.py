@@ -1,15 +1,18 @@
+import itertools
+
 import pytest
 
-from elgot.core import Inl, Inr, carrier, make_kleisli, sum_carrier, \
+from elgot.core import Inl, Inr, Pair, carrier, make_kleisli, sum_carrier, \
     unit_carrier
-from elgot.base_monads import Just, NOTHING, elgot_instance, finset
+from elgot.base_monads import Just, NOTHING, NdState, approximants, \
+    elgot_instance, finset
 from elgot.handler import (EffectInterpretation, InterpretationError,
                            MonadMorphism, handle, identity_morphism,
                            maybe_to_finset, maybe_to_nondetstate,
                            finset_to_nondetstate, zeta)
-from elgot.resumption import Thunk
+from elgot.resumption import ResumptionMonad, Thunk
 
-from conftest import resumption
+from conftest import resumption, two_op_signature
 
 
 def _setup_finset_target():
@@ -100,6 +103,40 @@ def test_infinite_fresh_spine_stays_approximate():
     for fuel in (1, 3, 8):
         r = handle(rm, spine(), sigma, ups, fuel)
         assert r.value is NOTHING and not r.converged
+
+
+# ask answers l (a leaf) and r (the rest of the spine) where the monad allows
+ASK = {"maybe": lambda m: m.unit("r"),
+       "finset": lambda m: finset(["l", "r"]),
+       "nondetstate": lambda m: NdState(tuple(
+           (s, finset([Pair("l", s), Pair("r", s)])) for s in m.states))}
+
+
+@pytest.mark.parametrize("kind,kw", [("maybe", {}), ("finset", {}),
+                                     ("nondetstate", {"state_set": ("s0", "s1")})])
+def test_handle_returns_the_kth_table_of_the_chain(kind, kw):
+    base = elgot_instance(kind, **kw)
+    rm = ResumptionMonad(base, two_op_signature())
+    sigma = identity_morphism(base)
+    u_act = make_kleisli(base, rm.sig.op("act").param, unit_carrier(),
+                         lambda p: base.unit("*"))
+    u_ask = make_kleisli(base, unit_carrier(), rm.sig.op("ask").arity,
+                         lambda p: ASK[kind](base))
+    ups = EffectInterpretation(rm.sig, base, {"act": u_act, "ask": u_ask})
+
+    def spine(n):
+        return rm.op_call("ask", "*", {"l": rm.unit(n),
+                                       "r": Thunk(lambda: spine(n + 1))})
+
+    t = spine(0)
+    chain = approximants(base, (t,), lambda tree: zeta(rm, tree, sigma, ups))
+    tables = [table for table, _stable in itertools.islice(chain, 4)]
+    for k, table in enumerate(tables, 1):
+        r = handle(rm, t, sigma, ups, k)
+        assert r.rounds == k and not r.converged
+        assert base.equal(r.value, table[t])
+    # by round 4 some leaf has reached the root wherever l is offered
+    assert (kind == "maybe") == base.equal(tables[-1][t], base.bottom())
 
 
 def test_memoized_spine_converges_to_bottom():
