@@ -217,10 +217,11 @@ def _identity(s, t) -> MonadMorphism:
     return MonadMorphism("identity", s, t, lambda v: v)
 
 
-_SIGMAS = {"identity": _identity,
-           "maybe-to-finset": maybe_to_finset,
-           "maybe-to-nondetstate": maybe_to_nondetstate,
-           "finset-to-nondetstate": finset_to_nondetstate}
+# name -> (source kind, target kind, constructor); identity takes any one kind
+_SIGMAS = {"identity": (None, None, _identity),
+           "maybe-to-finset": ("maybe", "finset", maybe_to_finset),
+           "maybe-to-nondetstate": ("maybe", "nondetstate", maybe_to_nondetstate),
+           "finset-to-nondetstate": ("finset", "nondetstate", finset_to_nondetstate)}
 
 
 def cmd_handle(args) -> int:
@@ -243,7 +244,13 @@ def cmd_handle(args) -> int:
         sigma_name = data.get("sigma", "identity")
         if sigma_name not in _SIGMAS:
             raise InterpretationError("unknown morphism %r" % sigma_name)
-        sigma = _SIGMAS[sigma_name](base, target)
+        source_kind, target_kind, make_sigma = _SIGMAS[sigma_name]
+        if source_kind is not None and \
+                (source_kind, target_kind) != (data["base"], data["target"]):
+            raise InterpretationError(
+                "morphism %s maps %s to %s, but the file has base %s and target %s"
+                % (sigma_name, source_kind, target_kind, data["base"], data["target"]))
+        sigma = make_sigma(base, target)
         effects = {}
         for op in sig.ops:
             table = data["effects"][op.name]
@@ -252,7 +259,10 @@ def cmd_handle(args) -> int:
                 lambda p, _t=table: _parse_value(target, _t[p], lambda a: a))
         upsilon = EffectInterpretation(sig, target, effects)
         tree = _parse_tree(rm, data["tree"])
-        fuel = args.fuel if args.fuel is not None else int(data.get("fuel", 10))
+        fuel = args.fuel if args.fuel is not None else data.get("fuel", 10)
+        if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel < 0:
+            raise InterpretationError("fuel must be a nonnegative integer, not %r"
+                                      % (fuel,))
         result = handle(rm, tree, sigma, upsilon, fuel)
     except (KeyError, InterpretationError, ConfigError, CarrierMismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .core import Inl, Inr, KleisliFn, case_sum, render_elem
-from .resumption import OpNode, ResumptionMonad, Thunk
+from .resumption import ResumptionMonad, memo_trees
 
 
 class UnguardedError(ValueError):
@@ -90,37 +90,20 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
 def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     """The unique solution of a guarded f : X -> Trees(Y+X).
 
-    Each solution tree unfolds one layer of the witness and re-enters the
-    solver through the children: out(sol(x)) = T(id + Sigma glue)(u(x))
-    where glue substitutes results by pure leaves and recursive calls by
-    the solution itself.
+    The solution is the unfolding equation read as a definition:
+    sol(x) = bind(f(x), [unit, sol]), one memoised tree per variable.
+    Guardedness puts every recursive call under an operation node, so the
+    first layer of sol(x) never waits on the first layer of a solution.
     """
     wit = check_guarded(rm, f)
     if not wit.guarded:
         raise UnguardedError(wit.variable, wit.leaf)
-    base = rm.base
-    u = wit.factor
     y_car = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
-    memo = {}
 
     def glue(e):
         return case_sum(e, rm.unit, sol)
 
-    def wrap(e):
-        if isinstance(e, Inl):
-            return Inl(e.value)
-        node = e.value
-        kids = tuple((a, Thunk(lambda th=th: rm.bind(th.force(), glue)))
-                     for a, th in node.children)
-        return Inr(OpNode(node.op, node.param, kids))
-
-    def sol(x):
-        t = memo.get(x)
-        if t is None:
-            # setdefault keeps the first tree if two forcings race here
-            t = memo.setdefault(x, rm.tree_lazy(lambda x=x: base.map(u[x], wrap)))
-        return t
-
+    sol = memo_trees(lambda x: rm.out(rm.bind(f(x), glue)))
     return KleisliFn(rm, f.dom, y_car, {x: sol(x) for x in f.dom.elements})
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
-                   Pair, canon_key, case_sum, render_elem)
+                   canon_key, case_sum, render_elem)
 
 _tokens = itertools.count(1)
 
@@ -180,6 +180,24 @@ class ResTree:
         return "(tree #%d)" % self.token
 
 
+def memo_trees(layer: Callable) -> Callable:
+    """seed -> the lazy tree whose first layer is layer(seed), one per seed.
+
+    Revisiting a seed yields the identical tree, so a finite graph of seeds
+    unfolds into a finite, possibly cyclic, graph of trees.
+    """
+    memo = {}
+
+    def tree(seed) -> ResTree:
+        t = memo.get(seed)
+        if t is None:
+            # setdefault keeps the first tree if two forcings race here
+            t = memo.setdefault(seed, ResTree(fn=lambda: layer(seed)))
+        return t
+
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # Truncations
 # ---------------------------------------------------------------------------
@@ -282,15 +300,6 @@ class ResumptionMonad(ElgotMonad):
         suspensions re-invoking the unfolding on the seed.  Seeds are shared,
         so revisiting one yields the identical node.
         """
-        memo = {}
-
-        def go(y) -> ResTree:
-            t = memo.get(y)
-            if t is None:
-                t = memo.setdefault(
-                    y, self.tree_lazy(lambda y=y: self.base.map(g(y), step_elem)))
-            return t
-
         def step_elem(e):
             return case_sum(
                 e,
@@ -299,38 +308,27 @@ class ResumptionMonad(ElgotMonad):
                     sv.op, sv.param,
                     tuple((a, Thunk(lambda s=s: go(s))) for a, s in sv.args))))
 
+        go = memo_trees(lambda y: self.base.map(g(y), step_elem))
         return KleisliFn(self, g.dom, None, {y: go(y) for y in g.dom.elements})
 
     # -- monad structure ----------------------------------------------------
 
     def bind(self, t: ResTree, f: Callable) -> ResTree:
-        """Kleisli lifting: rewrite leaves by f, corecursively under nodes."""
+        """Kleisli lifting: rewrite leaves by f, corecursively under nodes.
 
-        def step():
-            def elem(e):
-                if isinstance(e, Inl):
-                    return self.out(f(e.value))
-                node = e.value
-                kids = tuple(
-                    (a, Thunk(lambda th=th: self.bind(th.force(), f)))
-                    for a, th in node.children)
-                return self.base.unit(Inr(OpNode(node.op, node.param, kids)))
-            return self.base.bind(self.out(t), elem)
+        Each source subtree lifts to one tree, so a finite cyclic tree lifts
+        to a finite cyclic tree.  map and strength derive from this lifting.
+        """
+        def elem(e):
+            if isinstance(e, Inl):
+                return self.out(f(e.value))
+            node = e.value
+            kids = tuple((a, Thunk(lambda th=th: lifted(th.force())))
+                         for a, th in node.children)
+            return self.base.unit(Inr(OpNode(node.op, node.param, kids)))
 
-        return self.tree_lazy(step)
-
-    def strength(self, c, t: ResTree) -> ResTree:
-        def step():
-            def elem(e):
-                if isinstance(e, Inl):
-                    return Inl(Pair(c, e.value))
-                node = e.value
-                kids = tuple(
-                    (a, Thunk(lambda th=th: self.strength(c, th.force())))
-                    for a, th in node.children)
-                return Inr(OpNode(node.op, node.param, kids))
-            return self.base.map(self.out(t), elem)
-        return self.tree_lazy(step)
+        lifted = memo_trees(lambda s: self.base.bind(self.out(s), elem))
+        return lifted(t)
 
     # -- order and iteration -------------------------------------------------
 

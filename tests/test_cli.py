@@ -103,19 +103,26 @@ def test_handle_into_nondetstate(tmp_path):
     assert "(states (s0 {(pair heads s1)}) (s1 {(pair tails s1)}))" in r.stdout
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     assert cli("run").returncode == 2                      # missing args
     assert cli("frobnicate").returncode == 2               # unknown command
     assert cli("run", "x.whl", "--input", "0",
                "--wat").returncode == 2                    # unknown flag
     prog, spec = str(GOLDEN / "sect7_prog.whl"), str(GOLDEN / "two_state.bsp")
     toss = str(GOLDEN / "handle_toss.json")
-    for args in (("run", prog, "--input", "0", "--depth", "-1"),
+    bad_fuel = []
+    for fuel in (-3, "ten"):
+        doc = json.loads((GOLDEN / "handle_toss.json").read_text())
+        doc["fuel"] = fuel
+        path = tmp_path / ("toss_fuel_%s.json" % fuel)
+        path.write_text(json.dumps(doc))
+        bad_fuel.append(("handle", str(path)))
+    for args in [("run", prog, "--input", "0", "--depth", "-1"),
                  ("bsp", spec, "--depth", "-1"),
                  ("laws", "--depth", "-1"),
                  ("laws", "--samples", "0"),
                  ("handle", toss, "--fuel", "-1"),
-                 ("handle", toss, "--fuel", "many")):
+                 ("handle", toss, "--fuel", "many")] + bad_fuel:
         r = cli(*args)
         assert r.returncode == 2 and "Traceback" not in r.stderr, args
 
@@ -138,6 +145,19 @@ def test_handle_identity_morphism(tmp_path):
     r = cli("handle", _identity_file(tmp_path, "maybe", {"just": node}))
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "maybe" in r.stderr and "finset" in r.stderr
+
+
+def test_handle_morphism_must_match_base_and_target(tmp_path):
+    doc = {"signature": [{"name": "toss", "param": ["*"], "arity": ["h", "t"]}],
+           "base": "finset", "target": "finset", "sigma": "maybe-to-finset",
+           "effects": {"toss": {"*": {"set": ["h"]}}},
+           "tree": {"set": [{"leaf": "heads"}]}}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    r = cli("handle", str(path))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "maybe-to-finset" in r.stderr
+    assert "base finset" in r.stderr and "target finset" in r.stderr
 
 
 def test_parse_errors_exit_two(tmp_path):

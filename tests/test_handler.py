@@ -7,10 +7,11 @@ from elgot.core import Inl, Inr, Pair, carrier, make_kleisli, sum_carrier, \
 from elgot.base_monads import Just, NOTHING, NdState, approximants, \
     elgot_instance, finset
 from elgot.handler import (EffectInterpretation, InterpretationError,
-                           MonadMorphism, handle, identity_morphism,
+                           MonadMorphism, check_universal_triangles, handle,
+                           identity_morphism,
                            maybe_to_finset, maybe_to_nondetstate,
                            finset_to_nondetstate, zeta)
-from elgot.resumption import ResumptionMonad, Thunk
+from elgot.resumption import ResumptionMonad, Thunk, sig_val
 
 from conftest import resumption, two_op_signature
 
@@ -241,3 +242,77 @@ def test_state_morphisms_compose_consistently():
     m2n = maybe_to_nondetstate(maybe, nd)
     for v in (Just("a"), NOTHING):
         assert f2n.component(m2f.component(v)) == m2n.component(v)
+
+
+def _while_denotation(program):
+    """The denotation of a while program at input 0 on finset, with write
+    answering *, read answering 0 and coin answering both ff and tt."""
+    from elgot.while_lang import interpret, make_env, parse
+    env = make_env("finset", alphabet=("0", "1"))
+    rm = env.rm
+    base = rm.base
+    answers = {"write": ["*"], "read": ["0"], "coin": ["ff", "tt"]}
+    ups = EffectInterpretation(rm.sig, base, {
+        op.name: make_kleisli(base, op.param, op.arity,
+                              lambda p, a=answers[op.name]: finset(a))
+        for op in rm.sig.ops})
+    return rm, ups, interpret(parse(program), env)("0")
+
+
+def test_loop_lifted_through_sequence_converges():
+    rm, ups, t = _while_denotation("{while coin do write}; write")
+    r = handle(rm, t, identity_morphism(rm.base), ups, 20)
+    assert r.converged and r.value == finset(["0"])
+
+
+def test_bind_and_strength_of_a_loop_converge():
+    rm, ups, loop = _while_denotation("while coin do write")
+    sigma = identity_morphism(rm.base)
+    r = handle(rm, rm.bind(loop, rm.unit), sigma, ups, 20)
+    assert r.converged and r.value == finset(["0"])
+    r = handle(rm, rm.strength("c", loop), sigma, ups, 20)
+    assert r.converged and r.value == finset([Pair("c", "0")])
+
+
+def test_triangles_count_every_skipped_iteration_point():
+    from elgot.laws import Gen, GenConfig
+    rm, S, sigma, ups = _setup_finset_target()
+    gen = Gen(GenConfig(seed=5))
+    x, y = gen.carrier("x", 3), gen.carrier("y", 2)
+    samples = [gen.kleisli(rm, x, sum_carrier(y, x)) for _ in range(4)]
+    rep = check_universal_triangles(rm, sigma, ups, iter_samples=samples, fuel=0)
+    assert rep.ok and rep.checked == rep.skipped == 4 * 3
+
+
+def _coalgebra_trees(rm, rng, x_car, seeds=4):
+    """Trees unfolded by coit from a random coalgebra on a few seeds; most
+    of them are cyclic."""
+    s_car = carrier("s", tuple("s%d" % i for i in range(seeds)))
+
+    def elem():
+        r = rng.random()
+        if r < 0.3:
+            return Inl(rng.choice(x_car.elements))
+        op = rm.sig.op("act" if r < 0.65 else "ask")
+        return Inr(sig_val(op, rng.choice(op.param.elements),
+                           {a: rng.choice(s_car.elements) for a in op.arity.elements}))
+
+    g = make_kleisli(rm.base, s_car, None,
+                     lambda s: rm.base.sample_value(rng, elem, 2))
+    return rm.coit(g)
+
+
+def test_triangles_on_lifted_cyclic_trees():
+    import random
+    from elgot.laws import Gen, GenConfig
+    rm, S, sigma, ups = _setup_finset_target()
+    rng = random.Random(11)
+    gen = Gen(GenConfig(seed=11, node_budget=6))
+    x, y = gen.carrier("x", 2), gen.carrier("y", 2)
+    samples = []
+    for _ in range(3):
+        unfold = _coalgebra_trees(rm, rng, x)
+        samples += [(unfold(s), gen.kleisli(rm, x, y)) for s in unfold.dom.elements]
+    rep = check_universal_triangles(rm, sigma, ups, bind_samples=samples, fuel=8)
+    assert rep.checked == len(samples) and rep.skipped == 0
+    assert rep.ok, rep.failures

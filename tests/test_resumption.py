@@ -244,3 +244,38 @@ def test_rendering_is_canonical(rm_finset):
     t2 = rm_finset.iota("act", "p1", {"*": "v"})
     assert rm_finset.base.render(rm_finset.truncate(t2, 2)) == "{(op act p1 {(leaf v)})}"
     assert rm_finset.base.render(rm_finset.truncate(rm_finset.bottom(), 3)) == "{}"
+
+
+def _two_cycle(rm):
+    """s0 -act-> s1 -act-> s0, unfolded by coit."""
+    seeds = carrier("s", ("s0", "s1"))
+    decl = rm.sig.op("act")
+    nxt = {"s0": "s1", "s1": "s0"}
+    g = make_kleisli(rm.base, seeds, None,
+                     lambda s: rm.base.unit(Inr(sig_val(decl, "p0", {"*": nxt[s]}))))
+    return rm.coit(g)("s0")
+
+
+def _child(rm, t):
+    return rm.base.elements(rm.out(t))[0].value.child("*").force()
+
+
+@pytest.mark.parametrize("lift", [
+    lambda rm, t: t,
+    lambda rm, t: rm.bind(t, rm.unit),
+    lambda rm, t: rm.strength("c", t),
+    lambda rm, t: rm.map(t, lambda x: x),
+], ids=["coit", "bind", "strength", "map"])
+def test_lifting_keeps_cycles(rm_finset, lift):
+    lifted = lift(rm_finset, _two_cycle(rm_finset))
+    once = _child(rm_finset, lifted)
+    assert once is not lifted
+    assert _child(rm_finset, once) is lifted
+    assert _child(rm_finset, _child(rm_finset, once)) is once
+
+
+def test_lifting_keeps_shared_subtrees(rm_maybe):
+    shared = rm_maybe.iota("act", "p1", {"*": "x"})
+    t = rm_maybe.op_call("ask", "*", {"l": shared, "r": shared})
+    node = rm_maybe.out(rm_maybe.bind(t, rm_maybe.unit)).value.value
+    assert node.child("l").force() is node.child("r").force()
