@@ -101,24 +101,34 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
 
     step_at(p) is an m-value over Inl(result) + Inr(point).  Roots are expanded
     before round 1; each round expands what the last expansion found, then
-    yields (table, stable) from a Jacobi step over every expanded point: a
-    point not in the table is at bottom; stable = none found, none changed.
+    yields (table, stable), a fresh table that is never mutated afterwards.
+    Rounds are semi-naive: a round re-binds only the points expanded since
+    the last round, the points that moved in the last round and the points
+    that read one (p reads q when Inr(q) is an element of step_at(p)); every
+    other point carries its value, so the tables are those of re-binding
+    every point.  Re-binding a point that moved is redundant under a lawful
+    equal but keeps a broken one from passing for stable.  A point not in
+    the table is at bottom; stable = none found, no re-bound point moved.
     """
     bot, unit = m.bottom(), m.unit
-    seen, steps = set(roots), {}
+    seen, steps, readers = set(roots), {}, {}
 
     def expand(batch):
         found = []
         for p in batch:
             v = steps[p] = step_at(p)
             for e in m.elements(v):
-                if isinstance(e, Inr) and e.value not in seen:
-                    seen.add(e.value)
-                    found.append(e.value)
+                if isinstance(e, Inr):
+                    readers.setdefault(e.value, {})[p] = None
+                    if e.value not in seen:
+                        seen.add(e.value)
+                        found.append(e.value)
         return found
 
-    batch, prev = expand(roots), {}
+    dirty = dict.fromkeys(roots)
+    batch, prev = expand(dirty), {}
     while True:
+        dirty.update(dict.fromkeys(batch))
         batch = expand(batch)
 
         def step(e, _prev=prev):
@@ -128,10 +138,15 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
                 return _prev.get(e.value, bot)
             raise TypeError("iteration over a non-sum element %r" % (e,))
 
-        table = {p: m.bind(v, step) for p, v in steps.items()}
-        yield table, not batch and all(m.equal(v, prev.get(p, bot))
-                                       for p, v in table.items())
-        prev = table
+        table, moved = dict(prev), []
+        for p in dirty:
+            v = table[p] = m.bind(steps[p], step)
+            if not m.equal(v, prev.get(p, bot)):
+                moved.append(p)
+        yield table, not batch and not moved
+        prev, dirty = table, dict.fromkeys(moved)
+        for q in moved:
+            dirty.update(readers.get(q, ()))
 
 
 def kleene_iterate(f: KleisliFn) -> KleisliFn:

@@ -6,6 +6,9 @@ leaves pass through, operation nodes are replaced by their generic effect
 returning the child trees.  Iterating that step from bottom over the nodes reached
 is the Kleene chain of base iteration (`base_monads.approximants`); on trees
 whose reachable node set is finite the chain stabilizes and the result is exact.
+Each round re-evaluates only the nodes just reached, the nodes whose value
+moved in the last round and the nodes with a child that moved; every other
+node keeps its value, so the approximants are those of re-evaluating all.
 Unfolding (coit), lifting (bind, map, strength) and the guarded solver build
 one tree per seed, so a tree built from finitely many seeds, such as the
 denotation of a while program, reaches finitely many nodes and converges.
@@ -161,15 +164,22 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
 @dataclass
 class TriangleReport:
     checked: int = 0
-    skipped: int = 0
+    skips: dict = field(default_factory=dict)      # law -> skipped samples
     failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def skipped(self) -> int:
+        return sum(self.skips.values())
+
     def note(self, law: str, witness: str):
         self.failures.append((law, witness))
+
+    def skip(self, law: str):
+        self.skips[law] = self.skips.get(law, 0) + 1
 
 
 def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
@@ -213,7 +223,7 @@ def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
         handled_f = {x: evaluate(f(x)) for x in f.dom.elements}
         rhs_t = evaluate(t)
         if lhs is None or rhs_t is None or any(v is None for v in handled_f.values()):
-            rep.skipped += 1
+            rep.skip("handle.kleisli")
             continue
         rhs = S.bind(rhs_t, lambda x: handled_f[x])
         if not S.equal(lhs, rhs):
@@ -231,7 +241,7 @@ def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
             rep.checked += 1
             rhs = evaluate(g_dag(x)) if converged else None
             if rhs is None:
-                rep.skipped += 1
+                rep.skip("handle.iteration")
                 continue
             if not S.equal(lhs(x), rhs):
                 rep.note("handle.iteration", "at %s: %s vs %s" %

@@ -35,20 +35,29 @@ class GuardednessWitness:
     leaf: Any = None            # the bare right-summand leaf it exposes
 
 
+def bare_recursive_leaf(rm: ResumptionMonad, f: KleisliFn):
+    """The first (variable, leaf) whose first layer exposes the bare
+    right-summand leaf Inl(Inr(leaf)), or None when f is guarded."""
+    for x in f.dom.elements:
+        for e in rm.base.elements(rm.out(f(x))):
+            if isinstance(e, Inl) and isinstance(e.value, Inr):
+                return x, e.value.value
+    return None
+
+
 def check_guarded(rm: ResumptionMonad, f: KleisliFn) -> GuardednessWitness:
     """Decide guardedness of f : X -> Trees(Y+Z) by inspecting first layers.
 
     When guarded, the factorization witness u is obtained by retagging
     left-summand leaves; T(inl+id) . u recovers out . f exactly.
     """
+    bare = bare_recursive_leaf(rm, f)
+    if bare is not None:
+        return GuardednessWitness(False, None, *bare)
     base = rm.base
     factor = {}
     for x in f.dom.elements:
-        step = rm.out(f(x))
-        for e in base.elements(step):
-            if isinstance(e, Inl) and isinstance(e.value, Inr):
-                return GuardednessWitness(False, None, x, e.value.value)
-        factor[x] = base.map(step, lambda e: case_sum(
+        factor[x] = base.map(rm.out(f(x)), lambda e: case_sum(
             e, lambda yz: Inl(yz.value), lambda node: Inr(node)))
     return GuardednessWitness(True, factor)
 
@@ -95,9 +104,9 @@ def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     Guardedness puts every recursive call under an operation node, so the
     first layer of sol(x) never waits on the first layer of a solution.
     """
-    wit = check_guarded(rm, f)
-    if not wit.guarded:
-        raise UnguardedError(wit.variable, wit.leaf)
+    bare = bare_recursive_leaf(rm, f)
+    if bare is not None:
+        raise UnguardedError(*bare)
     y_car = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
 
     def glue(e):

@@ -529,6 +529,7 @@ class LawResult:
     law: str
     samples: int
     failures: list = field(default_factory=list)
+    skipped: int = 0        # samples left unchecked (an unconverged handling)
 
     @property
     def ok(self):
@@ -550,7 +551,8 @@ class SuiteReport:
             "instance": self.instance,
             "seed": self.seed,
             "ok": self.ok,
-            "laws": {r.law: {"samples": r.samples, "failures": r.failures}
+            "laws": {r.law: {"samples": r.samples, "skipped": r.skipped,
+                             "failures": r.failures}
                      for r in self.results},
         }
 
@@ -703,7 +705,8 @@ def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
     for law, witness in tri.failures:
         by_law.setdefault(law, []).append(witness)
     for law in ("handle.ext", "handle.iota", "handle.kleisli", "handle.iteration"):
-        report.results.append(LawResult(law, config.samples, by_law.get(law, [])))
+        report.results.append(LawResult(law, config.samples, by_law.get(law, []),
+                                        tri.skips.get(law, 0)))
 
     mono = LawResult("handle.fuel_monotone", config.samples)
     for _ in range(config.samples):

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
     make_kleisli, KleisliFn
-from elgot.base_monads import (EMPTY_SET, FinSetMonad, Just, NOTHING, NdState,
-                               approximants, elgot_instance, finset,
+from elgot.base_monads import (EMPTY_SET, FinSetMonad, Just, MaybeMonad, NOTHING,
+                               NdState, approximants, elgot_instance, finset,
                                kleene_iterate, partition_iterate_maybe)
 
 KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
@@ -111,6 +111,104 @@ def test_kleene_bound_is_an_explicit_error():
     f = make_kleisli(m, x, sum_carrier(y, x), lambda v: finset([Inl("y0")]))
     with pytest.raises(RuntimeError, match="did not stabilize in 14 rounds"):
         kleene_iterate(f)
+
+
+def _jacobi(m, roots, step_at):
+    """Reference chain: every expanded point re-bound every round."""
+    bot = m.bottom()
+    seen, steps = set(roots), {}
+
+    def expand(batch):
+        found = []
+        for p in batch:
+            steps[p] = step_at(p)
+            for e in m.elements(steps[p]):
+                if isinstance(e, Inr) and e.value not in seen:
+                    seen.add(e.value)
+                    found.append(e.value)
+        return found
+
+    batch, prev = expand(roots), {}
+    while True:
+        batch = expand(batch)
+        table = {p: m.bind(v, lambda e: m.unit(e.value) if isinstance(e, Inl)
+                           else prev.get(e.value, bot))
+                 for p, v in steps.items()}
+        yield table, not batch and all(m.equal(v, prev.get(p, bot))
+                                       for p, v in table.items())
+        prev = table
+
+
+def _random_value(data, m, kind, elems):
+    pick = st.sampled_from(elems)
+    if kind == "maybe":
+        e = data.draw(st.none() | pick)
+        return NOTHING if e is None else Just(e)
+    if kind == "finset":
+        return finset(data.draw(st.lists(pick, max_size=3)))
+    pairs = st.lists(st.builds(Pair, pick, st.sampled_from(m.states)), max_size=2)
+    return NdState(tuple((s, finset(data.draw(pairs))) for s in m.states))
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_semi_naive_chain_equals_jacobi(kind, kw, data):
+    m = elgot_instance(kind, **kw)
+    points = ["p%d" % i for i in range(data.draw(st.integers(1, 7)))]
+    elems = [Inl("y0"), Inl("y1")] + [Inr(p) for p in points]
+    # roots are a prefix, so the other points are first reached late, if at all
+    roots = points[:data.draw(st.integers(1, len(points)))]
+    system = {p: _random_value(data, m, kind, elems) for p in points}
+    got = approximants(m, roots, system.__getitem__)
+    want = _jacobi(m, roots, system.__getitem__)
+    after_stable = 0
+    for _ in range(60):
+        (table, stable), (ref, ref_stable) = next(got), next(want)
+        assert list(table.items()) == list(ref.items())
+        assert stable == ref_stable
+        after_stable += stable
+        if after_stable == 3:
+            break
+    assert after_stable == 3
+
+
+def _reversed_chain(m, n):
+    x = carrier("x", tuple("x%d" % i for i in range(n)))
+    y = carrier("y", ("y",))
+    nxt = dict(zip(x.elements, x.elements[1:]))
+    return make_kleisli(m, x, sum_carrier(y, x),
+                        lambda v: m.unit(Inr(nxt[v]) if v in nxt else Inl("y")))
+
+
+@pytest.mark.parametrize("base", [MaybeMonad, FinSetMonad])
+def test_reversed_chain_binds_linearly(base):
+    class Counting(base):
+        binds = 0
+
+        def bind(self, v, f):
+            self.binds += 1
+            return super().bind(v, f)
+
+    m, n = Counting(), 200
+    fd = kleene_iterate(_reversed_chain(m, n))
+    assert all(m.equal(fd(x), m.unit("y")) for x in fd.dom.elements)
+    # a Jacobi round re-binds all n points, n(n+1) = 40,200 binds in all
+    assert m.binds <= 3 * n
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+def test_earlier_tables_stay_put(kind, kw):
+    m = elgot_instance(kind, **kw)
+    f = _reversed_chain(m, 6)
+    kept = []
+    for table, stable in approximants(m, f.dom.elements, f):
+        kept.append((table, dict(table)))
+        if stable:
+            break
+    assert len(kept) == 7
+    for table, snapshot in kept:
+        assert list(table.items()) == list(snapshot.items())
 
 
 def _maybe_fn_space(x_atoms, y_atoms):

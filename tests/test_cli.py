@@ -68,6 +68,7 @@ def test_laws_exit_zero(tmp_path):
     assert r.returncode == 0
     data = json.loads(report.read_text())
     assert all(entry["ok"] for entry in data)
+    assert all(law["skipped"] == 0 for entry in data for law in entry["laws"].values())
 
 
 def test_env_seed_default():

@@ -203,6 +203,19 @@ def test_triangles_clean_run():
     assert rep.ok, rep.text()
 
 
+def test_handler_suite_reports_skips_per_law():
+    from elgot.laws import GenConfig, run_handler_suite
+    rm, S, sigma, ups = _setup_finset_target()
+    rep = run_handler_suite(rm, sigma, ups, GenConfig(samples=8, seed=61), fuel=0)
+    skipped = {r.law: r.skipped for r in rep.results}
+    # nothing converges at fuel 0: both bind samples and the three points of
+    # both iteration samples go unchecked
+    assert skipped == {"handle.ext": 0, "handle.iota": 0, "handle.kleisli": 2,
+                       "handle.iteration": 2 * 3, "handle.fuel_monotone": 0}
+    laws = rep.to_dict()["laws"]
+    assert {law: entry["skipped"] for law, entry in laws.items()} == skipped
+
+
 def test_morphism_suite_detects_mutated_evaluator():
     from elgot.laws import GenConfig, run_morphism_suite
     rm, S, sigma, ups = _setup_finset_target()
@@ -282,6 +295,7 @@ def test_triangles_count_every_skipped_iteration_point():
     samples = [gen.kleisli(rm, x, sum_carrier(y, x)) for _ in range(4)]
     rep = check_universal_triangles(rm, sigma, ups, iter_samples=samples, fuel=0)
     assert rep.ok and rep.checked == rep.skipped == 4 * 3
+    assert rep.skips == {"handle.iteration": 4 * 3}
 
 
 def _coalgebra_trees(rm, rng, x_car, seeds=4):

@@ -2,12 +2,12 @@ import pytest
 
 from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
     sum_carrier, KleisliFn
-from elgot.base_monads import Just, NOTHING, finset
-from elgot.iteration import (UnguardedError, check_guarded, guard_transform,
-                             solve_guarded)
-from elgot.resumption import TOp, TCUT, TLeaf
+from elgot.base_monads import FinSetMonad, Just, NOTHING, finset
+from elgot.iteration import (UnguardedError, bare_recursive_leaf, check_guarded,
+                             guard_transform, solve_guarded)
+from elgot.resumption import ResumptionMonad, TOp, TCUT, TLeaf
 
-from conftest import resumption
+from conftest import resumption, two_op_signature
 
 
 def _xy(rm, xs=("a", "b"), ys=("y0",)):
@@ -130,6 +130,27 @@ def test_solve_guarded_rejects_unguarded(rm_maybe):
     with pytest.raises(UnguardedError) as exc:
         solve_guarded(rm_maybe, f)
     assert "a" in str(exc.value)
+
+
+def test_solving_a_guarded_definition_binds_nothing_up_front():
+    class Counting(FinSetMonad):
+        binds = 0
+
+        def bind(self, v, f):
+            self.binds += 1
+            return super().bind(v, f)
+
+    rm = ResumptionMonad(Counting(), two_op_signature(), depth=6)
+    x, y, cod = _xy(rm)
+    f = make_kleisli(
+        rm, x, cod, lambda v: rm.op_call("act", "p0", {"*": rm.unit(Inr(v))}))
+    assert bare_recursive_leaf(rm, f) is None
+    before = rm.base.binds
+    solve_guarded(rm, f)
+    # the guardedness scan builds no factorization witness
+    assert rm.base.binds == before
+    g = make_kleisli(rm, x, cod, lambda v: rm.unit(Inr("b" if v == "a" else v)))
+    assert bare_recursive_leaf(rm, g) == ("a", "b")
 
 
 def test_iterate_extends_base_iteration(rm_finset):
