@@ -9,8 +9,8 @@ from .base_monads import (FinSetMonad, MaybeMonad, NondetStateMonad, NOTHING,
                           Just, FinSet, NdState, elgot_instance, finset,
                           kleene_iterate, partition_iterate_maybe)
 from .resumption import (OpDecl, ResTree, ResumptionMonad, Signature, Thunk)
-from .iteration import (GuardednessWitness, UnguardedError, check_guarded,
-                        guard_transform, iterate_res, solve_guarded)
+from .iteration import (UnguardedError, bare_recursive_leaf, guard_transform,
+                        iterate_res, solve_guarded)
 from .handler import (EffectInterpretation, HandleResult, InterpretationError,
                       MonadMorphism, handle, identity_morphism,
                       maybe_to_finset, zeta)

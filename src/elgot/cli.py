@@ -199,10 +199,13 @@ def _parse_value(monad, data, parse_elem):
 
 def _parse_tree(rm, data):
     def parse_payload(p):
-        if isinstance(p, dict) and "leaf" in p:
+        if isinstance(p, dict) and isinstance(p.get("leaf"), (str, int)):
             return Inl(p["leaf"])
         if isinstance(p, dict) and "op" in p:
             decl = rm.sig.op(p["op"])
+            if p["param"] not in decl.param:
+                raise InterpretationError("operation %s has no parameter %r"
+                                          % (decl.name, p["param"]))
             kids = tuple((a, Thunk.ready(_parse_tree(rm, p["children"][a])))
                          for a in decl.arity.elements)
             return Inr(OpNode(p["op"], p["param"], kids))
@@ -224,6 +227,45 @@ _SIGMAS = {"identity": (None, None, _identity),
            "finset-to-nondetstate": ("finset", "nondetstate", finset_to_nondetstate)}
 
 
+def _decode_handle(data, fuel):
+    """The target monad and the arguments of handle() described by a
+    decoded handle file; fuel overrides the file's "fuel" when not None."""
+    ops = []
+    for entry in data["signature"]:
+        ops.append(OpDecl(entry["name"],
+                          carrier(entry["name"] + ".param", tuple(entry["param"])),
+                          carrier(entry["name"] + ".arity", tuple(entry["arity"]))))
+    sig = Signature(tuple(ops))
+    base = elgot_instance(data["base"])
+    target = elgot_instance(data["target"],
+                            state_set=tuple(data.get("state_set", ())) or None)
+    rm = ResumptionMonad(base, sig)
+    sigma_name = data.get("sigma", "identity")
+    if sigma_name not in _SIGMAS:
+        raise InterpretationError("unknown morphism %r" % sigma_name)
+    source_kind, target_kind, make_sigma = _SIGMAS[sigma_name]
+    if source_kind is not None and \
+            (source_kind, target_kind) != (data["base"], data["target"]):
+        raise InterpretationError(
+            "morphism %s maps %s to %s, but the file has base %s and target %s"
+            % (sigma_name, source_kind, target_kind, data["base"], data["target"]))
+    sigma = make_sigma(base, target)
+    effects = {}
+    for op in sig.ops:
+        table = data["effects"][op.name]
+        effects[op.name] = make_kleisli(
+            target, op.param, op.arity,
+            lambda p, _t=table: _parse_value(target, _t[p], lambda a: a))
+    upsilon = EffectInterpretation(sig, target, effects)
+    tree = _parse_tree(rm, data["tree"])
+    if fuel is None:
+        fuel = data.get("fuel", 10)
+    if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel < 0:
+        raise InterpretationError("fuel must be a nonnegative integer, not %r"
+                                  % (fuel,))
+    return target, (rm, tree, sigma, upsilon, fuel)
+
+
 def cmd_handle(args) -> int:
     try:
         data = json.load(open(args.file))
@@ -231,39 +273,13 @@ def cmd_handle(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        ops = []
-        for entry in data["signature"]:
-            ops.append(OpDecl(entry["name"],
-                              carrier(entry["name"] + ".param", tuple(entry["param"])),
-                              carrier(entry["name"] + ".arity", tuple(entry["arity"]))))
-        sig = Signature(tuple(ops))
-        base = elgot_instance(data["base"])
-        target = elgot_instance(data["target"],
-                                state_set=tuple(data.get("state_set", ())) or None)
-        rm = ResumptionMonad(base, sig)
-        sigma_name = data.get("sigma", "identity")
-        if sigma_name not in _SIGMAS:
-            raise InterpretationError("unknown morphism %r" % sigma_name)
-        source_kind, target_kind, make_sigma = _SIGMAS[sigma_name]
-        if source_kind is not None and \
-                (source_kind, target_kind) != (data["base"], data["target"]):
-            raise InterpretationError(
-                "morphism %s maps %s to %s, but the file has base %s and target %s"
-                % (sigma_name, source_kind, target_kind, data["base"], data["target"]))
-        sigma = make_sigma(base, target)
-        effects = {}
-        for op in sig.ops:
-            table = data["effects"][op.name]
-            effects[op.name] = make_kleisli(
-                target, op.param, op.arity,
-                lambda p, _t=table: _parse_value(target, _t[p], lambda a: a))
-        upsilon = EffectInterpretation(sig, target, effects)
-        tree = _parse_tree(rm, data["tree"])
-        fuel = args.fuel if args.fuel is not None else data.get("fuel", 10)
-        if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel < 0:
-            raise InterpretationError("fuel must be a nonnegative integer, not %r"
-                                      % (fuel,))
-        result = handle(rm, tree, sigma, upsilon, fuel)
+        target, job = _decode_handle(data, args.fuel)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        # the JSON parsed, but its shape or values do not describe a job
+        print("error: malformed handle file: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        result = handle(*job)
     except (KeyError, InterpretationError, ConfigError, CarrierMismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

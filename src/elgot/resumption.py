@@ -54,9 +54,6 @@ class Signature:
                 return o
         raise KeyError(name)
 
-    def __contains__(self, name: str):
-        return any(o.name == name for o in self.ops)
-
 
 @dataclass(frozen=True)
 class SigVal:
@@ -65,12 +62,6 @@ class SigVal:
     op: str
     param: Any
     args: tuple    # ((arity atom, seed), ...) in arity order
-
-    def arg(self, a):
-        for atom, seed in self.args:
-            if atom == a:
-                return seed
-        raise KeyError(a)
 
     def _canon_key_(self):
         return (20, self.op, canon_key(self.param),
@@ -268,9 +259,6 @@ class ResumptionMonad(ElgotMonad):
     def out_inv(self, value) -> ResTree:
         return ResTree(step=value)
 
-    def tree_lazy(self, fn: Callable) -> ResTree:
-        return ResTree(fn=fn)
-
     def unit(self, x) -> ResTree:
         return self.out_inv(self.base.unit(Inl(x)))
 
@@ -373,11 +361,7 @@ class ResumptionMonad(ElgotMonad):
         return self.bisimilar(a, b, self.depth)
 
     def render(self, t: ResTree, depth: Optional[int] = None) -> str:
-        return render_truncation(self.base, self.truncate(t, self.depth if depth is None else depth))
+        return self.base.render(self.truncate(t, self.depth if depth is None else depth))
 
     def sample_value(self, rng, gen_elem, branch):
         raise NotImplementedError("tree generation lives in the law harness")
-
-
-def render_truncation(base: ElgotMonad, trunc) -> str:
-    return base.render(trunc)

@@ -140,11 +140,15 @@ class _Parser:
         return text
 
     def stmt(self) -> Stmt:
-        first = self.atom()
-        if self.peek()[0] == ";":
+        """A ';' chain, read with a loop and folded into right-nested Seq."""
+        chain = [self.atom()]
+        while self.peek()[0] == ";":
             self.next()
-            return Seq(first, self.stmt())
-        return first
+            chain.append(self.atom())
+        stmt = chain.pop()
+        while chain:
+            stmt = Seq(chain.pop(), stmt)
+        return stmt
 
     def atom(self) -> Stmt:
         kind, text, line, col = self.peek()
@@ -277,7 +281,16 @@ def interpret(stmt: Stmt, env: Env) -> KleisliFn:
     if isinstance(stmt, Act):
         return make_kleisli(rm, alpha, alpha, _lookup_action(env, stmt.name))
     if isinstance(stmt, Seq):
-        return compose_kleisli(interpret(stmt.second, env), interpret(stmt.first, env))
+        # walk the right-nested chain with a loop; composing from the last
+        # statement backwards keeps the association of the nested reading
+        firsts = []
+        while isinstance(stmt, Seq):
+            firsts.append(stmt.first)
+            stmt = stmt.second
+        sem = interpret(stmt, env)
+        for first in reversed(firsts):
+            sem = compose_kleisli(sem, interpret(first, env))
+        return sem
     if isinstance(stmt, If):
         then_f = interpret(stmt.then, env)
         else_f = interpret(stmt.orelse, env)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from elgot.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PKG = Path(__file__).parent.parent
@@ -82,22 +87,24 @@ def test_laws_suite_all_exits_zero():
     assert "handler into" in r.stdout and "morphism ext" in r.stdout
 
 
+ND_SPEC = {
+    "signature": [{"name": "toss", "param": ["*"], "arity": ["h", "t"]}],
+    "base": "finset",
+    "target": "nondetstate",
+    "state_set": ["s0", "s1"],
+    "sigma": "finset-to-nondetstate",
+    "effects": {"toss": {"*": {"states": {"s0": [["h", "s1"]],
+                                          "s1": [["t", "s1"]]}}}},
+    "tree": {"set": [{"op": "toss", "param": "*",
+                      "children": {"h": {"set": [{"leaf": "heads"}]},
+                                   "t": {"set": [{"leaf": "tails"}]}}}]},
+    "fuel": 10,
+}
+
+
 def test_handle_into_nondetstate(tmp_path):
-    spec = {
-        "signature": [{"name": "toss", "param": ["*"], "arity": ["h", "t"]}],
-        "base": "finset",
-        "target": "nondetstate",
-        "state_set": ["s0", "s1"],
-        "sigma": "finset-to-nondetstate",
-        "effects": {"toss": {"*": {"states": {"s0": [["h", "s1"]],
-                                              "s1": [["t", "s1"]]}}}},
-        "tree": {"set": [{"op": "toss", "param": "*",
-                          "children": {"h": {"set": [{"leaf": "heads"}]},
-                                       "t": {"set": [{"leaf": "tails"}]}}}]},
-        "fuel": 10,
-    }
     f = tmp_path / "nd.json"
-    f.write_text(json.dumps(spec))
+    f.write_text(json.dumps(ND_SPEC))
     r = cli("handle", str(f))
     assert r.returncode == 0
     assert r.stdout.endswith("converged\n")
@@ -111,19 +118,32 @@ def test_usage_errors_exit_two(tmp_path):
                "--wat").returncode == 2                    # unknown flag
     prog, spec = str(GOLDEN / "sect7_prog.whl"), str(GOLDEN / "two_state.bsp")
     toss = str(GOLDEN / "handle_toss.json")
-    bad_fuel = []
+    bad_files = []
     for fuel in (-3, "ten"):
         doc = json.loads((GOLDEN / "handle_toss.json").read_text())
         doc["fuel"] = fuel
         path = tmp_path / ("toss_fuel_%s.json" % fuel)
         path.write_text(json.dumps(doc))
-        bad_fuel.append(("handle", str(path)))
+        bad_files.append(("handle", str(path)))
+    malformed = [("signature", 5), ("effects", []), ("state_set", 7),
+                 ("param", 3), (None, None)]
+    for field, value in malformed:
+        doc = json.loads((GOLDEN / "handle_toss.json").read_text())
+        if field is None:
+            doc = [doc]                     # a top-level list
+        elif field == "param":
+            doc["signature"][0]["param"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / ("toss_bad_%s.json" % field)
+        path.write_text(json.dumps(doc))
+        bad_files.append(("handle", str(path)))
     for args in [("run", prog, "--input", "0", "--depth", "-1"),
                  ("bsp", spec, "--depth", "-1"),
                  ("laws", "--depth", "-1"),
                  ("laws", "--samples", "0"),
                  ("handle", toss, "--fuel", "-1"),
-                 ("handle", toss, "--fuel", "many")] + bad_fuel:
+                 ("handle", toss, "--fuel", "many")] + bad_files:
         r = cli(*args)
         assert r.returncode == 2 and "Traceback" not in r.stderr, args
 
@@ -159,6 +179,49 @@ def test_handle_morphism_must_match_base_and_target(tmp_path):
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "maybe-to-finset" in r.stderr
     assert "base finset" in r.stderr and "target finset" in r.stderr
+
+
+def _fields(doc, path=()):
+    """The path of every field of a JSON document, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 12), st.text(max_size=4), st.none(),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.integers(0, 3), st.text(max_size=2)),
+                    max_size=2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_handle_fuzzed_file_never_crashes(tmp_path_factory, data):
+    doc = json.loads(data.draw(st.sampled_from(
+        [(GOLDEN / "handle_toss.json").read_text(), json.dumps(ND_SPEC)])))
+    path = data.draw(st.sampled_from(list(_fields(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_JSON_VALUES)
+    file = tmp_path_factory.getbasetemp() / "fuzzed_handle.json"
+    file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["handle", str(file)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_long_sequence_runs(tmp_path):
+    prog = tmp_path / "long.whl"
+    prog.write_text("; ".join(["write"] * 5000))
+    r = cli("run", str(prog), "--base", "finset", "--input", "0", "--depth", "3")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "{(op write 0 {(op write 0 {(op write 0 {(cut)})})})}\n"
 
 
 def test_parse_errors_exit_two(tmp_path):

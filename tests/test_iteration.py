@@ -3,7 +3,7 @@ import pytest
 from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
     sum_carrier, KleisliFn
 from elgot.base_monads import FinSetMonad, Just, NOTHING, finset
-from elgot.iteration import (UnguardedError, bare_recursive_leaf, check_guarded,
+from elgot.iteration import (UnguardedError, bare_recursive_leaf,
                              guard_transform, solve_guarded)
 from elgot.resumption import ResumptionMonad, TOp, TCUT, TLeaf
 
@@ -19,22 +19,13 @@ def _xy(rm, xs=("a", "b"), ys=("y0",)):
 def test_guarded_when_all_leaves_are_results(rm_maybe):
     x, y, cod = _xy(rm_maybe)
     f = make_kleisli(rm_maybe, x, cod, lambda v: rm_maybe.unit(Inl("y0")))
-    wit = check_guarded(rm_maybe, f)
-    assert wit.guarded
-    # the factorization recovers the first layer exactly
-    for v in x.elements:
-        recovered = rm_maybe.base.map(
-            wit.factor[v],
-            lambda e: Inl(Inl(e.value)) if isinstance(e, Inl) else e)
-        assert recovered == rm_maybe.out(f(v))
+    assert bare_recursive_leaf(rm_maybe, f) is None
 
 
 def test_unguarded_with_witness(rm_maybe):
     x, y, cod = _xy(rm_maybe)
     f = make_kleisli(rm_maybe, x, cod, lambda v: rm_maybe.unit(Inr(v)))
-    wit = check_guarded(rm_maybe, f)
-    assert not wit.guarded
-    assert wit.variable == "a" and wit.leaf == "a"
+    assert bare_recursive_leaf(rm_maybe, f) == ("a", "a")
 
 
 def test_guarded_when_recursion_sits_under_operations(rm_maybe):
@@ -42,7 +33,7 @@ def test_guarded_when_recursion_sits_under_operations(rm_maybe):
     f = make_kleisli(
         rm_maybe, x, cod,
         lambda v: rm_maybe.op_call("act", "p0", {"*": rm_maybe.unit(Inr(v))}))
-    assert check_guarded(rm_maybe, f).guarded
+    assert bare_recursive_leaf(rm_maybe, f) is None
 
 
 def test_guard_transform_fixes_guarded(rm_finset):
@@ -151,6 +142,35 @@ def test_solving_a_guarded_definition_binds_nothing_up_front():
     assert rm.base.binds == before
     g = make_kleisli(rm, x, cod, lambda v: rm.unit(Inr("b" if v == "a" else v)))
     assert bare_recursive_leaf(rm, g) == ("a", "b")
+
+
+def test_iterate_binds_on_demand_and_shares_the_base_fixpoint():
+    class Counting(FinSetMonad):
+        binds = 0
+        fixpoints = 0
+
+        def bind(self, v, f):
+            self.binds += 1
+            return super().bind(v, f)
+
+        def iterate(self, f):
+            self.fixpoints += 1
+            return super().iterate(f)
+
+    rm = ResumptionMonad(Counting(), two_op_signature(), depth=6)
+    x, y, cod = _xy(rm, xs=("a", "b", "c"))
+    step = {"a": rm.unit(Inr("b")),
+            "b": rm.op_call("act", "p0", {"*": rm.unit(Inr("c"))}),
+            "c": rm.out_inv(finset([Inl(Inl("y0")), Inl(Inr("a"))]))}
+    fd = rm.iterate(KleisliFn(rm, x, cod, step))
+    assert rm.base.binds == 0 and rm.base.fixpoints == 0
+    rm.out(fd("a"))
+    assert rm.base.fixpoints == 1
+    for v in x.elements:
+        rm.truncate(fd(v), 4)
+    assert rm.base.fixpoints == 1
+    # a's bare call to b was iterated away inside the base monad
+    assert rm.bisimilar(fd("a"), fd("b"), 4)
 
 
 def test_iterate_extends_base_iteration(rm_finset):
