@@ -17,7 +17,7 @@ from typing import Optional
 from .core import Inl, Inr, KleisliFn, Pair, carrier, empty_carrier, \
     prod_carrier, sum_carrier, unit_carrier
 from .base_monads import FinSetMonad, finset
-from .resumption import OpDecl, OpNode, ResumptionMonad, Signature, Thunk
+from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 
 
 class BspLoadError(ValueError):
@@ -113,7 +113,7 @@ def load_bsp(text: str) -> BspSpec:
 # Equations and solving
 # ---------------------------------------------------------------------------
 
-def build_equations(spec: BspSpec, depth: int = 6):
+def build_equations(spec: BspSpec):
     """The recursive definition over variables (state, transition index).
 
     Variable (i,k) with k < width(i) is the choice of the k-th prefixed
@@ -124,7 +124,7 @@ def build_equations(spec: BspSpec, depth: int = 6):
     base = FinSetMonad()
     act_car = carrier("a", spec.actions)
     sig = Signature((OpDecl("act", act_car, unit_carrier()),))
-    rm = ResumptionMonad(base, sig, depth=depth)
+    rm = ResumptionMonad(base, sig)
 
     k_count = max(spec.widths) + 1 if spec.widths else 1
     st_car = carrier("st", tuple(str(i) for i in range(spec.states)))
@@ -137,7 +137,7 @@ def build_equations(spec: BspSpec, depth: int = 6):
         if k >= spec.widths[i]:
             return rm.out_inv(base.bottom())
         cont = rm.unit(Inr(Pair(str(spec.j[i][k]), "0")))
-        node = OpNode("act", spec.b[i][k], (("*", Thunk.ready(cont)),))
+        node = OpNode("act", spec.b[i][k], (("*", cont),))
         return rm.out_inv(finset((Inl(Inr(Pair(str(i), str(k + 1)))), Inr(node))))
 
     table = {v: equation(v) for v in var_car.elements}
@@ -172,7 +172,7 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     against the root layers; deadlocked states all share the empty layer and
     normalize to the least such index.
     """
-    rm, g = build_equations(spec, depth=max(depth, 1))
+    rm, g = build_equations(spec)
     sol = rm.iterate(g)
     roots = {i: sol(Pair(str(i), "0")) for i in range(spec.states)}
 
@@ -193,7 +193,7 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
             for e in rm.base.elements(rm.out(tree)):
                 assert isinstance(e, Inr), "solved system still has bare leaves"
                 opnode = e.value
-                child = opnode.child("*").force()
+                child = opnode.child("*")
                 state = identify.get(rm.out(child))
                 assert state is not None, "child layer does not match any state"
                 counters[state] += 1

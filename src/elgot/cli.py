@@ -15,12 +15,12 @@ from .core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair, carrier,
                    make_kleisli, unit_carrier)
 from .base_monads import Just, NOTHING, NdState, elgot_instance, finset
 from .handler import (EffectInterpretation, InterpretationError, MonadMorphism,
-                      handle, finset_to_nondetstate,
+                      handle, finset_to_nondetstate, identity_morphism,
                       maybe_to_finset, maybe_to_nondetstate)
 from .bsp import BspLoadError, load_bsp, lts_to_csv, lts_to_dot, lts_to_text, \
     solve_and_unfold
 from .laws import Gen, GenConfig, run_axiom_suite, run_handler_suite, run_morphism_suite
-from .resumption import OpDecl, OpNode, ResumptionMonad, Signature, Thunk
+from .resumption import OpDecl, OpNode, ResTree, ResumptionMonad, Signature
 from .while_lang import SemanticError, WhileSyntaxError, make_env, parse, run
 
 
@@ -100,8 +100,7 @@ def cmd_run(args) -> int:
         return 2
     try:
         stmt = parse(source)
-        env = make_env(args.base, alphabet=alphabet, state_set=states,
-                       depth=args.depth)
+        env = make_env(args.base, alphabet=alphabet, state_set=states)
         if args.trace:
             print("# %s" % (stmt,))
         print(run(stmt, env, args.input, args.depth))
@@ -198,6 +197,10 @@ def _parse_value(monad, data, parse_elem):
 
 
 def _parse_tree(rm, data):
+    """The tree a handle file describes, parsed with an explicit stack: each
+    child tree takes its layer, parsed later in the loop, from a one-slot cell."""
+    todo = []
+
     def parse_payload(p):
         if isinstance(p, dict) and isinstance(p.get("leaf"), (str, int)):
             return Inl(p["leaf"])
@@ -206,23 +209,23 @@ def _parse_tree(rm, data):
             if p["param"] not in decl.param:
                 raise InterpretationError("operation %s has no parameter %r"
                                           % (decl.name, p["param"]))
-            kids = tuple((a, Thunk.ready(_parse_tree(rm, p["children"][a])))
-                         for a in decl.arity.elements)
+            kids = []
+            for a in decl.arity.elements:
+                cell = []
+                todo.append((cell, p["children"][a]))
+                kids.append((a, ResTree(fn=cell.pop)))
             return Inr(OpNode(p["op"], p["param"], kids))
         raise InterpretationError("malformed tree payload: %r" % (p,))
 
-    return rm.out_inv(_parse_value(rm.base, data, parse_payload))
+    root = rm.out_inv(_parse_value(rm.base, data, parse_payload))
+    while todo:
+        cell, value = todo.pop()
+        cell.append(_parse_value(rm.base, value, parse_payload))
+    return root
 
 
-def _identity(s, t) -> MonadMorphism:
-    if s.name != t.name:
-        raise InterpretationError("no identity morphism from %s to %s" % (s.name, t.name))
-    return MonadMorphism("identity", s, t, lambda v: v)
-
-
-# name -> (source kind, target kind, constructor); identity takes any one kind
-_SIGMAS = {"identity": (None, None, _identity),
-           "maybe-to-finset": ("maybe", "finset", maybe_to_finset),
+# name -> (source kind, target kind, constructor); identity is added per file
+_SIGMAS = {"maybe-to-finset": ("maybe", "finset", maybe_to_finset),
            "maybe-to-nondetstate": ("maybe", "nondetstate", maybe_to_nondetstate),
            "finset-to-nondetstate": ("finset", "nondetstate", finset_to_nondetstate)}
 
@@ -241,11 +244,12 @@ def _decode_handle(data, fuel):
                             state_set=tuple(data.get("state_set", ())) or None)
     rm = ResumptionMonad(base, sig)
     sigma_name = data.get("sigma", "identity")
-    if sigma_name not in _SIGMAS:
+    sigmas = dict(_SIGMAS, identity=(data["target"], data["target"],
+                                     lambda _base, target: identity_morphism(target)))
+    if sigma_name not in sigmas:
         raise InterpretationError("unknown morphism %r" % sigma_name)
-    source_kind, target_kind, make_sigma = _SIGMAS[sigma_name]
-    if source_kind is not None and \
-            (source_kind, target_kind) != (data["base"], data["target"]):
+    source_kind, target_kind, make_sigma = sigmas[sigma_name]
+    if (source_kind, target_kind) != (data["base"], data["target"]):
         raise InterpretationError(
             "morphism %s maps %s to %s, but the file has base %s and target %s"
             % (sigma_name, source_kind, target_kind, data["base"], data["target"]))
@@ -271,6 +275,9 @@ def cmd_handle(args) -> int:
         data = json.load(open(args.file))
     except (OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: %s is nested too deeply to read" % args.file, file=sys.stderr)
         return 2
     try:
         target, job = _decode_handle(data, args.fuel)

@@ -112,7 +112,7 @@ def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
         u = upsilon.effect(node.op)
         def to_child(a):
             try:
-                return Inr(node.child(a).force())
+                return Inr(node.child(a))
             except KeyError:
                 raise InterpretationError(
                     "operation %s has no child at %s" % (node.op, render_elem(a)))

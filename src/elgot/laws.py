@@ -20,7 +20,7 @@ from .core import (ElgotMonad, Inl, Inr, KleisliFn, Pair, Carrier,
 from .handler import (EffectInterpretation, MonadMorphism,
                       check_universal_triangles, handle)
 from .iteration import guard_transform, solve_guarded
-from .resumption import OpNode, ResumptionMonad, Thunk
+from .resumption import OpNode, ResumptionMonad
 
 
 @dataclass
@@ -98,8 +98,7 @@ class Gen:
 
             def op_elem():
                 op = self.rng.choice(rm.sig.ops)
-                kids = tuple((a, Thunk.ready(gen()))
-                             for a in op.arity.elements)
+                kids = tuple((a, gen()) for a in op.arity.elements)
                 return Inr(OpNode(op.name, self.elem(op.param), kids))
 
             return rm.out_inv(rm.base.sample_value(self.rng, gen_elem, self.cfg.branch))
@@ -383,8 +382,8 @@ def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
         node = e.value
         if depth == 0:
             return rm.base.unit(TCUT)
-        kids = tuple(_eager_bind_trunc(rm, th.force(), f, depth - 1)
-                     for _a, th in node.children)
+        kids = tuple(_eager_bind_trunc(rm, child, f, depth - 1)
+                     for _a, child in node.children)
         return rm.base.unit(TOp(node.op, node.param, kids))
 
     return rm.base.bind(rm.out(t), elem)
@@ -399,8 +398,8 @@ def _eager_strength_trunc(rm: ResumptionMonad, c, t, depth: int):
         node = e.value
         if depth == 0:
             return TCUT
-        kids = tuple(_eager_strength_trunc(rm, c, th.force(), depth - 1)
-                     for _a, th in node.children)
+        kids = tuple(_eager_strength_trunc(rm, c, child, depth - 1)
+                     for _a, child in node.children)
         return TOp(node.op, node.param, kids)
 
     return rm.base.map(rm.out(t), elem)

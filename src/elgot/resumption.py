@@ -1,9 +1,11 @@
 """Coinductive resumption trees over a base monad and an operation signature.
 
 A tree is observed one layer at a time: out(t) is a base-monad value whose
-elements are either Inl(leaf) or Inr(operation node); an operation node keeps
-its children as memoized suspensions.  Nodes and suspensions carry unique
-identity tokens, which is what lets base-monad fixpoints treat subtrees as
+elements are either Inl(leaf) or Inr(operation node).  A tree is the
+suspension of its first layer, a memoised cell (Thunk) computed at most
+once, and an operation node's children are the child trees themselves.
+Every tree carries a unique identity token; nodes compare and hash by their
+children's tokens, which is what lets base-monad fixpoints treat subtrees as
 opaque atoms, and what makes memoized forcing observable in tests.
 
 Equality of trees is undecidable in general; the package works with
@@ -74,27 +76,22 @@ def sig_val(decl: OpDecl, param, args: Mapping) -> SigVal:
 
 
 # ---------------------------------------------------------------------------
-# Suspensions and nodes
+# The memoised cell, nodes and trees
 # ---------------------------------------------------------------------------
 
 class Thunk:
-    """Memoized suspension of a tree; forcing twice yields the same node."""
+    """The package's one memoised cell: fn runs at most once, on the first
+    force.  A cell made with a value is already forced."""
 
     __slots__ = ("token", "_fn", "_value", "_lock")
 
-    def __init__(self, fn: Callable[[], "ResTree"]):
+    def __init__(self, fn: Optional[Callable] = None, value=None):
         self.token = next(_tokens)
         self._fn = fn
-        self._value = None
+        self._value = value
         self._lock = threading.Lock()
 
-    @classmethod
-    def ready(cls, tree: "ResTree") -> "Thunk":
-        t = cls(lambda: tree)
-        t._value = tree
-        return t
-
-    def force(self) -> "ResTree":
+    def force(self):
         v = self._value
         if v is None:
             with self._lock:
@@ -106,10 +103,10 @@ class Thunk:
 
 
 class OpNode:
-    """One operation layer: name, parameter, suspended children per arity atom.
+    """One operation layer: name, parameter, child tree per arity atom.
 
-    Equality and hashing go through the child suspension tokens, never the
-    child structure, so these nodes can sit inside base-monad set values.
+    Equality and hashing go through the child tree tokens, never the child
+    structure, so these nodes can sit inside base-monad set values.
     """
 
     __slots__ = ("op", "param", "children")
@@ -117,17 +114,17 @@ class OpNode:
     def __init__(self, op: str, param, children):
         self.op = op
         self.param = param
-        self.children = tuple(children)   # ((arity atom, Thunk), ...)
+        self.children = tuple(children)   # ((arity atom, ResTree), ...)
 
-    def child(self, a) -> Thunk:
-        for atom, th in self.children:
+    def child(self, a) -> "ResTree":
+        for atom, t in self.children:
             if atom == a:
-                return th
+                return t
         raise KeyError(a)
 
     def _ident(self):
         return (self.op, self.param,
-                tuple((a, th.token) for a, th in self.children))
+                tuple((a, t.token) for a, t in self.children))
 
     def __eq__(self, other):
         return isinstance(other, OpNode) and self._ident() == other._ident()
@@ -137,32 +134,21 @@ class OpNode:
 
     def _canon_key_(self):
         return (21, self.op, canon_key(self.param),
-                tuple(th.token for _a, th in self.children))
+                tuple(t.token for _a, t in self.children))
 
     def _render_(self):
         return "(node %s %s)" % (self.op, render_elem(self.param))
 
 
-class ResTree:
-    """A resumption tree; out() materializes and memoizes the first layer."""
+class ResTree(Thunk):
+    """A resumption tree: the memoised cell of its first layer, out()."""
 
-    __slots__ = ("token", "_step", "_fn", "_lock")
+    __slots__ = ()
 
     def __init__(self, step=None, fn: Optional[Callable] = None):
-        self.token = next(_tokens)
-        self._step = step
-        self._fn = fn
-        self._lock = threading.Lock()
+        Thunk.__init__(self, fn, step)
 
-    def out(self):
-        v = self._step
-        if v is None:
-            with self._lock:
-                if self._step is None:
-                    self._step = self._fn()
-                    self._fn = None
-                v = self._step
-        return v
+    out = Thunk.force
 
     def _canon_key_(self):
         return (22, self.token)
@@ -269,24 +255,21 @@ class ResumptionMonad(ElgotMonad):
     def op_call(self, op: str, param, children: Mapping) -> ResTree:
         """The free operation applied to continuation trees."""
         decl = self.sig.op(op)
-        kids = []
-        for a in decl.arity.elements:
-            child = children[a]
-            kids.append((a, child if isinstance(child, Thunk) else Thunk.ready(child)))
+        kids = tuple((a, children[a]) for a in decl.arity.elements)
         return self.out_inv(self.base.unit(Inr(OpNode(op, param, kids))))
 
     def iota(self, op: str, param, k: Mapping) -> ResTree:
         """Generic operation with pure continuations k : arity -> X."""
         decl = self.sig.op(op)
         return self.op_call(op, param,
-                            {a: Thunk.ready(self.unit(k[a])) for a in decl.arity.elements})
+                            {a: self.unit(k[a]) for a in decl.arity.elements})
 
     def coit(self, g: KleisliFn) -> KleisliFn:
         """Final-coalgebra unfolding of g : Y -> T(X + Sigma Y).
 
-        Signature positions in g's output carry SigVal seeds; children are
-        suspensions re-invoking the unfolding on the seed.  Seeds are shared,
-        so revisiting one yields the identical node.
+        Signature positions in g's output carry SigVal seeds; each child is
+        the lazy unfolding of its seed.  Seeds are shared, so revisiting one
+        yields the identical tree.
         """
         def step_elem(e):
             return case_sum(
@@ -294,7 +277,7 @@ class ResumptionMonad(ElgotMonad):
                 lambda x: Inl(x),
                 lambda sv: Inr(OpNode(
                     sv.op, sv.param,
-                    tuple((a, Thunk(lambda s=s: go(s))) for a, s in sv.args))))
+                    tuple((a, go(s)) for a, s in sv.args))))
 
         go = memo_trees(lambda y: self.base.map(g(y), step_elem))
         return KleisliFn(self, g.dom, None, {y: go(y) for y in g.dom.elements})
@@ -311,8 +294,7 @@ class ResumptionMonad(ElgotMonad):
             if isinstance(e, Inl):
                 return self.out(f(e.value))
             node = e.value
-            kids = tuple((a, Thunk(lambda th=th: lifted(th.force())))
-                         for a, th in node.children)
+            kids = tuple((a, lifted(child)) for a, child in node.children)
             return self.base.unit(Inr(OpNode(node.op, node.param, kids)))
 
         lifted = memo_trees(lambda s: self.base.bind(self.out(s), elem))
@@ -344,8 +326,8 @@ class ResumptionMonad(ElgotMonad):
             node = e.value
             if depth == 0:
                 return TCUT
-            kids = tuple(self.truncate(th.force(), depth - 1)
-                         for _a, th in node.children)
+            kids = tuple(self.truncate(child, depth - 1)
+                         for _a, child in node.children)
             return TOp(node.op, node.param, kids)
 
         # base.map rebuilds the layer, so set layers come out canonically

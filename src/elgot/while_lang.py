@@ -38,10 +38,18 @@ class Act:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Seq:
     first: "Stmt"
     second: "Stmt"
+
+    def __repr__(self):
+        # the dataclass repr's text, from a loop down the right-nested chain
+        opened, stmt = [], self
+        while isinstance(stmt, Seq):
+            opened.append("Seq(first=%r, second=" % (stmt.first,))
+            stmt = stmt.second
+        return "".join(opened) + repr(stmt) + ")" * len(opened)
 
 
 @dataclass(frozen=True)
@@ -207,8 +215,7 @@ class Env:
 
 
 def make_env(base_kind: str = "finset", alphabet=None, state_set=None,
-             depth: int = 6, actions: Optional[dict] = None,
-             predicates: Optional[dict] = None) -> Env:
+             actions: Optional[dict] = None, predicates: Optional[dict] = None) -> Env:
     """The standard environment: read/write actions over the alphabet, the
     true/false predicates, and coin on nondeterministic bases."""
     base = elgot_instance(base_kind, state_set=state_set)
@@ -219,7 +226,7 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None,
            OpDecl("read", unit_carrier(), alpha)]
     if not deterministic:
         ops.append(OpDecl("coin", unit_carrier(), BOOL2))
-    rm = ResumptionMonad(base, Signature(tuple(ops)), depth=depth)
+    rm = ResumptionMonad(base, Signature(tuple(ops)))
 
     def do_write(v):
         return rm.op_call("write", v, {"*": rm.unit(v)})

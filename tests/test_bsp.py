@@ -90,7 +90,7 @@ def test_build_equations_matches_the_equation_shape():
     ops = [e for e in els if isinstance(e, Inr)]
     assert len(bare) == 1 and bare[0].value == Inr(Pair("0", "1"))
     assert len(ops) == 1 and ops[0].value.op == "act" and ops[0].value.param == "a"
-    child = ops[0].value.child("*").force()
+    child = ops[0].value.child("*")
     assert rm.out(child) == rm.base.unit(Inl(Inr(Pair("1", "0"))))
 
 

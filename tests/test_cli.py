@@ -224,6 +224,36 @@ def test_long_sequence_runs(tmp_path):
     assert r.stdout == "{(op write 0 {(op write 0 {(op write 0 {(cut)})})})}\n"
 
 
+def test_run_trace_echoes_a_long_sequence(tmp_path):
+    prog = tmp_path / "long.whl"
+    prog.write_text("; ".join(["write"] * 1000))
+    r = cli("run", str(prog), "--input", "0", "--depth", "1", "--trace")
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    assert r.stdout.startswith("# Seq(first=Act(name='write'), second=Seq(")
+
+
+def _act_chain_file(tmp_path, n):
+    """A handle file whose tree is a chain of n act nodes above a leaf,
+    written as text: the json encoder itself recurses on nesting."""
+    doc = {"signature": [{"name": "act", "param": ["*"], "arity": ["*"]}],
+           "base": "maybe", "target": "finset", "sigma": "maybe-to-finset",
+           "effects": {"act": {"*": {"set": ["*"]}}}, "tree": None, "fuel": 700}
+    tree = ('{"just": {"op": "act", "param": "*", "children": {"*": ' * n
+            + '{"just": {"leaf": "x"}}' + "}}}" * n)
+    path = tmp_path / ("chain_%d.json" % n)
+    path.write_text(json.dumps(doc).replace("null", tree))
+    return str(path)
+
+
+def test_deep_handle_files_exit_cleanly(tmp_path):
+    r = cli("handle", _act_chain_file(tmp_path, 300))
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    assert r.stdout == "{x}\nconverged\n"
+    r = cli("handle", _act_chain_file(tmp_path, 1000))   # too deep for json
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
 def test_parse_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.whl"
     bad.write_text("while do")

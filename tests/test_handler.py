@@ -11,7 +11,7 @@ from elgot.handler import (EffectInterpretation, InterpretationError,
                            identity_morphism,
                            maybe_to_finset, maybe_to_nondetstate,
                            finset_to_nondetstate, zeta)
-from elgot.resumption import ResumptionMonad, Thunk, sig_val
+from elgot.resumption import ResTree, ResumptionMonad, sig_val
 
 from conftest import resumption, two_op_signature
 
@@ -99,7 +99,7 @@ def test_infinite_fresh_spine_stays_approximate():
     ups = EffectInterpretation(rm.sig, base, {"act": u_act, "ask": u_ask})
 
     def spine():
-        return rm.op_call("act", "p0", {"*": Thunk(lambda: spine())})
+        return rm.op_call("act", "p0", {"*": ResTree(fn=lambda: spine().out())})
 
     for fuel in (1, 3, 8):
         r = handle(rm, spine(), sigma, ups, fuel)
@@ -127,7 +127,7 @@ def test_handle_returns_the_kth_table_of_the_chain(kind, kw):
 
     def spine(n):
         return rm.op_call("ask", "*", {"l": rm.unit(n),
-                                       "r": Thunk(lambda: spine(n + 1))})
+                                       "r": ResTree(fn=lambda: spine(n + 1).out())})
 
     t = spine(0)
     chain = approximants(base, (t,), lambda tree: zeta(rm, tree, sigma, ups))
@@ -163,7 +163,7 @@ def _fold_oracle(rm, t, sigma, ups):
             node = e.value
             u = ups.effect(node.op)
             return S.bind(u(node.param),
-                          lambda a: go(node.child(a).force()))
+                          lambda a: go(node.child(a)))
         return S.bind(sigma.component(rm.out(tree)), elem)
 
     return go(t)

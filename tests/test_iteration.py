@@ -270,8 +270,8 @@ def _truncated_lfp_oracle(rm, f, depth):
                 node = e.value
                 if dd == 0:
                     return base.unit(TCUT)
-                kids = tuple(splice(th.force(), dd - 1, cur)
-                             for _a, th in node.children)
+                kids = tuple(splice(child, dd - 1, cur)
+                             for _a, child in node.children)
                 return base.unit(TOp(node.op, node.param, kids))
             return base.bind(rm.out(t), elem)
 

@@ -3,8 +3,8 @@ import pytest
 from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
     make_kleisli
 from elgot.base_monads import Just, NOTHING, finset
-from elgot.resumption import (OpDecl, Signature, Thunk, TLeaf, TCUT, TOp,
-                              sig_val)
+from elgot.resumption import (OpDecl, ResTree, Signature, Thunk, TLeaf, TCUT,
+                              TOp, sig_val)
 
 from conftest import resumption, two_op_signature
 
@@ -32,8 +32,8 @@ def test_out_of_iota(rm_maybe):
     assert isinstance(step, Just) and isinstance(step.value, Inr)
     node = step.value.value
     assert node.op == "ask" and node.param == "*"
-    assert rm_maybe.out(node.child("l").force()) == Just(Inl("x"))
-    assert rm_maybe.out(node.child("r").force()) == Just(Inl("y"))
+    assert rm_maybe.out(node.child("l")) == Just(Inl("x"))
+    assert rm_maybe.out(node.child("r")) == Just(Inl("y"))
 
 
 def test_out_inv_roundtrip(rm_maybe):
@@ -165,7 +165,15 @@ def test_bisimilar_reflexive(rm_finset):
             assert rm_finset.bisimilar(t, t, d)
 
 
-def test_memoized_forcing_is_stable():
+# the one memoised cell, forced directly and as a tree's first layer
+CELLS = pytest.mark.parametrize("force", [
+    lambda fn: Thunk(fn).force,
+    lambda fn: ResTree(fn=fn).out,
+], ids=["Thunk.force", "ResTree.out"])
+
+
+@CELLS
+def test_memoized_forcing_is_stable(force):
     rm = resumption("maybe")
     calls = []
 
@@ -173,12 +181,13 @@ def test_memoized_forcing_is_stable():
         calls.append(1)
         return rm.unit("x")
 
-    th = Thunk(build)
-    first = th.force()
-    assert th.force() is first and len(calls) == 1
+    forced = force(build)
+    first = forced()
+    assert forced() is first and len(calls) == 1
 
 
-def test_forcing_is_at_most_once_under_contention():
+@CELLS
+def test_forcing_is_at_most_once_under_contention(force):
     import threading
     import time
     rm = resumption("maybe")
@@ -189,13 +198,13 @@ def test_forcing_is_at_most_once_under_contention():
         time.sleep(0.01)   # widen the race window
         return rm.unit("x")
 
-    th = Thunk(build)
+    forced = force(build)
     results = []
     barrier = threading.Barrier(8)
 
     def worker():
         barrier.wait()
-        results.append(th.force())
+        results.append(forced())
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -257,7 +266,7 @@ def _two_cycle(rm):
 
 
 def _child(rm, t):
-    return rm.base.elements(rm.out(t))[0].value.child("*").force()
+    return rm.base.elements(rm.out(t))[0].value.child("*")
 
 
 @pytest.mark.parametrize("lift", [
@@ -278,4 +287,22 @@ def test_lifting_keeps_shared_subtrees(rm_maybe):
     shared = rm_maybe.iota("act", "p1", {"*": "x"})
     t = rm_maybe.op_call("ask", "*", {"l": shared, "r": shared})
     node = rm_maybe.out(rm_maybe.bind(t, rm_maybe.unit)).value.value
-    assert node.child("l").force() is node.child("r").force()
+    assert node.child("l") is node.child("r")
+
+
+def test_children_are_the_trees_themselves(rm_maybe):
+    t = rm_maybe.unit("x")
+    node = rm_maybe.out(rm_maybe.op_call("act", "p0", {"*": t})).value.value
+    assert node.child("*") is t
+
+    seeds = carrier("s", ("s0", "s1"))
+    decl = rm_maybe.sig.op("act")
+    nxt = {"s0": "s1", "s1": "s0"}
+    unfold = rm_maybe.coit(make_kleisli(
+        rm_maybe.base, seeds, None,
+        lambda s: Just(Inr(sig_val(decl, "p0", {"*": nxt[s]})))))
+    assert _child(rm_maybe, unfold("s0")) is unfold("s1")
+
+    # node identity is the child trees' tokens, so equal calls give equal nodes
+    again = rm_maybe.out(rm_maybe.op_call("act", "p0", {"*": t})).value.value
+    assert node == again and hash(node) == hash(again)
