@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
-                   canon_key, carrier, render_elem)
+                   canon_key, carrier, render_elem, spaced)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ class _Nothing:
         return (10,)
 
     def _render_(self):
-        return "(bot)"
+        return ("(bot)",)
 
 
 NOTHING = _Nothing()
@@ -43,7 +43,7 @@ class Just:
         return (11, canon_key(self.value))
 
     def _render_(self):
-        return render_elem(self.value)
+        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class FinSet:
         return (12,) + tuple(canon_key(e) for e in self.elems)
 
     def _render_(self):
-        return "{%s}" % " ".join(render_elem(e) for e in self.elems)
+        return ["{"] + spaced(self.elems) + ["}"]
 
     def __contains__(self, e):
         return e in self.elems
@@ -88,8 +88,10 @@ class NdState:
         return (13,) + tuple((canon_key(s), canon_key(v)) for s, v in self.table)
 
     def _render_(self):
-        return "(states %s)" % " ".join(
-            "(%s %s)" % (s, render_elem(v)) for s, v in self.table)
+        parts = ["(states"]
+        for s, v in self.table:
+            parts += (" (", s, " ", v, ")")
+        return parts + [")"]
 
 
 # ---------------------------------------------------------------------------

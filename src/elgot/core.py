@@ -1,9 +1,13 @@
 """Finite carriers, tagged sums and products, Kleisli functions, and the
 interface every iteration monad in this package implements.
 
-Atoms are plain interned strings; every composite value (sum tags, pairs,
-operation nodes, truncated tree layers) carries a canonical sort key so that
-finite sets over mixed element types have a stable, deterministic order.
+Atoms are plain strings; every composite value (sum tags, pairs, operation
+nodes, truncated tree layers) has a canonical sort key so that finite sets
+over mixed element types have a stable, deterministic order.  Sums, pairs and
+base-monad values build their key from their parts on each call; truncated
+tree layers are hash-consed and store theirs once (see the resumption
+module).  Composite values render through one explicit stack, so neither
+keys nor text are bounded by Python's recursion depth.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ class Inl:
         return (2, canon_key(self.value))
 
     def _render_(self):
-        return "(inl %s)" % render_elem(self.value)
+        return ("(inl ", self.value, ")")
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class Inr:
         return (3, canon_key(self.value))
 
     def _render_(self):
-        return "(inr %s)" % render_elem(self.value)
+        return ("(inr ", self.value, ")")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class Pair:
         return (4, canon_key(self.fst), canon_key(self.snd))
 
     def _render_(self):
-        return "(pair %s %s)" % (render_elem(self.fst), render_elem(self.snd))
+        return ("(pair ", self.fst, " ", self.snd, ")")
 
 
 def canon_key(v):
@@ -71,14 +75,40 @@ def canon_key(v):
 
 
 def render_elem(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    render = getattr(v, "_render_", None)
-    if render is None:
-        return repr(v)
-    return render()
+    """Canonical text of an element.
+
+    A composite value's _render_() lists its pieces in order: strings print
+    as themselves and every other piece is rendered in turn.  Pieces are
+    expanded from an explicit stack of iterators, so nesting depth is not
+    bounded by Python's recursion depth.
+    """
+    out, stack, pieces = [], [], iter((v,))
+    while True:
+        for x in pieces:
+            if isinstance(x, str):
+                out.append(x)
+            elif isinstance(x, int):
+                out.append(str(x))
+            else:
+                render = getattr(x, "_render_", None)
+                if render is None:
+                    out.append(repr(x))
+                else:
+                    stack.append(pieces)
+                    pieces = iter(render())
+                    break
+        else:
+            if not stack:
+                return "".join(out)
+            pieces = stack.pop()
+
+
+def spaced(items) -> list:
+    """items with a " " piece between neighbours, for _render_."""
+    parts = []
+    for x in items:
+        parts += (" ", x)
+    return parts[1:]
 
 
 def case_sum(v, on_left: Callable, on_right: Callable):

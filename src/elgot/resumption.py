@@ -9,18 +9,25 @@ children's tokens, which is what lets base-monad fixpoints treat subtrees as
 opaque atoms, and what makes memoized forcing observable in tests.
 
 Equality of trees is undecidable in general; the package works with
-depth-indexed bisimilarity via finite truncations.
+depth-indexed bisimilarity via finite truncations.  A truncation is a base-
+monad value over hash-consed layers (TLeaf, TCUT, TOp): equal layers are one
+object, so truncations compare and hash by identity below the top layer, and
+each layer stores its canonical key.  truncate reads each (tree, depth) pair
+once, so the observation of a shared or cyclic tree is a DAG built once.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
+# the atomic "delete if dead" that weakref.WeakValueDictionary is built on
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
-                   canon_key, case_sum, render_elem)
+                   canon_key, case_sum, render_elem, spaced)
 
 _tokens = itertools.count(1)
 
@@ -137,7 +144,7 @@ class OpNode:
                 tuple(t.token for _a, t in self.children))
 
     def _render_(self):
-        return "(node %s %s)" % (self.op, render_elem(self.param))
+        return ("(node ", self.op, " ", self.param, ")")
 
 
 class ResTree(Thunk):
@@ -154,7 +161,7 @@ class ResTree(Thunk):
         return (22, self.token)
 
     def _render_(self):
-        return "(tree #%d)" % self.token
+        return ("(tree #%d)" % self.token,)
 
 
 def memo_trees(layer: Callable) -> Callable:
@@ -179,15 +186,56 @@ def memo_trees(layer: Callable) -> Callable:
 # Truncations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TLeaf:
-    value: Any
+_intern_lock = threading.Lock()
+
+
+class _Interned:
+    """A hash-consed truncation value: equal values are one object.
+
+    Each class's intern table is keyed shallowly, by the fields themselves:
+    children are interned already, or base-monad values over interned
+    elements, so the lookup never walks below one layer.  Equality and
+    hashing are therefore identity, and each value stores its canonical key,
+    built in _set from its children's stored keys.  The tables hold values
+    weakly, under one lock, so two equal values never coexist.
+    """
+
+    __slots__ = ("_key", "__weakref__")
+
+    def __new__(cls, *fields):
+        table = cls._table
+        entry = table.get(fields)
+        v = None if entry is None else entry()
+        if v is None:
+            with _intern_lock:     # check again: another thread may have won
+                entry = table.get(fields)
+                v = None if entry is None else entry()
+                if v is None:
+                    v = object.__new__(cls)
+                    v._set(*fields)
+                    # the callback drops the entry only while it is dead, so
+                    # it needs no lock and never drops a newer value's entry
+                    table[fields] = weakref.ref(
+                        v, lambda _entry: _remove_dead_weakref(table, fields))
+        return v
 
     def _canon_key_(self):
-        return (30, canon_key(self.value))
+        return self._key
+
+    def __repr__(self):
+        return render_elem(self)
+
+
+class TLeaf(_Interned):
+    __slots__ = ("value",)
+    _table = {}    # fields -> weak reference to the one value
+
+    def _set(self, value):
+        self.value = value
+        self._key = (30, canon_key(value))
 
     def _render_(self):
-        return "(leaf %s)" % render_elem(self.value)
+        return ("(leaf ", self.value, ")")
 
 
 class _TCut:
@@ -197,25 +245,24 @@ class _TCut:
         return (31,)
 
     def _render_(self):
-        return "(cut)"
+        return ("(cut)",)
 
 
 TCUT = _TCut()
 
 
-@dataclass(frozen=True)
-class TOp:
-    op: str
-    param: Any
-    children: tuple   # truncated values in arity order
+class TOp(_Interned):
+    __slots__ = ("op", "param", "children")
+    _table = {}
 
-    def _canon_key_(self):
-        return (32, self.op, canon_key(self.param),
-                tuple(canon_key(c) for c in self.children))
+    def _set(self, op: str, param, children: tuple):
+        self.op, self.param = op, param
+        self.children = children   # truncated values in arity order
+        self._key = (32, op, canon_key(param),
+                     tuple(canon_key(c) for c in children))
 
     def _render_(self):
-        parts = " ".join(render_elem(c) for c in self.children)
-        return "(op %s %s %s)" % (self.op, render_elem(self.param), parts)
+        return ["(op ", self.op, " ", self.param, " "] + spaced(self.children) + [")"]
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +363,47 @@ class ResumptionMonad(ElgotMonad):
     # -- observation ----------------------------------------------------------
 
     def truncate(self, t: ResTree, depth: int):
-        """Finite observation: cut every operation layer below `depth`."""
+        """Finite observation: cut every operation layer below `depth`.
+
+        Each (tree, depth) pair is read and truncated once per call, level
+        by level in loops, so shared subtrees cost one visit and nesting is
+        not bounded by Python's recursion depth.
+        """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-
+        base = self.base
+        # levels[i]: tree -> first layer, for each tree reached i layers down
+        levels = [{t: t.out()}]
+        while len(levels) <= depth:
+            reached = {}
+            for layer in levels[-1].values():
+                for e in base.elements(layer):
+                    if isinstance(e, Inr):
+                        for _a, c in e.value.children:
+                            if c not in reached:
+                                reached[c] = c.out()
+            if not reached:
+                break
+            levels.append(reached)
+        # build from the deepest level up; nodes at the depth bound are cut.
+        # base.map rebuilds each layer, so set layers come out sorted by the
+        # stored keys of the interned elements
         def elem(e):
             if isinstance(e, Inl):
                 return TLeaf(e.value)
-            node = e.value
-            if depth == 0:
+            if cut:
                 return TCUT
-            kids = tuple(self.truncate(child, depth - 1)
-                         for _a, child in node.children)
-            return TOp(node.op, node.param, kids)
+            node = e.value
+            return TOp(node.op, node.param,
+                       tuple(below[c] for _a, c in node.children))
 
-        # base.map rebuilds the layer, so set layers come out canonically
-        # sorted by the structural key of the truncated elements
-        return self.base.map(self.out(t), elem)
+        below = None
+        for i in range(len(levels) - 1, -1, -1):
+            cut, built = i == depth, {}
+            for s, layer in levels[i].items():
+                built[s] = base.map(layer, elem)
+            below = built
+        return below[t]
 
     def bisimilar(self, t1: ResTree, t2: ResTree, depth: int) -> bool:
         if t1 is t2:

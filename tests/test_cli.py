@@ -232,6 +232,22 @@ def test_run_trace_echoes_a_long_sequence(tmp_path):
     assert r.stdout.startswith("# Seq(first=Act(name='write'), second=Seq(")
 
 
+def _write_loop_text(depth):
+    """What `while true do write` on finset prints at a depth: one write
+    node per layer above a cut."""
+    return "{(op write 0 " * depth + "{(cut)}" + ")}" * depth + "\n"
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_deep_runs_render_without_recursion(tmp_path, depth):
+    prog = tmp_path / "loop.whl"
+    prog.write_text("while true do write")
+    r = cli("run", str(prog), "--base", "finset", "--input", "0",
+            "--depth", str(depth))
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr[-500:]
+    assert r.stdout == _write_loop_text(depth)
+
+
 def _act_chain_file(tmp_path, n):
     """A handle file whose tree is a chain of n act nodes above a leaf,
     written as text: the json encoder itself recurses on nesting."""

@@ -1,10 +1,10 @@
 import pytest
 
-from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
-    make_kleisli
-from elgot.base_monads import Just, NOTHING, finset
-from elgot.resumption import (OpDecl, ResTree, Signature, Thunk, TLeaf, TCUT,
-                              TOp, sig_val)
+from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, \
+    sum_carrier, make_kleisli
+from elgot.base_monads import FinSet, Just, NOTHING, NdState, elgot_instance, finset
+from elgot.resumption import (OpDecl, ResTree, ResumptionMonad, Signature, Thunk,
+                              TLeaf, TCUT, TOp, sig_val)
 
 from conftest import resumption, two_op_signature
 
@@ -306,3 +306,162 @@ def test_children_are_the_trees_themselves(rm_maybe):
     # node identity is the child trees' tokens, so equal calls give equal nodes
     again = rm_maybe.out(rm_maybe.op_call("act", "p0", {"*": t})).value.value
     assert node == again and hash(node) == hash(again)
+
+
+# -- hash-consed truncations --------------------------------------------------
+
+def _binary_loop(rm):
+    """One seed whose layer is an ask node with the seed at both children:
+    the full binary tree, as a one-state coit unfolding."""
+    seeds = carrier("s", ("s",))
+    decl = rm.sig.op("ask")
+    g = make_kleisli(rm.base, seeds, None,
+                     lambda s: rm.base.unit(Inr(sig_val(decl, "*", {"l": s, "r": s}))))
+    return rm.coit(g)("s")
+
+
+@pytest.fixture
+def counted_out(monkeypatch):
+    """Counts ResTree.out calls and refuses more than a budget, so a walk
+    that revisits shared subtrees fails fast instead of running 2^depth."""
+    calls = []
+    out = ResTree.out
+
+    def counting(self):
+        calls.append(self)
+        if len(calls) > 10_000:
+            raise AssertionError("truncation re-reads shared subtrees")
+        return out(self)
+
+    monkeypatch.setattr(ResTree, "out", counting)
+    return calls
+
+
+def _full_binary(depth):
+    v = finset([TCUT])
+    for _ in range(depth):
+        v = finset([TOp("ask", "*", (v, v))])
+    return v
+
+
+def test_truncating_a_shared_loop_reads_each_layer_once(rm_finset, counted_out):
+    t = _binary_loop(rm_finset)
+    got = rm_finset.truncate(t, 60)
+    assert len(counted_out) == 61 and set(counted_out) == {t}
+    assert got == _full_binary(60)
+
+
+def test_bisimilar_on_separately_built_loops_is_fast(rm_finset, counted_out):
+    import time
+    t1, t2 = _binary_loop(rm_finset), _binary_loop(rm_finset)
+    assert t1 is not t2
+    start = time.perf_counter()
+    assert rm_finset.bisimilar(t1, t2, 60)
+    assert time.perf_counter() - start < 1.0
+    assert len(counted_out) == 2 * 61
+
+
+def test_equal_truncations_are_one_object(rm_finset):
+    leaf = TLeaf(Pair("c", "x"))
+    assert TLeaf(Pair("c", "x")) is leaf
+    node = TOp("act", "p0", (finset([leaf, TCUT]),))
+    assert TOp("act", "p0", (finset([TCUT, leaf]),)) is node
+    assert TOp("act", "p1", (finset([TCUT, leaf]),)) is not node
+    a = rm_finset.truncate(_binary_loop(rm_finset), 5)
+    b = rm_finset.truncate(_binary_loop(rm_finset), 5)
+    assert a.elems[0] is b.elems[0]
+
+
+def test_intern_tables_hold_values_weakly():
+    import gc
+    before = len(TOp._table), len(TLeaf._table)
+    v = finset([TLeaf("only here")])
+    for _ in range(30):
+        v = finset([TOp("ask", "*", (v, v))])
+    assert (len(TOp._table), len(TLeaf._table)) == (before[0] + 30, before[1] + 1)
+    del v
+    gc.collect()
+    assert (len(TOp._table), len(TLeaf._table)) == before
+
+
+def test_interning_is_exact_under_threads():
+    import sys
+    import threading
+    rm = resumption("finset")
+    n, results = 1500, [None] * 8
+    barrier = threading.Barrier(8)
+
+    def worker(i):
+        # each thread builds its own trees; every truncation is new to the
+        # table when the threads race to intern it
+        trees = [rm.op_call("act", "p0", {"*": rm.unit(k)}) for k in range(n)]
+        barrier.wait()
+        results[i] = [rm.truncate(t, 2).elems[0] for t in trees]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(n):
+        assert all(r[k] is results[0][k] for r in results)
+        assert results[0][k].children[0].elems[0] is TLeaf(k)
+
+
+def _structural_key(v):
+    """Reference: the canonical key computed by walking the whole value, as
+    the truncation dataclasses did before values were interned."""
+    if isinstance(v, TLeaf):
+        return (30, _structural_key(v.value))
+    if v is TCUT:
+        return (31,)
+    if isinstance(v, TOp):
+        return (32, v.op, _structural_key(v.param),
+                tuple(_structural_key(c) for c in v.children))
+    if isinstance(v, FinSet):
+        return (12,) + tuple(_structural_key(e) for e in v.elems)
+    if isinstance(v, Just):
+        return (11, _structural_key(v.value))
+    if isinstance(v, NdState):
+        return (13,) + tuple((_structural_key(s), _structural_key(x)) for s, x in v.table)
+    if isinstance(v, Pair):
+        return (4, _structural_key(v.fst), _structural_key(v.snd))
+    if isinstance(v, (Inl, Inr)):
+        return (2 if isinstance(v, Inl) else 3, _structural_key(v.value))
+    return canon_key(v)    # atoms and the bottom of maybe
+
+
+def _interned_values(v, base, seen):
+    for e in base.elements(v):
+        if isinstance(e, (TLeaf, TOp)) and id(e) not in seen:
+            seen[id(e)] = e
+            if isinstance(e, TOp):
+                for c in e.children:
+                    _interned_values(c, base, seen)
+
+
+@pytest.mark.parametrize("kind", ["maybe", "finset", "nondetstate"])
+def test_stored_keys_equal_the_structural_keys(kind):
+    from elgot.laws import Gen, GenConfig
+    rm = ResumptionMonad(elgot_instance(kind, ("s0", "s1")), two_op_signature())
+    gen = Gen(GenConfig(seed=11))
+    x = gen.carrier("x")
+    seen = {}
+    for _ in range(100):
+        t = gen.tree(rm, x)
+        for d in (0, 2, 6):
+            v = rm.truncate(t, d)
+            _interned_values(v, rm.base, seen)
+            assert canon_key(v) == _structural_key(v)
+    assert len(seen) > 50
+    keys = {id(v): _structural_key(v) for v in seen.values()}
+    for v in seen.values():
+        assert canon_key(v) == keys[id(v)]
+    # interning is structural equality: distinct objects have distinct keys
+    assert len(set(keys.values())) == len(keys)
