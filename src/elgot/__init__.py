@@ -4,7 +4,7 @@ them, handlers into other iteration monads, and two small interpreters."""
 from .core import (Carrier, CarrierMismatchError, ConfigError, ElgotMonad,
                    Inl, Inr, KleisliFn, Pair, carrier, compose_kleisli,
                    copair, kleisli_unit, make_kleisli, prod_carrier,
-                   strong_iterate, sum_carrier, check_bekic)
+                   strong_iterate, sum_carrier)
 from .base_monads import (FinSetMonad, MaybeMonad, NondetStateMonad, NOTHING,
                           Just, FinSet, NdState, elgot_instance, finset,
                           kleene_iterate, partition_iterate_maybe)

@@ -66,7 +66,10 @@ class FinSet:
 
 
 def finset(elems: Iterable) -> FinSet:
-    return FinSet(tuple(sorted(dict.fromkeys(elems), key=canon_key)))
+    unique = dict.fromkeys(elems)
+    if len(unique) < 2:     # already in canonical order
+        return FinSet(tuple(unique))
+    return FinSet(tuple(sorted(unique, key=canon_key)))
 
 
 EMPTY_SET = finset(())

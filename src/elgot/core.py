@@ -1,5 +1,6 @@
-"""Finite carriers, tagged sums and products, Kleisli functions, and the
-interface every iteration monad in this package implements.
+"""Finite carriers, tagged sums and products, Kleisli functions, the
+interface every iteration monad in this package implements, and the result
+type of every law check.
 
 Atoms are plain strings; every composite value (sum tags, pairs, operation
 nodes, truncated tree layers) has a canonical sort key so that finite sets
@@ -12,7 +13,7 @@ keys nor text are bounded by Python's recursion depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -328,61 +329,63 @@ def strong_iterate(f: KleisliFn) -> KleisliFn:
 
 
 # ---------------------------------------------------------------------------
-# Bekic identity checker
+# Law results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BekicFailure:
-    index: int
-    point: Any
-    lhs: str
-    rhs: str
+# the outcome of a law check whose sample could not be compared, such as an
+# unconverged handling; None is a pass and a string is a failure witness
+SKIP = object()
 
 
 @dataclass
-class BekicReport:
-    checked: int
-    failures: list
+class LawResult:
+    law: str
+    samples: int = 0
+    failures: list = field(default_factory=list)
+    skipped: int = 0        # samples left unchecked
 
     @property
-    def ok(self) -> bool:
+    def ok(self):
         return not self.failures
 
+    def note(self, outcome):
+        """Count one sample with its check's outcome."""
+        self.samples += 1
+        if outcome is SKIP:
+            self.skipped += 1
+        elif outcome is not None:
+            self.failures.append(outcome)
 
-def check_bekic(instance: ElgotMonad, pairs: Iterable) -> BekicReport:
-    """Check the mutual-recursion identity on pairs (f, g).
 
-    f : Y -> T((Z+Y)+X) and g : X -> T((Z+Y)+X); the identity equates
-    iterating the combined system [f, g] over Y+X with solving g first and
-    substituting its solution into f.
-    """
-    checked = 0
-    failures = []
-    for idx, (f, g) in enumerate(pairs):
-        m = instance
-        zy_car, x_car = f.cod.parts
-        z_car, y_car = zy_car.parts
-        alpha_cod = sum_carrier(z_car, sum_carrier(y_car, x_car))
+@dataclass
+class SuiteReport:
+    instance: str
+    seed: Optional[int] = None
+    results: list = field(default_factory=list)
 
-        def alpha(e):
-            return case_sum(e,
-                            lambda zy: case_sum(zy, Inl, lambda y: Inr(Inl(y))),
-                            lambda x: Inr(Inr(x)))
+    @property
+    def ok(self):
+        return all(r.ok for r in self.results)
 
-        combined = map_kleisli(copair(f, g), alpha_cod, alpha)
-        lhs = m.iterate(combined)
+    @property
+    def skipped(self) -> int:
+        return sum(r.skipped for r in self.results)
 
-        g_dag = m.iterate(g)                      # X -> T(Z+Y)
-        h = compose_kleisli(copair(kleisli_unit(m, zy_car), g_dag), f)
-        h_dag = m.iterate(h)                      # Y -> T Z
-        outer = copair(kleisli_unit(m, z_car), h_dag)
-        eta_inr = make_kleisli(m, y_car, zy_car, lambda y: m.unit(Inr(y)))
-        # rhs = [eta, h_dag]* . [eta . inr, g_dag]
-        rhs = compose_kleisli(outer, copair(eta_inr, g_dag))
+    def to_dict(self):
+        return {
+            "instance": self.instance,
+            "seed": self.seed,
+            "ok": self.ok,
+            "laws": {r.law: {"samples": r.samples, "skipped": r.skipped,
+                             "failures": r.failures}
+                     for r in self.results},
+        }
 
-        for p in lhs.dom.elements:
-            checked += 1
-            if not m.equal(lhs(p), rhs(p)):
-                failures.append(BekicFailure(idx, render_elem(p),
-                                             m.render(lhs(p)), m.render(rhs(p))))
-    return BekicReport(checked, failures)
+    def text(self) -> str:
+        lines = ["suite for %s (seed %d)" % (self.instance, self.seed)]
+        for r in self.results:
+            status = "ok" if r.ok else "FAIL(%d)" % len(r.failures)
+            lines.append("  %-32s %-8s samples=%d" % (r.law, status, r.samples))
+            for w in r.failures[:3]:
+                lines.append("    counterexample: %s" % w)
+        return "\n".join(lines)

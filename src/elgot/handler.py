@@ -12,15 +12,21 @@ node keeps its value, so the approximants are those of re-evaluating all.
 Unfolding (coit), lifting (bind, map, strength) and the guarded solver build
 one tree per seed, so a tree built from finitely many seeds, such as the
 denotation of a while program, reaches finitely many nodes and converges.
+
+Handling is the unique morphism extending sigma and upsilon, so the monad
+morphism laws are written once here, for a possibly partial morphism, and
+the handler's Kleisli and iteration triangles are those laws applied to the
+evaluator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .base_monads import approximants
-from .core import ElgotMonad, Inl, Inr, KleisliFn, render_elem
+from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
+                   SuiteReport, render_elem)
 from .resumption import ResTree, ResumptionMonad
 
 
@@ -33,7 +39,8 @@ class MonadMorphism:
     """A natural family of maps between two monads' values.
 
     component must be element-agnostic: it may rearrange the effect
-    structure but never inspect result elements.
+    structure but never inspect result elements.  A partial morphism's
+    component gives None where it has no value.
     """
 
     name: str
@@ -158,29 +165,69 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
 
 
 # ---------------------------------------------------------------------------
-# Universality checks
+# Morphism laws.  Each checks a possibly partial morphism on one sample: the
+# component may give None (no value), and a sample that leaves nothing to
+# compare is SKIP.  Otherwise the outcome is None, or a witness on failure.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TriangleReport:
-    checked: int = 0
-    skips: dict = field(default_factory=dict)      # law -> skipped samples
-    failures: list = field(default_factory=list)
+def morphism_unit(mor: MonadMorphism, x):
+    """h(unit x) = unit x."""
+    T = mor.target
+    lhs = mor.component(mor.source.unit(x))
+    if lhs is None:
+        return SKIP
+    if not T.equal(lhs, T.unit(x)):
+        return "unit at %s: %s" % (render_elem(x), T.render(lhs))
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
-    @property
-    def skipped(self) -> int:
-        return sum(self.skips.values())
+def morphism_kleisli(mor: MonadMorphism, v, f: KleisliFn):
+    """h(v >>= f) = h(v) >>= h . f."""
+    T = mor.target
+    hv = mor.component(v)
+    lhs = mor.component(mor.source.bind(v, f))
+    hf = {x: mor.component(f(x)) for x in f.dom.elements}
+    if hv is None or lhs is None or any(h is None for h in hf.values()):
+        return SKIP
+    rhs = T.bind(hv, lambda x: hf[x])
+    if not T.equal(lhs, rhs):
+        return "lifting: %s vs %s" % (T.render(lhs), T.render(rhs))
 
-    def note(self, law: str, witness: str):
-        self.failures.append((law, witness))
 
-    def skip(self, law: str):
-        self.skips[law] = self.skips.get(law, 0) + 1
+def morphism_strength(mor: MonadMorphism, c, v):
+    """h(strength(c, v)) = strength(c, h v)."""
+    T = mor.target
+    hv = mor.component(v)
+    lhs = mor.component(mor.source.strength(c, v))
+    if hv is None or lhs is None:
+        return SKIP
+    rhs = T.strength(c, hv)
+    if not T.equal(lhs, rhs):
+        return "strength: %s vs %s" % (T.render(lhs), T.render(rhs))
 
+
+def morphism_iteration(mor: MonadMorphism, g: KleisliFn):
+    """h . g-dagger = (h . g)-dagger, at every point where h gives a value."""
+    T = mor.target
+    hg = {x: mor.component(g(x)) for x in g.dom.elements}
+    if any(h is None for h in hg.values()):
+        return SKIP
+    rhs = T.iterate(KleisliFn(T, g.dom, g.cod, hg))
+    gd = mor.source.iterate(g)
+    compared = 0
+    for x in g.dom.elements:
+        lhs = mor.component(gd(x))
+        if lhs is None:
+            continue
+        compared += 1
+        if not T.equal(lhs, rhs(x)):
+            return "iteration at %s: %s vs %s" % (render_elem(x), T.render(lhs),
+                                                  T.render(rhs(x)))
+    return None if compared else SKIP
+
+
+# ---------------------------------------------------------------------------
+# Universality checks
+# ---------------------------------------------------------------------------
 
 def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
                               upsilon: EffectInterpretation, *,
@@ -188,63 +235,47 @@ def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
                               op_samples: Iterable = (),
                               bind_samples: Iterable = (),
                               iter_samples: Iterable = (),
-                              fuel: int = 10) -> TriangleReport:
+                              fuel: int = 10) -> SuiteReport:
     """Check that handling extends sigma, interprets ops by upsilon, and is a
-    morphism for Kleisli lifting and iteration on converged samples."""
+    morphism for Kleisli lifting and iteration.
+
+    The last two are the morphism laws on the evaluator that gives a handled
+    tree's value when it converges within fuel and no value otherwise, so an
+    unconverged sample is counted as skipped.  An unconverged ext or iota
+    sample is a failure: those trees are finite.
+    """
     S = sigma.target
-    rep = TriangleReport()
 
     def evaluate(t: ResTree) -> Optional[Any]:
         r = handle(rm, t, sigma, upsilon, fuel)
         return r.value if r.converged else None
 
-    for m in base_values:
-        rep.checked += 1
+    def ext(m):
         got = evaluate(rm.ext(m))
         want = sigma.component(m)
         if got is None or not S.equal(got, want):
-            rep.note("handle.ext", "%s handled to %s, sigma gives %s" %
-                     (rm.base.render(m), "divergence" if got is None else S.render(got),
-                      S.render(want)))
+            return "%s handled to %s, sigma gives %s" % (
+                rm.base.render(m), "divergence" if got is None else S.render(got),
+                S.render(want))
 
-    for (op, param, k) in op_samples:
-        rep.checked += 1
+    def iota(sample):
+        op, param, k = sample
         got = evaluate(rm.iota(op, param, k))
-        u = upsilon.effect(op)
-        want = S.map(u(param), lambda a: k[a])
+        want = S.map(upsilon.effect(op)(param), lambda a: k[a])
         if got is None or not S.equal(got, want):
-            rep.note("handle.iota", "op %s(%s) handled to %s, want %s" %
-                     (op, render_elem(param),
-                      "divergence" if got is None else S.render(got), S.render(want)))
+            return "op %s(%s) handled to %s, want %s" % (
+                op, render_elem(param),
+                "divergence" if got is None else S.render(got), S.render(want))
 
-    for (t, f) in bind_samples:
-        rep.checked += 1
-        lhs = evaluate(rm.bind(t, f))
-        handled_f = {x: evaluate(f(x)) for x in f.dom.elements}
-        rhs_t = evaluate(t)
-        if lhs is None or rhs_t is None or any(v is None for v in handled_f.values()):
-            rep.skip("handle.kleisli")
-            continue
-        rhs = S.bind(rhs_t, lambda x: handled_f[x])
-        if not S.equal(lhs, rhs):
-            rep.note("handle.kleisli", "lifting law failed: %s vs %s" %
-                     (S.render(lhs), S.render(rhs)))
-
-    for g in iter_samples:
-        handled_g = {x: evaluate(g(x)) for x in g.dom.elements}
-        converged = all(v is not None for v in handled_g.values())
-        if converged:
-            lhs = S.iterate(KleisliFn(S, g.dom, g.cod, handled_g))
-            g_dag = rm.iterate(g)
-        # the iteration law is checked at every point of the domain
-        for x in g.dom.elements:
-            rep.checked += 1
-            rhs = evaluate(g_dag(x)) if converged else None
-            if rhs is None:
-                rep.skip("handle.iteration")
-                continue
-            if not S.equal(lhs(x), rhs):
-                rep.note("handle.iteration", "at %s: %s vs %s" %
-                         (render_elem(x), S.render(lhs(x)), S.render(rhs)))
-
-    return rep
+    xi = MonadMorphism("handle", rm, S, evaluate)
+    report = SuiteReport("handler into %s" % S.name)
+    for law, check, samples in (
+            ("handle.ext", ext, base_values),
+            ("handle.iota", iota, op_samples),
+            ("handle.kleisli", lambda s: morphism_kleisli(xi, *s), bind_samples),
+            ("handle.iteration", lambda g: morphism_iteration(xi, g), iter_samples)):
+        res = LawResult(law)
+        for sample in samples:
+            res.note(check(sample))
+        report.results.append(res)
+    return report

@@ -10,15 +10,16 @@ regression tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (ElgotMonad, Inl, Inr, KleisliFn, Pair, Carrier,
-                   carrier, sum_carrier, prod_carrier, case_sum, dist_elem,
-                   compose_kleisli, copair, kleisli_unit, make_kleisli,
-                   map_kleisli, render_elem, check_bekic)
+from .core import (ElgotMonad, Inl, Inr, KleisliFn, LawResult, Pair, Carrier,
+                   SuiteReport, carrier, sum_carrier, prod_carrier, case_sum,
+                   dist_elem, compose_kleisli, copair, kleisli_unit,
+                   make_kleisli, map_kleisli, render_elem)
 from .handler import (EffectInterpretation, MonadMorphism,
-                      check_universal_triangles, handle)
+                      check_universal_triangles, handle, morphism_iteration,
+                      morphism_kleisli, morphism_strength, morphism_unit)
 from .iteration import guard_transform, solve_guarded
 from .resumption import OpNode, ResumptionMonad
 
@@ -303,14 +304,28 @@ def law_strength_compat(gen: Gen, inst):
 
 
 def law_bekic(gen: Gen, inst):
+    """Iterating the combined system [f, g] over Y+X equals solving g first
+    and substituting its solution into f."""
     x_car, y_car, z_car = gen.carrier("x"), gen.carrier("y"), gen.carrier("z")
-    cod = sum_carrier(sum_carrier(z_car, y_car), x_car)
+    zy_car = sum_carrier(z_car, y_car)
+    cod = sum_carrier(zy_car, x_car)
     f = gen.kleisli(inst, y_car, cod)
     g = gen.kleisli(inst, x_car, cod)
-    report = check_bekic(inst, [(f, g)])
-    if not report.ok:
-        fail = report.failures[0]
-        return "at %s: %s vs %s" % (fail.point, fail.lhs, fail.rhs)
+
+    def alpha(e):     # (Z+Y)+X -> Z+(Y+X)
+        return case_sum(e,
+                        lambda zy: case_sum(zy, Inl, lambda y: Inr(Inl(y))),
+                        lambda x: Inr(Inr(x)))
+
+    alpha_cod = sum_carrier(z_car, sum_carrier(y_car, x_car))
+    lhs = inst.iterate(map_kleisli(copair(f, g), alpha_cod, alpha))
+    g_dag = inst.iterate(g)                                  # X -> T(Z+Y)
+    h = compose_kleisli(copair(kleisli_unit(inst, zy_car), g_dag), f)
+    h_dag = inst.iterate(h)                                  # Y -> T Z
+    # rhs = [eta, h_dag]* . [eta . inr, g_dag]
+    rhs = compose_kleisli(copair(kleisli_unit(inst, z_car), h_dag),
+                          copair(_eta_into(inst, y_car, zy_car, Inr), g_dag))
+    return _first_mismatch(inst, lhs, rhs)
 
 
 def law_divergence_constant(gen: Gen, inst):
@@ -523,48 +538,6 @@ ELGOT_AXIOMS = ("elgot.unfolding", "elgot.naturality", "elgot.dinaturality",
                 "elgot.codiagonal", "elgot.uniformity", "elgot.strength")
 
 
-@dataclass
-class LawResult:
-    law: str
-    samples: int
-    failures: list = field(default_factory=list)
-    skipped: int = 0        # samples left unchecked (an unconverged handling)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-@dataclass
-class SuiteReport:
-    instance: str
-    seed: int
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.results)
-
-    def to_dict(self):
-        return {
-            "instance": self.instance,
-            "seed": self.seed,
-            "ok": self.ok,
-            "laws": {r.law: {"samples": r.samples, "skipped": r.skipped,
-                             "failures": r.failures}
-                     for r in self.results},
-        }
-
-    def text(self) -> str:
-        lines = ["suite for %s (seed %d)" % (self.instance, self.seed)]
-        for r in self.results:
-            status = "ok" if r.ok else "FAIL(%d)" % len(r.failures)
-            lines.append("  %-32s %-8s samples=%d" % (r.law, status, r.samples))
-            for w in r.failures[:3]:
-                lines.append("    counterexample: %s" % w)
-        return "\n".join(lines)
-
-
 def _applicable(kind: str, inst) -> bool:
     if kind == "all":
         return True
@@ -584,11 +557,9 @@ def run_axiom_suite(inst, config: GenConfig,
         if not _applicable(kind, inst):
             continue
         gen = Gen(GenConfig(**{**config.__dict__, "seed": _subseed(config.seed, name)}))
-        res = LawResult(name, config.samples)
+        res = LawResult(name)
         for _ in range(config.samples):
-            witness = fn(gen, inst)
-            if witness is not None:
-                res.failures.append(witness)
+            res.note(fn(gen, inst))
         report.results.append(res)
     return report
 
@@ -600,75 +571,25 @@ def _subseed(seed: int, name: str) -> int:
     return (seed * 2654435761 + h) % (2 ** 63)
 
 
-def run_morphism_suite(mor: MonadMorphism, config: GenConfig,
-                       partial: bool = False) -> SuiteReport:
-    """The four morphism laws on random samples.
-
-    With partial=True the component may return None on a sample (an
-    unconverged evaluation); such samples are skipped.
-    """
-    src, tgt = mor.source, mor.target
+def run_morphism_suite(mor: MonadMorphism, config: GenConfig) -> SuiteReport:
+    """The four morphism laws on random samples.  A sample on which the
+    component gives no value (None) is counted as skipped."""
+    src = mor.source
     gen = Gen(config)
-    report = SuiteReport("morphism %s: %s -> %s" % (mor.name, src.name, tgt.name),
-                         config.seed)
-
-    def apply(v):
-        r = mor.component(v)
-        if r is None and not partial:
-            raise ValueError("morphism %s returned no value" % mor.name)
-        return r
-
-    unit_res = LawResult("morphism.unit", config.samples)
-    kleisli_res_ = LawResult("morphism.kleisli", config.samples)
-    strength_res_ = LawResult("morphism.strength", config.samples)
-    iter_res = LawResult("morphism.iteration", config.samples)
-
+    results = [LawResult(law) for law in MORPHISM_LAWS]
+    unit_res, kleisli_res, strength_res, iter_res = results
     for _ in range(config.samples):
         x_car, y_car, c_car = gen.carrier("x"), gen.carrier("y"), gen.carrier("c")
         x, c = gen.elem(x_car), gen.elem(c_car)
-
-        lhs = apply(src.unit(x))
-        if lhs is not None and not tgt.equal(lhs, tgt.unit(x)):
-            unit_res.failures.append("unit at %s: %s" % (render_elem(x), tgt.render(lhs)))
-
+        unit_res.note(morphism_unit(mor, x))
         f = gen.kleisli(src, x_car, y_car)
         v = gen.kleisli(src, carrier("d", ("d0",)), x_car)("d0")
-        applied_v = apply(v)
-        lhs = apply(src.bind(v, f))
-        mapped = {xx: apply(f(xx)) for xx in x_car.elements}
-        if lhs is not None and applied_v is not None \
-                and all(m is not None for m in mapped.values()):
-            rhs = tgt.bind(applied_v, lambda xx: mapped[xx])
-            if not tgt.equal(lhs, rhs):
-                kleisli_res_.failures.append(
-                    "lifting: %s vs %s" % (tgt.render(lhs), tgt.render(rhs)))
-
-        lhs = apply(src.strength(c, v))
-        if lhs is not None and applied_v is not None:
-            rhs = tgt.strength(c, applied_v)
-            if not tgt.equal(lhs, rhs):
-                strength_res_.failures.append(
-                    "strength: %s vs %s" % (tgt.render(lhs), tgt.render(rhs)))
-
+        kleisli_res.note(morphism_kleisli(mor, v, f))
+        strength_res.note(morphism_strength(mor, c, v))
         g = gen.kleisli(src, x_car, sum_carrier(y_car, x_car))
-        gd = src.iterate(g)
-        mapped_g = {xx: apply(g(xx)) for xx in x_car.elements}
-        if all(m is not None for m in mapped_g.values()):
-            tg = KleisliFn(tgt, x_car, sum_carrier(y_car, x_car), mapped_g)
-            tgd = tgt.iterate(tg)
-            for xx in x_car.elements:
-                lhs = apply(gd(xx))
-                if lhs is None:
-                    continue
-                if not tgt.equal(lhs, tgd(xx)):
-                    iter_res.failures.append(
-                        "iteration at %s: %s vs %s" % (render_elem(xx),
-                                                       tgt.render(lhs),
-                                                       tgt.render(tgd(xx))))
-                    break
-
-    report.results.extend([unit_res, kleisli_res_, strength_res_, iter_res])
-    return report
+        iter_res.note(morphism_iteration(mor, g))
+    return SuiteReport("morphism %s: %s -> %s" % (mor.name, src.name, mor.target.name),
+                       config.seed, results)
 
 
 def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
@@ -687,7 +608,7 @@ def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
         op_samples.append((op.name, gen.elem(op.param), k))
     bind_samples = []
     iter_samples = []
-    for _ in range(max(1, config.samples // 4)):
+    for _ in range(config.samples):
         y_car = gen.carrier("y")
         f = gen.kleisli(rm, x_car, y_car)
         bind_samples.append((gen.tree(rm, x_car), f))
@@ -699,22 +620,17 @@ def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
                                     bind_samples=bind_samples,
                                     iter_samples=iter_samples,
                                     fuel=fuel)
-    report = SuiteReport("handler into %s" % S.name, config.seed)
-    by_law = {}
-    for law, witness in tri.failures:
-        by_law.setdefault(law, []).append(witness)
-    for law in ("handle.ext", "handle.iota", "handle.kleisli", "handle.iteration"):
-        report.results.append(LawResult(law, config.samples, by_law.get(law, []),
-                                        tri.skips.get(law, 0)))
 
-    mono = LawResult("handle.fuel_monotone", config.samples)
-    for _ in range(config.samples):
+    def fuel_monotone():
         t = gen.tree(rm, x_car)
         n = gen.rng.randint(0, fuel)
         lo = handle(rm, t, sigma, upsilon, n)
         hi = handle(rm, t, sigma, upsilon, n + 1 + gen.rng.randint(0, 3))
         if not S.leq(lo.value, hi.value):
-            mono.failures.append("fuel %d gave %s, more fuel gave %s" %
-                                 (n, S.render(lo.value), S.render(hi.value)))
-    report.results.append(mono)
-    return report
+            return "fuel %d gave %s, more fuel gave %s" % (
+                n, S.render(lo.value), S.render(hi.value))
+
+    mono = LawResult("handle.fuel_monotone")
+    for _ in range(config.samples):
+        mono.note(fuel_monotone())
+    return SuiteReport(tri.instance, config.seed, tri.results + [mono])

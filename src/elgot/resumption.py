@@ -4,9 +4,10 @@ A tree is observed one layer at a time: out(t) is a base-monad value whose
 elements are either Inl(leaf) or Inr(operation node).  A tree is the
 suspension of its first layer, a memoised cell (Thunk) computed at most
 once, and an operation node's children are the child trees themselves.
-Every tree carries a unique identity token; nodes compare and hash by their
-children's tokens, which is what lets base-monad fixpoints treat subtrees as
-opaque atoms, and what makes memoized forcing observable in tests.
+Trees compare and hash by identity and nodes by their children's identity,
+which is what lets base-monad fixpoints treat subtrees as opaque atoms, and
+what makes memoized forcing observable in tests.  Every tree also carries a
+unique token, its canonical key.
 
 Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-
@@ -24,7 +25,7 @@ import weakref
 # the atomic "delete if dead" that weakref.WeakValueDictionary is built on
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
                    canon_key, case_sum, render_elem, spaced)
@@ -64,21 +65,10 @@ class Signature:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class SigVal:
-    """A flat signature element over seed values, used to feed coit."""
-
-    op: str
-    param: Any
-    args: tuple    # ((arity atom, seed), ...) in arity order
-
-    def _canon_key_(self):
-        return (20, self.op, canon_key(self.param),
-                tuple((canon_key(a), canon_key(s)) for a, s in self.args))
-
-
-def sig_val(decl: OpDecl, param, args: Mapping) -> SigVal:
-    return SigVal(decl.name, param,
+def sig_val(decl: OpDecl, param, args: Mapping) -> "OpNode":
+    """A signature element over seed values, used to feed coit: an operation
+    node whose children are seeds, in arity order."""
+    return OpNode(decl.name, param,
                   tuple((a, args[a]) for a in decl.arity.elements))
 
 
@@ -112,8 +102,9 @@ class Thunk:
 class OpNode:
     """One operation layer: name, parameter, child tree per arity atom.
 
-    Equality and hashing go through the child tree tokens, never the child
-    structure, so these nodes can sit inside base-monad set values.
+    Equality and hashing go through (op, param, children); trees compare and
+    hash by identity, never by structure, so these nodes can sit inside
+    base-monad set values.  Before coit unfolds them, the children are seeds.
     """
 
     __slots__ = ("op", "param", "children")
@@ -129,19 +120,17 @@ class OpNode:
                 return t
         raise KeyError(a)
 
-    def _ident(self):
-        return (self.op, self.param,
-                tuple((a, t.token) for a, t in self.children))
-
     def __eq__(self, other):
-        return isinstance(other, OpNode) and self._ident() == other._ident()
+        return isinstance(other, OpNode) and (
+            self.op, self.param, self.children) == (
+            other.op, other.param, other.children)
 
     def __hash__(self):
-        return hash(self._ident())
+        return hash((self.op, self.param, self.children))
 
     def _canon_key_(self):
         return (21, self.op, canon_key(self.param),
-                tuple(t.token for _a, t in self.children))
+                tuple(canon_key(c) for _a, c in self.children))
 
     def _render_(self):
         return ("(node ", self.op, " ", self.param, ")")
@@ -314,17 +303,17 @@ class ResumptionMonad(ElgotMonad):
     def coit(self, g: KleisliFn) -> KleisliFn:
         """Final-coalgebra unfolding of g : Y -> T(X + Sigma Y).
 
-        Signature positions in g's output carry SigVal seeds; each child is
-        the lazy unfolding of its seed.  Seeds are shared, so revisiting one
-        yields the identical tree.
+        Signature positions in g's output carry nodes over seeds (sig_val);
+        each child is the lazy unfolding of its seed.  Seeds are shared, so
+        revisiting one yields the identical tree.
         """
         def step_elem(e):
             return case_sum(
                 e,
                 lambda x: Inl(x),
-                lambda sv: Inr(OpNode(
-                    sv.op, sv.param,
-                    tuple((a, go(s)) for a, s in sv.args))))
+                lambda node: Inr(OpNode(
+                    node.op, node.param,
+                    tuple((a, go(s)) for a, s in node.children))))
 
         go = memo_trees(lambda y: self.base.map(g(y), step_elem))
         return KleisliFn(self, g.dom, None, {y: go(y) for y in g.dom.elements})

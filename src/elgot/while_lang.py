@@ -10,7 +10,7 @@ need no guardedness: the while rule iterates the loop step directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .core import (Carrier, Inl, Inr, KleisliFn, carrier, compose_kleisli,
                    dist_elem, make_kleisli, sum_carrier, unit_carrier)
@@ -214,8 +214,7 @@ class Env:
     predicates: dict
 
 
-def make_env(base_kind: str = "finset", alphabet=None, state_set=None,
-             actions: Optional[dict] = None, predicates: Optional[dict] = None) -> Env:
+def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:
     """The standard environment: read/write actions over the alphabet, the
     true/false predicates, and coin on nondeterministic bases."""
     base = elgot_instance(base_kind, state_set=state_set)
@@ -235,14 +234,12 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None,
         return rm.op_call("read", "*", {a: rm.unit(a) for a in alpha.elements})
 
     action_table = {"write": do_write, "read": do_read}
-    action_table.update(actions or {})
 
     pred_table = {"true": lambda v: rm.unit(TRUE),
                   "false": lambda v: rm.unit(FALSE)}
     if not deterministic:
         pred_table["coin"] = lambda v: rm.op_call(
             "coin", "*", {"ff": rm.unit(FALSE), "tt": rm.unit(TRUE)})
-    pred_table.update(predicates or {})
     return Env(rm, alpha, action_table, pred_table)
 
 

@@ -40,6 +40,23 @@ raise SystemExit(code)
 """
 
 
+HANDLER_SUITE_SCRIPT = """
+import tracing
+from elgot import laws, while_lang
+from elgot.base_monads import elgot_instance
+from elgot.handler import maybe_to_finset
+tracer = tracing.Tracer()
+tracer.install()
+rm = while_lang.make_env("maybe", alphabet=("0", "1")).rm
+target = elgot_instance("finset")
+upsilon = laws.Gen(laws.GenConfig(seed=3)).effect_interpretation(rm.sig, target)
+report = laws.run_handler_suite(rm, maybe_to_finset(rm.base, target), upsilon,
+                                laws.GenConfig(seed=2, samples=6), fuel=0)
+metrics = tracer.metrics()
+assert metrics["laws.skipped"] == report.skipped > 0, (metrics, report.to_dict())
+"""
+
+
 def _traced(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(PKG / "src"), str(PKG / "bench")])
@@ -59,3 +76,10 @@ def test_bench_tracer_counts_truncation_and_canonical_keys(tmp_path):
     r = _traced(RUN_SCRIPT, str(prog))
     assert r.returncode == 0, r.stderr
     assert r.stdout == "{(op write 0 {(op write 0 {(op write 0 {(cut)})})})}\n"
+
+
+def test_bench_tracer_counts_handler_suite_skips():
+    # the tracer reads skips from check_universal_triangles, so the handler
+    # suite must reach it through the name the tracer rebinds
+    r = _traced(HANDLER_SUITE_SCRIPT)
+    assert r.returncode == 0, r.stderr

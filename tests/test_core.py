@@ -3,7 +3,7 @@ import pytest
 from elgot.core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair,
                         canon_key, carrier, compose_kleisli, kleisli_unit,
                         make_kleisli, prod_carrier, sum_carrier,
-                        strong_iterate, check_bekic, dist_elem, KleisliFn,
+                        strong_iterate, dist_elem, KleisliFn,
                         bottom_kleisli)
 from elgot.base_monads import (Just, NOTHING, elgot_instance, finset,
                                kleene_iterate)
@@ -128,44 +128,3 @@ def test_strong_iterate_against_hand_unrolled_oracle():
     assert {p: got(p) for p in zx.elements} == want
     assert got(Pair("z1", "x0")) is NOTHING
     assert got(Pair("z0", "x0")) == Just("y0")
-
-
-def test_check_bekic_clean_on_maybe_and_finset():
-    from elgot.laws import Gen, GenConfig
-    for kind in ("maybe", "finset"):
-        inst = elgot_instance(kind)
-        gen = Gen(GenConfig(seed=13, samples=1))
-        pairs = []
-        for _ in range(100):
-            x_car, y_car, z_car = gen.carrier("x"), gen.carrier("y"), gen.carrier("z")
-            cod = sum_carrier(sum_carrier(z_car, y_car), x_car)
-            pairs.append((gen.kleisli(inst, y_car, cod),
-                          gen.kleisli(inst, x_car, cod)))
-        report = check_bekic(inst, pairs)
-        assert report.ok and report.checked > 0
-
-
-def test_check_bekic_catches_broken_iteration():
-    # one unfolding followed by divergence is not a valid iteration operator
-    from elgot.laws import Gen, GenConfig
-    from elgot.base_monads import FinSetMonad
-
-    class OneStep(FinSetMonad):
-        name = "finset-onestep"
-
-        def iterate(self, f):
-            cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
-            def at(x):
-                return self.bind(f(x), lambda e: self.unit(e.value)
-                                 if isinstance(e, Inl) else self.bottom())
-            return KleisliFn(self, f.dom, cod,
-                             {x: at(x) for x in f.dom.elements})
-
-    inst = OneStep()
-    gen = Gen(GenConfig(seed=5, samples=1))
-    pairs = []
-    for _ in range(50):
-        x_car, y_car, z_car = gen.carrier("x"), gen.carrier("y"), gen.carrier("z")
-        cod = sum_carrier(sum_carrier(z_car, y_car), x_car)
-        pairs.append((gen.kleisli(inst, y_car, cod), gen.kleisli(inst, x_car, cod)))
-    assert not check_bekic(inst, pairs).ok

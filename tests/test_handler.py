@@ -208,10 +208,11 @@ def test_handler_suite_reports_skips_per_law():
     rm, S, sigma, ups = _setup_finset_target()
     rep = run_handler_suite(rm, sigma, ups, GenConfig(samples=8, seed=61), fuel=0)
     skipped = {r.law: r.skipped for r in rep.results}
-    # nothing converges at fuel 0: both bind samples and the three points of
-    # both iteration samples go unchecked
-    assert skipped == {"handle.ext": 0, "handle.iota": 0, "handle.kleisli": 2,
-                       "handle.iteration": 2 * 3, "handle.fuel_monotone": 0}
+    # nothing converges at fuel 0: every Kleisli and iteration sample drawn
+    # goes unchecked, and each law draws as many samples as it reports
+    assert skipped == {"handle.ext": 0, "handle.iota": 0, "handle.kleisli": 8,
+                       "handle.iteration": 8, "handle.fuel_monotone": 0}
+    assert all(r.samples == 8 for r in rep.results)
     laws = rep.to_dict()["laws"]
     assert {law: entry["skipped"] for law, entry in laws.items()} == skipped
 
@@ -228,8 +229,7 @@ def test_morphism_suite_detects_mutated_evaluator():
         return r.value if r.converged else None
 
     xi_broken = MonadMorphism("xi-mutant", rm, S, eval_broken)
-    rep = run_morphism_suite(xi_broken, GenConfig(samples=15, seed=63),
-                             partial=True)
+    rep = run_morphism_suite(xi_broken, GenConfig(samples=15, seed=63))
     assert not rep.ok
 
 
@@ -242,8 +242,32 @@ def test_morphism_suite_accepts_true_evaluator():
         return r.value if r.converged else None
 
     xi = MonadMorphism("xi", rm, S, eval_ok)
-    rep = run_morphism_suite(xi, GenConfig(samples=15, seed=63), partial=True)
+    rep = run_morphism_suite(xi, GenConfig(samples=15, seed=63))
     assert rep.ok, rep.text()
+
+
+def test_morphism_suite_counts_unconverged_samples_as_skipped():
+    from elgot.laws import GenConfig, run_morphism_suite
+    rm, S, sigma, ups = _setup_finset_target()
+    cfg = GenConfig(samples=12, seed=63)
+    nowhere = MonadMorphism("nowhere", rm, S, lambda t: None)
+    rep = run_morphism_suite(nowhere, cfg)
+    assert rep.ok and all(r.samples == r.skipped == 12 for r in rep.results)
+
+    def eval_unfuelled(t):
+        r = handle(rm, t, sigma, ups, 0)
+        return r.value if r.converged else None
+
+    # at fuel 0 only a tree whose value is bottom converges: a unit tree
+    # never does, and most Kleisli and iteration samples leave nothing to
+    # compare; each of them is counted, and the rest are checked
+    rep = run_morphism_suite(MonadMorphism("xi-fuel-0", rm, S, eval_unfuelled), cfg)
+    by_law = {r.law: r for r in rep.results}
+    assert rep.ok, rep.text()
+    assert all(r.samples == 12 for r in rep.results)
+    assert by_law["morphism.unit"].skipped == 12
+    for law in ("morphism.kleisli", "morphism.iteration"):
+        assert 0 < by_law[law].skipped <= 12
 
 
 def test_state_morphisms_compose_consistently():
@@ -294,8 +318,11 @@ def test_triangles_count_every_skipped_iteration_point():
     x, y = gen.carrier("x", 3), gen.carrier("y", 2)
     samples = [gen.kleisli(rm, x, sum_carrier(y, x)) for _ in range(4)]
     rep = check_universal_triangles(rm, sigma, ups, iter_samples=samples, fuel=0)
-    assert rep.ok and rep.checked == rep.skipped == 4 * 3
-    assert rep.skips == {"handle.iteration": 4 * 3}
+    # no point of any sample converges, so each sample is one skip
+    assert rep.ok and rep.skipped == 4
+    assert {r.law: (r.samples, r.skipped) for r in rep.results} == {
+        "handle.ext": (0, 0), "handle.iota": (0, 0), "handle.kleisli": (0, 0),
+        "handle.iteration": (4, 4)}
 
 
 def _coalgebra_trees(rm, rng, x_car, seeds=4):
@@ -328,5 +355,6 @@ def test_triangles_on_lifted_cyclic_trees():
         unfold = _coalgebra_trees(rm, rng, x)
         samples += [(unfold(s), gen.kleisli(rm, x, y)) for s in unfold.dom.elements]
     rep = check_universal_triangles(rm, sigma, ups, bind_samples=samples, fuel=8)
-    assert rep.checked == len(samples) and rep.skipped == 0
+    assert sum(r.samples for r in rep.results) == len(samples)
+    assert rep.skipped == 0
     assert rep.ok, rep.failures

@@ -1,6 +1,6 @@
 import json
 
-from elgot.core import Inr, KleisliFn, bottom_kleisli
+from elgot.core import Inl, Inr, KleisliFn, bottom_kleisli
 from elgot.base_monads import FinSetMonad, elgot_instance
 from elgot.laws import (ELGOT_AXIOMS, HANDLER_LAWS, MORPHISM_LAWS, Gen,
                         GenConfig, LAW_CHECKS, REQUIRED_IDENTITIES,
@@ -127,3 +127,29 @@ def test_morphism_suite_catches_non_morphism():
     rep = run_morphism_suite(bad, GenConfig(samples=20, seed=12))
     failing = {r.law for r in rep.results if not r.ok}
     assert "morphism.unit" in failing
+
+
+def test_bekic_law_holds_on_maybe_and_finset():
+    for kind in ("maybe", "finset"):
+        rep = run_axiom_suite(elgot_instance(kind), GenConfig(seed=13, samples=100),
+                              laws=("elgot.bekic",))
+        assert rep.ok and rep.results[0].samples == 100, rep.text()
+
+
+def test_bekic_law_catches_broken_iteration():
+    # one unfolding followed by divergence is not a valid iteration operator
+    class OneStep(FinSetMonad):
+        name = "finset-onestep"
+
+        def iterate(self, f):
+            cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
+
+            def at(x):
+                return self.bind(f(x), lambda e: self.unit(e.value)
+                                 if isinstance(e, Inl) else self.bottom())
+            return KleisliFn(self, f.dom, cod,
+                             {x: at(x) for x in f.dom.elements})
+
+    rep = run_axiom_suite(OneStep(), GenConfig(seed=5, samples=50),
+                          laws=("elgot.bekic",))
+    assert not rep.ok

@@ -374,6 +374,9 @@ def test_equal_truncations_are_one_object(rm_finset):
 
 def test_intern_tables_hold_values_weakly():
     import gc
+    # free dead entries that earlier tests left in cycles, so that no
+    # automatic collection frees them between the snapshots below
+    gc.collect()
     before = len(TOp._table), len(TLeaf._table)
     v = finset([TLeaf("only here")])
     for _ in range(30):
