@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
-                   canon_key, carrier, render_elem, spaced)
+                   canon_key, carrier, spaced)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +185,24 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
 # Instances
 # ---------------------------------------------------------------------------
 
-class MaybeMonad(ElgotMonad):
-    name = "maybe"
+class _KleeneMonad(ElgotMonad):
+    """An instance iterated by the Kleene chain, with the operations on its
+    values: join(a, b), the least upper bound or None where there is none;
+    sample_below(rng, v), a random value below v; decode(data, elem), the
+    value a JSON literal describes (the counterpart of render); and on the
+    nondeterministic instances choice(xs), the value returning each x."""
+
     has_bottom = True
+
+    def iterate(self, f):
+        return kleene_iterate(f)
+
+    def leq(self, a, b):
+        return self.join(a, b) == b
+
+
+class MaybeMonad(_KleeneMonad):
+    name = "maybe"
 
     def unit(self, x):
         return Just(x)
@@ -203,24 +218,30 @@ class MaybeMonad(ElgotMonad):
     def bottom(self):
         return NOTHING
 
-    def leq(self, a, b):
-        return a is NOTHING or a == b
-
-    def iterate(self, f):
-        return kleene_iterate(f)
-
-    def render(self, v):
-        return render_elem(v) if v is NOTHING else render_elem(v.value)
+    def join(self, a, b):
+        # the flat order: two different results have no upper bound
+        if a is NOTHING or a == b:
+            return b
+        return a if b is NOTHING else None
 
     def sample_value(self, rng, gen_elem, branch):
         if rng.random() < 0.3:
             return NOTHING
         return Just(gen_elem())
 
+    def sample_below(self, rng, v):
+        return NOTHING if rng.random() < 0.5 else v
 
-class FinSetMonad(ElgotMonad):
+    def decode(self, data, elem):
+        if data == "nothing":
+            return NOTHING
+        if isinstance(data, dict) and "just" in data:
+            return Just(elem(data["just"]))
+        raise ValueError("malformed maybe value: %r" % (data,))
+
+
+class FinSetMonad(_KleeneMonad):
     name = "finset"
-    has_bottom = True
 
     def unit(self, x):
         return FinSet((x,))
@@ -237,23 +258,26 @@ class FinSetMonad(ElgotMonad):
     def bottom(self):
         return EMPTY_SET
 
-    def leq(self, a, b):
-        return all(e in b.elems for e in a.elems)
+    def join(self, a, b):
+        return finset(a.elems + b.elems)
 
-    def iterate(self, f):
-        return kleene_iterate(f)
-
-    def render(self, v):
-        return render_elem(v)
+    def choice(self, xs):
+        return finset(xs)
 
     def sample_value(self, rng, gen_elem, branch):
         return finset(gen_elem() for _ in range(rng.randint(0, branch)))
 
+    def sample_below(self, rng, v):
+        return finset(e for e in v.elems if rng.random() < 0.6)
 
-class NondetStateMonad(ElgotMonad):
+    def decode(self, data, elem):
+        if isinstance(data, dict) and "set" in data:
+            return finset(elem(e) for e in data["set"])
+        raise ValueError("malformed finset value: %r" % (data,))
+
+
+class NondetStateMonad(_KleeneMonad):
     """P(X x S)^S for a finite state carrier S."""
-
-    has_bottom = True
 
     def __init__(self, states: Carrier):
         if not states.elements:
@@ -285,21 +309,27 @@ class NondetStateMonad(ElgotMonad):
     def bottom(self):
         return self._value(lambda _s: EMPTY_SET)
 
-    def leq(self, a, b):
-        return all(all(e in b.at(s).elems for e in a.at(s).elems)
-                   for s, _ in a.table)
+    def join(self, a, b):
+        return self._value(lambda s: finset(a.at(s).elems + b.at(s).elems))
 
-    def iterate(self, f):
-        return kleene_iterate(f)
-
-    def render(self, v):
-        return render_elem(v)
+    def choice(self, xs):
+        return self._value(lambda s: finset(Pair(x, s) for x in xs))
 
     def sample_value(self, rng, gen_elem, branch):
         def per_state(_s):
             return finset(Pair(gen_elem(), rng.choice(self.states))
                           for _ in range(rng.randint(0, branch)))
         return self._value(per_state)
+
+    def sample_below(self, rng, v):
+        return self._value(
+            lambda s: finset(e for e in v.at(s).elems if rng.random() < 0.6))
+
+    def decode(self, data, elem):
+        if isinstance(data, dict) and "states" in data:
+            return self._value(lambda s: finset(
+                Pair(elem(x), s2) for x, s2 in data["states"].get(s, [])))
+        raise ValueError("malformed nondetstate value: %r" % (data,))
 
 
 def elgot_instance(kind: str, state_set: Optional[Iterable[str]] = None) -> ElgotMonad:

@@ -24,6 +24,16 @@ class BspLoadError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise BspLoadError("%s must be a list, not %r" % (what, x))
+    return x
+
+
 @dataclass(frozen=True)
 class BspSpec:
     actions: tuple
@@ -33,6 +43,12 @@ class BspSpec:
     j: tuple          # j[i][k]: target state of that transition
 
     def __post_init__(self):
+        if not all(isinstance(a, str) for a in self.actions) \
+                or len(set(self.actions)) != len(self.actions):
+            raise BspLoadError("actions must be distinct strings")
+        if not _is_int(self.states) or not all(map(_is_int, self.widths)) \
+                or not all(_is_int(t) for row in self.j for t in row):
+            raise BspLoadError("states, widths and targets must be integers")
         if self.states < 1:
             raise BspLoadError("need at least one state")
         if len(self.widths) != self.states or len(self.b) != self.states \
@@ -95,10 +111,11 @@ def parse_bsp_json(text: str) -> BspSpec:
     except json.JSONDecodeError as exc:
         raise BspLoadError("invalid JSON: %s" % exc)
     try:
-        b = tuple(tuple(row) for row in data["b"])
-        j = tuple(tuple(int(t) for t in row) for row in data["j"])
-        widths = tuple(data.get("width", [len(row) for row in b]))
-        return BspSpec(tuple(data["actions"]), int(data["states"]), widths, b, j)
+        b = tuple(tuple(_list(row, "a row of b")) for row in _list(data["b"], "b"))
+        j = tuple(tuple(_list(row, "a row of j")) for row in _list(data["j"], "j"))
+        widths = tuple(_list(data.get("width", [len(row) for row in b]), "width"))
+        return BspSpec(tuple(_list(data["actions"], "actions")), data["states"],
+                       widths, b, j)
     except (KeyError, TypeError, ValueError) as exc:
         raise BspLoadError("malformed spec object: %s" % exc)
 

@@ -11,9 +11,9 @@ import json
 import os
 import sys
 
-from .core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair, carrier,
+from .core import (CarrierMismatchError, ConfigError, Inl, Inr, carrier,
                    make_kleisli, unit_carrier)
-from .base_monads import Just, NOTHING, NdState, elgot_instance, finset
+from .base_monads import elgot_instance
 from .handler import (EffectInterpretation, InterpretationError, MonadMorphism,
                       handle, finset_to_nondetstate, identity_morphism,
                       maybe_to_finset, maybe_to_nondetstate)
@@ -37,6 +37,12 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError("must be at least %d" % low)
         return value
     return integer
+
+
+def _read(path: str) -> str:
+    """The text of an input file; raises OSError or UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _add_seed(p):
@@ -89,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     try:
-        source = open(args.program).read()
-    except OSError as exc:
+        source = _read(args.program)
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
@@ -116,9 +122,9 @@ def cmd_run(args) -> int:
 
 def cmd_bsp(args) -> int:
     try:
-        spec = load_bsp(open(args.spec).read())
+        spec = load_bsp(_read(args.spec))
         lts = solve_and_unfold(spec, args.depth)
-    except (OSError, BspLoadError) as exc:
+    except (OSError, UnicodeDecodeError, BspLoadError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     render = {"text": lts_to_text, "dot": lts_to_dot, "csv": lts_to_csv}[args.format]
@@ -167,34 +173,18 @@ def cmd_laws(args) -> int:
     for rep in reports:
         print(rep.text())
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     return 0 if all(r.ok for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
 # handle
 # ---------------------------------------------------------------------------
-
-def _parse_value(monad, data, parse_elem):
-    kind = monad.name.split("[")[0]
-    if kind == "maybe":
-        if data == "nothing":
-            return NOTHING
-        if isinstance(data, dict) and "just" in data:
-            return Just(parse_elem(data["just"]))
-    elif kind == "finset":
-        if isinstance(data, dict) and "set" in data:
-            return finset(parse_elem(e) for e in data["set"])
-    elif kind == "nondetstate":
-        if isinstance(data, dict) and "states" in data:
-            table = []
-            for s in monad.states:
-                rows = data["states"].get(s, [])
-                table.append((s, finset(Pair(parse_elem(x), s2) for x, s2 in rows)))
-            return NdState(tuple(table))
-    raise InterpretationError("malformed %s value: %r" % (kind, data))
-
 
 def _parse_tree(rm, data):
     """The tree a handle file describes, parsed with an explicit stack: each
@@ -217,10 +207,10 @@ def _parse_tree(rm, data):
             return Inr(OpNode(p["op"], p["param"], kids))
         raise InterpretationError("malformed tree payload: %r" % (p,))
 
-    root = rm.out_inv(_parse_value(rm.base, data, parse_payload))
+    root = rm.out_inv(rm.base.decode(data, parse_payload))
     while todo:
         cell, value = todo.pop()
-        cell.append(_parse_value(rm.base, value, parse_payload))
+        cell.append(rm.base.decode(value, parse_payload))
     return root
 
 
@@ -259,7 +249,7 @@ def _decode_handle(data, fuel):
         table = data["effects"][op.name]
         effects[op.name] = make_kleisli(
             target, op.param, op.arity,
-            lambda p, _t=table: _parse_value(target, _t[p], lambda a: a))
+            lambda p, _t=table: target.decode(_t[p], lambda a: a))
     upsilon = EffectInterpretation(sig, target, effects)
     tree = _parse_tree(rm, data["tree"])
     if fuel is None:
@@ -272,8 +262,8 @@ def _decode_handle(data, fuel):
 
 def cmd_handle(args) -> int:
     try:
-        data = json.load(open(args.file))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(_read(args.file))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

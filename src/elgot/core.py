@@ -218,7 +218,7 @@ class ElgotMonad:
         raise NotImplementedError
 
     def render(self, v) -> str:
-        raise NotImplementedError
+        return render_elem(v)
 
     def sample_value(self, rng, gen_elem: Callable, branch: int):
         """One random value whose elements come from gen_elem()."""

@@ -53,28 +53,23 @@ def identity_morphism(m: ElgotMonad) -> MonadMorphism:
     return MonadMorphism("identity", m, m, lambda v: v)
 
 
+def _choice_morphism(name: str, source, target) -> MonadMorphism:
+    """The morphism that keeps a value's results and forgets its effect:
+    the target value returning each element of the source value."""
+    return MonadMorphism(name, source, target,
+                         lambda v: target.choice(source.elements(v)))
+
+
 def maybe_to_finset(source, target) -> MonadMorphism:
-    from .base_monads import NOTHING, finset
-    def comp(v):
-        return finset(() if v is NOTHING else (v.value,))
-    return MonadMorphism("maybe-to-finset", source, target, comp)
+    return _choice_morphism("maybe-to-finset", source, target)
 
 
 def finset_to_nondetstate(source, target) -> MonadMorphism:
-    from .core import Pair
-    from .base_monads import finset
-    def comp(v):
-        return target._value(lambda s: finset(Pair(x, s) for x in v.elems))
-    return MonadMorphism("finset-to-nondetstate", source, target, comp)
+    return _choice_morphism("finset-to-nondetstate", source, target)
 
 
 def maybe_to_nondetstate(source, target) -> MonadMorphism:
-    from .core import Pair
-    from .base_monads import NOTHING, finset
-    def comp(v):
-        elems = () if v is NOTHING else (v.value,)
-        return target._value(lambda s: finset(Pair(x, s) for x in elems))
-    return MonadMorphism("maybe-to-nondetstate", source, target, comp)
+    return _choice_morphism("maybe-to-nondetstate", source, target)
 
 
 class EffectInterpretation:

@@ -404,6 +404,3 @@ class ResumptionMonad(ElgotMonad):
 
     def render(self, t: ResTree, depth: Optional[int] = None) -> str:
         return self.base.render(self.truncate(t, self.depth if depth is None else depth))
-
-    def sample_value(self, rng, gen_elem, branch):
-        raise NotImplementedError("tree generation lives in the law harness")

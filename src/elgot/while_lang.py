@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .core import (Carrier, Inl, Inr, KleisliFn, carrier, compose_kleisli,
-                   dist_elem, make_kleisli, sum_carrier, unit_carrier)
+from .core import (Carrier, Inl, Inr, KleisliFn, carrier, case_sum,
+                   compose_kleisli, make_kleisli, sum_carrier, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
 from .resumption import OpDecl, ResumptionMonad, Signature
 
@@ -265,14 +265,14 @@ def _lookup_pred(env: Env, name: str) -> Callable:
 
 
 def _branch(env: Env, pred: str, on_true: Callable, on_false: Callable):
-    """The predicate composite: pair the value through the test, distribute,
-    then take the false branch on the left and the true branch on the right."""
+    """The predicate composite: lift the test's tree once, continuing at the
+    value with the false branch on the left and the true branch on the right."""
     rm = env.rm
     test = _lookup_pred(env, pred)
 
     def at(v):
-        split = rm.map(rm.strength(v, test(v)), dist_elem)
-        return rm.bind(split, lambda e: (on_false if isinstance(e, Inl) else on_true)(e.value.fst))
+        return rm.bind(test(v), lambda b: case_sum(b, lambda _: on_false(v),
+                                                   lambda _: on_true(v)))
 
     return at
 

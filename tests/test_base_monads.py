@@ -1,10 +1,13 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
     make_kleisli, KleisliFn
-from elgot.base_monads import (EMPTY_SET, FinSetMonad, Just, MaybeMonad, NOTHING,
-                               NdState, approximants, elgot_instance, finset,
+from elgot.base_monads import (EMPTY_SET, FinSet, FinSetMonad, Just, MaybeMonad,
+                               NOTHING, NdState, approximants, elgot_instance, finset,
                                kleene_iterate, partition_iterate_maybe)
 
 KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
@@ -302,3 +305,109 @@ def test_elgot_instance_passes_monad_law_suite():
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
         elgot_instance("list")
+
+
+# ---------------------------------------------------------------------------
+# Value operations against reference copies of the code they replaced: the
+# per-instance order, the joins law_bind_join built, Gen.sub_value, the
+# morphism components and the handle-file value parser.
+# ---------------------------------------------------------------------------
+
+def _ref_leq(a, b):
+    if a is NOTHING or isinstance(a, Just):
+        return a is NOTHING or a == b
+    if isinstance(a, FinSet):
+        return all(e in b.elems for e in a.elems)
+    return all(all(e in b.at(s).elems for e in a.at(s).elems) for s, _ in a.table)
+
+
+def _ref_join(a, b):
+    if isinstance(a, FinSet):
+        return finset(a.elems + b.elems)
+    return NdState(tuple((s, finset(x.elems + b.at(s).elems)) for s, x in a.table))
+
+
+def _ref_sub_value(rng, v):
+    if v is NOTHING or isinstance(v, Just):
+        return NOTHING if rng.random() < 0.5 else v
+    if isinstance(v, FinSet):
+        return finset(e for e in v.elems if rng.random() < 0.6)
+    return NdState(tuple((s, finset(e for e in fs.elems if rng.random() < 0.6))
+                         for s, fs in v.table))
+
+
+def _value_pairs(kind, kw, seed, count=200):
+    m = elgot_instance(kind, **kw)
+    rng = random.Random(seed)
+    def draw():
+        return m.sample_value(rng, lambda: rng.choice("abc"), 3)
+    return m, [(draw(), draw()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+def test_leq_and_join_match_the_reference(kind, kw):
+    m, pairs = _value_pairs(kind, kw, seed=11)
+    for a, b in pairs + [(a, a) for a, _ in pairs] + [(m.bottom(), b) for _, b in pairs]:
+        assert m.leq(a, b) == _ref_leq(a, b), (a, b)
+        j = m.join(a, b)
+        if kind == "maybe":
+            comparable = _ref_leq(a, b) or _ref_leq(b, a)
+            assert (j is None) == (not comparable), (a, b)
+            if comparable:
+                assert j == (b if _ref_leq(a, b) else a)
+        else:
+            assert j == _ref_join(a, b)
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+def test_sample_below_matches_the_reference_draws(kind, kw):
+    m, pairs = _value_pairs(kind, kw, seed=23)
+    rng, ref_rng = random.Random(4), random.Random(4)
+    for v, _ in pairs:
+        below = m.sample_below(rng, v)
+        assert below == _ref_sub_value(ref_rng, v)
+        assert m.leq(below, v)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_choice_morphisms_match_the_reference_components():
+    from elgot.handler import (finset_to_nondetstate, maybe_to_finset,
+                               maybe_to_nondetstate)
+    mb, fs = elgot_instance("maybe"), elgot_instance("finset")
+    nd = elgot_instance("nondetstate", state_set=("s0", "s1"))
+
+    def ref_maybe_to_finset(v):
+        return finset(() if v is NOTHING else (v.value,))
+
+    def ref_finset_to_nondetstate(v):
+        return nd._value(lambda s: finset(Pair(x, s) for x in v.elems))
+
+    def ref_maybe_to_nondetstate(v):
+        elems = () if v is NOTHING else (v.value,)
+        return nd._value(lambda s: finset(Pair(x, s) for x in elems))
+
+    _, maybes = _value_pairs("maybe", {}, seed=7, count=50)
+    _, sets = _value_pairs("finset", {}, seed=8, count=50)
+    for (v, _), (w, _) in zip(maybes, sets):
+        assert maybe_to_finset(mb, fs).component(v) == ref_maybe_to_finset(v)
+        assert maybe_to_nondetstate(mb, nd).component(v) == ref_maybe_to_nondetstate(v)
+        assert finset_to_nondetstate(fs, nd).component(w) == ref_finset_to_nondetstate(w)
+
+
+def test_decode_reads_the_readme_literals():
+    mb, fs = elgot_instance("maybe"), elgot_instance("finset")
+    nd = elgot_instance("nondetstate", state_set=("s0", "s1"))
+    same = lambda x: x   # noqa: E731
+    assert mb.decode("nothing", same) is NOTHING
+    assert mb.decode({"just": "x"}, same) == Just("x")
+    assert fs.decode({"set": ["h", "t", "h"]}, same) == finset(["t", "h"])
+    assert fs.decode({"set": []}, same) == EMPTY_SET
+    v = nd.decode({"states": {"s0": [["x", "s1"]]}}, same)
+    assert v == NdState((("s0", finset([Pair("x", "s1")])), ("s1", EMPTY_SET)))
+    for m, kind, data in ((mb, "maybe", {"jst": 1}), (mb, "maybe", None),
+                          (fs, "finset", {"sett": []}), (fs, "finset", ["a"]),
+                          (nd, "nondetstate", {"state": {}}),
+                          (nd, "nondetstate", "nothing")):
+        with pytest.raises(ValueError, match="^malformed %s value: %s$"
+                           % (kind, re.escape(repr(data)))):
+            m.decode(data, same)

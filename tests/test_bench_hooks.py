@@ -83,3 +83,10 @@ def test_bench_tracer_counts_handler_suite_skips():
     # suite must reach it through the name the tracer rebinds
     r = _traced(HANDLER_SUITE_SCRIPT)
     assert r.returncode == 0, r.stderr
+
+
+def test_bench_modules_import():
+    # the benchmark imports package names directly, so renaming one of them
+    # must fail here rather than in the benchmark run
+    r = _traced("import worker, workloads")
+    assert r.returncode == 0, r.stderr

@@ -73,7 +73,13 @@ def test_laws_exit_zero(tmp_path):
     assert r.returncode == 0
     data = json.loads(report.read_text())
     assert all(entry["ok"] for entry in data)
-    assert all(law["skipped"] == 0 for entry in data for law in entry["laws"].values())
+    for entry in data:
+        for name, law in entry["laws"].items():
+            if (entry["instance"], name) == ("maybe", "omega.bind_join"):
+                # two different results have no join in the flat order
+                assert 0 < law["skipped"] < law["samples"]
+            else:
+                assert law["skipped"] == 0, (entry["instance"], name)
 
 
 def test_env_seed_default():
@@ -138,6 +144,13 @@ def test_usage_errors_exit_two(tmp_path):
         path = tmp_path / ("toss_bad_%s.json" % field)
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe\xfa")
+    bad_files += [("run", str(undecodable), "--input", "0"),
+                  ("bsp", str(undecodable)),
+                  ("handle", str(undecodable)),
+                  ("laws", "--suite", "base", "--samples", "1",
+                   "--report", str(tmp_path / "no" / "dir" / "r.json"))]
     for args in [("run", prog, "--input", "0", "--depth", "-1"),
                  ("bsp", spec, "--depth", "-1"),
                  ("laws", "--depth", "-1"),
@@ -213,6 +226,36 @@ def test_handle_fuzzed_file_never_crashes(tmp_path_factory, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["handle", str(file)])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+BSP_SPEC = {"actions": ["a", "b"], "states": 2, "width": [2, 1],
+            "b": [["a", "b"], ["a"]], "j": [[1, 0], [1]]}
+
+_BSP_VALUES = st.one_of(
+    st.integers(-3, 12), st.floats(-2, 3), st.booleans(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=2)), max_size=3),
+    st.none(), st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bsp_fuzzed_spec_never_crashes(tmp_path_factory, data):
+    doc = json.loads(json.dumps(BSP_SPEC))
+    path = data.draw(st.sampled_from([None] + list(_fields(doc))))
+    if path is None:
+        doc["actions"].append(data.draw(st.sampled_from(doc["actions"])))
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_BSP_VALUES)
+    file = tmp_path_factory.getbasetemp() / "fuzzed_spec.json"
+    file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bsp", str(file), "--depth", "2"])
+    assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
 
 
