@@ -327,8 +327,13 @@ class NondetStateMonad(_KleeneMonad):
 
     def decode(self, data, elem):
         if isinstance(data, dict) and "states" in data:
+            table = data["states"]
+            for s in list(table) + [s2 for rows in table.values() for _x, s2 in rows]:
+                if s not in self.states:
+                    raise ValueError("malformed nondetstate value: state %r is not "
+                                     "in the state set" % (s,))
             return self._value(lambda s: finset(
-                Pair(elem(x), s2) for x, s2 in data["states"].get(s, [])))
+                Pair(elem(x), s2) for x, s2 in table.get(s, [])))
         raise ValueError("malformed nondetstate value: %r" % (data,))
 
 

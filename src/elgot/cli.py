@@ -24,11 +24,6 @@ from .resumption import OpDecl, OpNode, ResTree, ResumptionMonad, Signature
 from .while_lang import SemanticError, WhileSyntaxError, make_env, parse, run
 
 
-def _default_seed() -> int:
-    env = os.environ.get("ELGOT_SEED")
-    return int(env) if env else 42
-
-
 def _int_at_least(low):
     """An argparse type: an integer no smaller than low."""
     def integer(text):
@@ -43,11 +38,6 @@ def _read(path: str) -> str:
     """The text of an input file; raises OSError or UnicodeDecodeError."""
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="random seed (default: ELGOT_SEED or 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument("--suite", choices=("all", "base", "resumption",
                                             "morphism", "handler"),
                         default="all")
-    _add_seed(p_laws)
+    p_laws.add_argument("--seed", type=int, default=None,
+                        help="random seed (default: ELGOT_SEED or 42)")
     p_laws.add_argument("--samples", type=_int_at_least(1), default=50)
     p_laws.add_argument("--depth", type=_int_at_least(0), default=6)
     p_laws.add_argument("--report", default=None,
@@ -145,7 +136,15 @@ def _standard_resumption(base_kind: str, depth: int) -> ResumptionMonad:
 
 
 def cmd_laws(args) -> int:
-    config = GenConfig(seed=args.seed, samples=args.samples, depth=args.depth)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("ELGOT_SEED")
+        try:
+            seed = int(env) if env else 42
+        except ValueError:
+            print("error: ELGOT_SEED must be an integer, not %r" % env, file=sys.stderr)
+            return 2
+    config = GenConfig(seed=seed, samples=args.samples, depth=args.depth)
     reports = []
     if args.suite in ("all", "base"):
         for kind in ("maybe", "finset"):

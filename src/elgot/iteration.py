@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .core import Inl, Inr, KleisliFn, case_sum, render_elem
-from .resumption import ResumptionMonad, memo_trees
+from .resumption import ResTree, ResumptionMonad
 
 
 class UnguardedError(ValueError):
@@ -62,21 +62,22 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
             base, f.dom, None,
             {x: base.map(rm.out(f(x)), pi) for x in f.dom.elements}))
 
-    transformed = memo_trees(lambda x: base.map(
-        pre_iterated()(x), lambda e: case_sum(e, lambda y: Inl(Inl(y)), Inr)))
-    return KleisliFn(rm, f.dom, f.cod, {x: transformed(x) for x in f.dom.elements})
+    def layer(x):
+        return base.map(pre_iterated()(x),
+                        lambda e: case_sum(e, lambda y: Inl(Inl(y)), Inr))
+
+    return KleisliFn(rm, f.dom, f.cod, {x: ResTree(fn=functools.partial(layer, x))
+                                        for x in f.dom.elements})
 
 
 def _unfold(rm: ResumptionMonad, g: KleisliFn) -> KleisliFn:
-    """sol(x) = bind(g(x), [unit, sol]), one memoised tree per variable.
-
-    For a guarded g every recursive call sits under an operation node, so
-    the first layer of sol(x) never waits on the first layer of a solution.
-    """
+    """sol(x) = bind(g(x), [unit, sol]) = lift(g(x)) for one shared lifting,
+    so a subtree that several points reach lifts to one tree.  For a guarded
+    g every recursive call sits under an operation node, so the first layer
+    of sol(x) never waits on the first layer of a solution."""
     y_car = g.cod.parts[0] if g.cod is not None and g.cod.kind == "sum" else None
-    sol = memo_trees(lambda x: rm.out(rm.bind(
-        g(x), lambda e: case_sum(e, rm.unit, sol))))
-    return KleisliFn(rm, g.dom, y_car, {x: sol(x) for x in g.dom.elements})
+    lift = rm.lifting(lambda e: case_sum(e, rm.unit, lambda x: lift(g(x))))
+    return KleisliFn(rm, g.dom, y_car, {x: lift(g(x)) for x in g.dom.elements})
 
 
 def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:

@@ -28,9 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
-                   canon_key, case_sum, render_elem, spaced)
+                   canon_key, render_elem, spaced)
 
 _tokens = itertools.count(1)
+# Guards every first forcing and every intern-table miss.  It is re-entrant
+# because forcing a layer forces the layers it reads.
+_lock = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +81,20 @@ def sig_val(decl: OpDecl, param, args: Mapping) -> "OpNode":
 
 class Thunk:
     """The package's one memoised cell: fn runs at most once, on the first
-    force.  A cell made with a value is already forced."""
+    force.  A cell made with a value is already forced.  A layer that reads
+    its own cell recurses until Python raises RecursionError."""
 
-    __slots__ = ("token", "_fn", "_value", "_lock")
+    __slots__ = ("token", "_fn", "_value")
 
     def __init__(self, fn: Optional[Callable] = None, value=None):
         self.token = next(_tokens)
         self._fn = fn
         self._value = value
-        self._lock = threading.Lock()
 
     def force(self):
         v = self._value
         if v is None:
-            with self._lock:
+            with _lock:
                 if self._value is None:
                     self._value = self._fn()
                     self._fn = None
@@ -153,19 +156,27 @@ class ResTree(Thunk):
         return ("(tree #%d)" % self.token,)
 
 
-def memo_trees(layer: Callable) -> Callable:
-    """seed -> the lazy tree whose first layer is layer(seed), one per seed.
-
-    Revisiting a seed yields the identical tree, so a finite graph of seeds
-    unfolds into a finite, possibly cyclic, graph of trees.
+def unfold_trees(base: ElgotMonad, layer: Callable, leaf: Callable) -> Callable:
+    """The one lazy corecursion: seed -> the memoised tree whose first layer
+    is layer(seed) bound by Inl(x) -> leaf(x) and by replacing each node's
+    child seeds with their trees.  Revisiting a seed yields the identical
+    tree, so a finite graph of seeds unfolds into a finite, possibly cyclic,
+    graph of trees.
     """
     memo = {}
+
+    def elem(e):
+        if isinstance(e, Inl):
+            return leaf(e.value)
+        node = e.value
+        return base.unit(Inr(OpNode(node.op, node.param,
+                                    tuple((a, tree(s)) for a, s in node.children))))
 
     def tree(seed) -> ResTree:
         t = memo.get(seed)
         if t is None:
             # setdefault keeps the first tree if two forcings race here
-            t = memo.setdefault(seed, ResTree(fn=lambda: layer(seed)))
+            t = memo.setdefault(seed, ResTree(fn=lambda: base.bind(layer(seed), elem)))
         return t
 
     return tree
@@ -175,9 +186,6 @@ def memo_trees(layer: Callable) -> Callable:
 # Truncations
 # ---------------------------------------------------------------------------
 
-_intern_lock = threading.Lock()
-
-
 class _Interned:
     """A hash-consed truncation value: equal values are one object.
 
@@ -186,7 +194,7 @@ class _Interned:
     elements, so the lookup never walks below one layer.  Equality and
     hashing are therefore identity, and each value stores its canonical key,
     built in _set from its children's stored keys.  The tables hold values
-    weakly, under one lock, so two equal values never coexist.
+    weakly, under the module's lock, so two equal values never coexist.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -196,7 +204,7 @@ class _Interned:
         entry = table.get(fields)
         v = None if entry is None else entry()
         if v is None:
-            with _intern_lock:     # check again: another thread may have won
+            with _lock:     # check again: another thread may have won
                 entry = table.get(fields)
                 v = None if entry is None else entry()
                 if v is None:
@@ -307,34 +315,20 @@ class ResumptionMonad(ElgotMonad):
         each child is the lazy unfolding of its seed.  Seeds are shared, so
         revisiting one yields the identical tree.
         """
-        def step_elem(e):
-            return case_sum(
-                e,
-                lambda x: Inl(x),
-                lambda node: Inr(OpNode(
-                    node.op, node.param,
-                    tuple((a, go(s)) for a, s in node.children))))
-
-        go = memo_trees(lambda y: self.base.map(g(y), step_elem))
+        go = unfold_trees(self.base, g, lambda x: self.base.unit(Inl(x)))
         return KleisliFn(self, g.dom, None, {y: go(y) for y in g.dom.elements})
 
     # -- monad structure ----------------------------------------------------
 
+    def lifting(self, f: Callable) -> Callable:
+        """Kleisli lifting: the memoised map t -> bind(t, f).  It rewrites
+        leaves by f, corecursively under nodes, and each source subtree lifts
+        to one tree, so a finite cyclic tree lifts to a finite cyclic tree."""
+        return unfold_trees(self.base, self.out, lambda v: self.out(f(v)))
+
     def bind(self, t: ResTree, f: Callable) -> ResTree:
-        """Kleisli lifting: rewrite leaves by f, corecursively under nodes.
-
-        Each source subtree lifts to one tree, so a finite cyclic tree lifts
-        to a finite cyclic tree.  map and strength derive from this lifting.
-        """
-        def elem(e):
-            if isinstance(e, Inl):
-                return self.out(f(e.value))
-            node = e.value
-            kids = tuple((a, lifted(child)) for a, child in node.children)
-            return self.base.unit(Inr(OpNode(node.op, node.param, kids)))
-
-        lifted = memo_trees(lambda s: self.base.bind(self.out(s), elem))
-        return lifted(t)
+        """Lift t by f; map and strength derive from this lifting."""
+        return self.lifting(f)(t)
 
     # -- order and iteration -------------------------------------------------
 

@@ -411,3 +411,8 @@ def test_decode_reads_the_readme_literals():
         with pytest.raises(ValueError, match="^malformed %s value: %s$"
                            % (kind, re.escape(repr(data)))):
             m.decode(data, same)
+    for data, state in (({"states": {"s0": [], "s9": []}}, "s9"),
+                        ({"states": {"s0": [["t", "zz"]]}}, "zz")):
+        with pytest.raises(ValueError, match="^malformed nondetstate value: state "
+                           "'%s' is not in the state set$" % state):
+            nd.decode(data, same)

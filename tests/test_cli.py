@@ -87,6 +87,28 @@ def test_env_seed_default():
     assert "seed 99" in r1.stdout
 
 
+def test_bad_env_seed():
+    bad = {"ELGOT_SEED": "abc"}
+    r = cli("run", str(GOLDEN / "sect7_prog.whl"), "--input", "0", env=bad)
+    assert r.returncode == 0
+    r = cli("laws", "--suite", "base", "--samples", "1", env=bad)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert r.stderr == "error: ELGOT_SEED must be an integer, not 'abc'\n"
+    r = cli("laws", "--seed", "5", "--suite", "base", "--samples", "1", env=bad)
+    assert r.returncode == 0
+
+
+@pytest.mark.parametrize("stmt", ["skip", "if true then skip else skip",
+                                  "while false do skip"])
+def test_short_statement_chains_run(tmp_path, stmt):
+    # each statement whose first layer is a bare leaf takes Python frames
+    # while the first layer is forced; 120 stays below the ceiling (~160)
+    prog = tmp_path / "chain.whl"
+    prog.write_text("; ".join([stmt] * 120))
+    r = cli("run", str(prog), "--input", "0", "--depth", "1")
+    assert r.returncode == 0, r.stderr[-300:]
+
+
 def test_laws_suite_all_exits_zero():
     r = cli("laws", "--suite", "all", "--seed", "42", "--samples", "5")
     assert r.returncode == 0
@@ -142,6 +164,12 @@ def test_usage_errors_exit_two(tmp_path):
         else:
             doc[field] = value
         path = tmp_path / ("toss_bad_%s.json" % field)
+        path.write_text(json.dumps(doc))
+        bad_files.append(("handle", str(path)))
+    for states in ({"s0": [["h", "s1"]], "s9": [["t", "s1"]]}, {"s0": [["t", "zz"]]}):
+        doc = json.loads(json.dumps(ND_SPEC))
+        doc["effects"]["toss"]["*"]["states"] = states
+        path = tmp_path / ("nd_bad_%s.json" % "_".join(states))
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
     undecodable = tmp_path / "undecodable"

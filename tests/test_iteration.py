@@ -173,6 +173,16 @@ def test_iterate_binds_on_demand_and_shares_the_base_fixpoint():
     assert rm.bisimilar(fd("a"), fd("b"), 4)
 
 
+def test_points_that_reach_one_subtree_share_its_lifting(rm_maybe):
+    # x0 falls through to x1 unguarded, so both first layers hold x1's node
+    x, y, cod = _xy(rm_maybe, xs=("x0", "x1"))
+    step = {"x0": rm_maybe.unit(Inr("x1")),
+            "x1": rm_maybe.op_call("act", "p1", {"*": rm_maybe.unit(Inl("y0"))})}
+    sol = rm_maybe.iterate(KleisliFn(rm_maybe, x, cod, step))
+    kids = [rm_maybe.out(sol(v)).value.value.child("*") for v in x.elements]
+    assert kids[0] is kids[1]
+
+
 def test_iterate_extends_base_iteration(rm_finset):
     from elgot.laws import Gen, GenConfig
     gen = Gen(GenConfig(seed=31))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, \
@@ -213,6 +218,22 @@ def test_forcing_is_at_most_once_under_contention(force):
         t.join()
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
+
+
+def test_a_tree_whose_first_layer_reads_itself_raises():
+    # in a subprocess, so that a deadlock fails the test instead of the suite
+    code = ("from elgot.base_monads import elgot_instance\n"
+            "from elgot.resumption import ResumptionMonad, Signature\n"
+            "rm = ResumptionMonad(elgot_instance('maybe'), Signature(()))\n"
+            "t = rm.bind(rm.unit('x'), lambda v: t)\n"
+            "try:\n"
+            "    rm.out(t)\n"
+            "except RecursionError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=10)
+    assert r.stdout == "raised\n", r.stderr[-300:]
 
 
 def test_shared_tree_truncation_across_threads():
