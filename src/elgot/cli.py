@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failures, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +41,11 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the elgot command line.  It is memoised: built on the
+    first call and shared by every later call in the process, which is safe
+    because parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(prog="elgot")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -191,8 +196,9 @@ def _parse_tree(rm, data):
     todo = []
 
     def parse_payload(p):
-        if isinstance(p, dict) and isinstance(p.get("leaf"), (str, int)):
-            return Inl(p["leaf"])
+        leaf = p.get("leaf") if isinstance(p, dict) else None
+        if isinstance(leaf, (str, int)) and not isinstance(leaf, bool):
+            return Inl(leaf)
         if isinstance(p, dict) and "op" in p:
             decl = rm.sig.op(p["op"])
             if p["param"] not in decl.param:

@@ -5,10 +5,11 @@ type of every law check.
 Atoms are plain strings; every composite value (sum tags, pairs, operation
 nodes, truncated tree layers) has a canonical sort key so that finite sets
 over mixed element types have a stable, deterministic order.  Sums, pairs and
-base-monad values build their key from their parts on each call; truncated
-tree layers are hash-consed and store theirs once (see the resumption
-module).  Composite values render through one explicit stack, so neither
-keys nor text are bounded by Python's recursion depth.
+base-monad values build their key from their parts on each call; operation
+nodes build theirs on first use and store it, and truncated tree layers are
+hash-consed and store theirs once (see the resumption module).  Composite
+values render through one explicit stack, so neither keys nor text are
+bounded by Python's recursion depth.
 """
 
 from __future__ import annotations
@@ -81,8 +82,14 @@ def render_elem(v) -> str:
     A composite value's _render_() lists its pieces in order: strings print
     as themselves and every other piece is rendered in turn.  Pieces are
     expanded from an explicit stack of iterators, so nesting depth is not
-    bounded by Python's recursion depth.
+    bounded by Python's recursion depth.  Each shared composite is rendered
+    once per call: its first occurrence is expanded in place, and a later
+    one copies that text, joined once, so the work is linear in the number
+    of distinct composites plus the length of the text.
     """
+    # id -> (composite, start, end) of its first text in out, or (composite,
+    # text) once it has recurred; holding the composite keeps its id unique
+    memo = {}
     out, stack, pieces = [], [], iter((v,))
     while True:
         for x in pieces:
@@ -91,17 +98,24 @@ def render_elem(v) -> str:
             elif isinstance(x, int):
                 out.append(str(x))
             else:
+                seen = memo.get(id(x))
+                if seen is not None:
+                    if len(seen) == 3:
+                        seen = memo[id(x)] = (x, "".join(out[seen[1]:seen[2]]))
+                    out.append(seen[1])
+                    continue
                 render = getattr(x, "_render_", None)
                 if render is None:
                     out.append(repr(x))
                 else:
-                    stack.append(pieces)
+                    stack.append((pieces, x, len(out)))
                     pieces = iter(render())
                     break
         else:
             if not stack:
                 return "".join(out)
-            pieces = stack.pop()
+            pieces, x, start = stack.pop()
+            memo[id(x)] = (x, start, len(out))
 
 
 def spaced(items) -> list:

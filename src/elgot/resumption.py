@@ -108,14 +108,17 @@ class OpNode:
     Equality and hashing go through (op, param, children); trees compare and
     hash by identity, never by structure, so these nodes can sit inside
     base-monad set values.  Before coit unfolds them, the children are seeds.
+    A node never changes, so its canonical key is built on first use and
+    stored.
     """
 
-    __slots__ = ("op", "param", "children")
+    __slots__ = ("op", "param", "children", "_key")
 
     def __init__(self, op: str, param, children):
         self.op = op
         self.param = param
         self.children = tuple(children)   # ((arity atom, ResTree), ...)
+        self._key = None
 
     def child(self, a) -> "ResTree":
         for atom, t in self.children:
@@ -132,8 +135,11 @@ class OpNode:
         return hash((self.op, self.param, self.children))
 
     def _canon_key_(self):
-        return (21, self.op, canon_key(self.param),
-                tuple(canon_key(c) for _a, c in self.children))
+        key = self._key
+        if key is None:
+            key = self._key = (21, self.op, canon_key(self.param),
+                               tuple(canon_key(c) for _a, c in self.children))
+        return key
 
     def _render_(self):
         return ("(node ", self.op, " ", self.param, ")")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgot.cli import main
+from elgot.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 PKG = Path(__file__).parent.parent
@@ -172,6 +172,14 @@ def test_usage_errors_exit_two(tmp_path):
         path = tmp_path / ("nd_bad_%s.json" % "_".join(states))
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
+    doc = json.loads((GOLDEN / "handle_toss.json").read_text())
+    doc["tree"]["just"]["children"]["h"]["just"]["leaf"] = True
+    bool_leaf = tmp_path / "toss_bool_leaf.json"
+    bool_leaf.write_text(json.dumps(doc))
+    bad_files.append(("handle", str(bool_leaf)))
+    r = cli("handle", str(bool_leaf))
+    assert r.stderr == "error: malformed handle file: malformed tree payload: " \
+        "{'leaf': True}\n"
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe\xfa")
     bad_files += [("run", str(undecodable), "--input", "0"),
@@ -381,3 +389,36 @@ def test_byte_identical_across_runs(args):
     r1, r2 = cli(*args), cli(*args)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout.encode() == r2.stdout.encode()
+
+
+def _in_process(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(args))
+    return code, out.getvalue()
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("ELGOT_SEED", raising=False)
+    laws = ("laws", "--suite", "base", "--samples", "1")
+    prog = str(GOLDEN / "sect7_prog.whl")
+    run = ("run", prog, "--input", "0", "--depth", "1")
+    # each call after its flagged twin must print what a fresh process does
+    for first, second in [(laws + ("--seed", "7"), laws), (run + ("--trace",), run)]:
+        _in_process(*first)
+        code, text = _in_process(*second)
+        fresh = cli(*second)
+        assert code == fresh.returncode == 0
+        assert text == fresh.stdout
+    assert "seed 42" in _in_process(*laws)[1]
+    assert not _in_process(*run)[1].startswith("#")
+    golden = [
+        (("run", prog, "--base", "finset", "--input", "0", "--depth", "3"),
+         (GOLDEN / "sect7_depth3.txt").read_text()),
+        (("bsp", str(GOLDEN / "two_state.bsp"), "--depth", "1", "--format", "dot"),
+         (GOLDEN / "two_state_depth1.dot").read_text()),
+        (("handle", str(GOLDEN / "handle_toss.json")), "{heads}\nconverged\n"),
+    ]
+    for args, expected in golden + golden:
+        assert _in_process(*args) == (0, expected), args

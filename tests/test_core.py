@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgot.core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair,
                         canon_key, carrier, compose_kleisli, kleisli_unit,
                         make_kleisli, prod_carrier, sum_carrier,
                         strong_iterate, dist_elem, KleisliFn,
-                        bottom_kleisli)
-from elgot.base_monads import (Just, NOTHING, elgot_instance, finset,
+                        bottom_kleisli, render_elem)
+from elgot.base_monads import (Just, NOTHING, NdState, elgot_instance, finset,
                                kleene_iterate)
 
 
@@ -128,3 +129,39 @@ def test_strong_iterate_against_hand_unrolled_oracle():
     assert {p: got(p) for p in zx.elements} == want
     assert got(Pair("z1", "x0")) is NOTHING
     assert got(Pair("z0", "x0")) == Just("y0")
+
+
+def _naive_render(v):
+    """Reference: the text of a value, by recursion over its pieces."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return str(v)
+    render = getattr(v, "_render_", None)
+    if render is None:
+        return repr(v)
+    return "".join(_naive_render(p) for p in render())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_render_elem_equals_a_naive_renderer_on_shared_values(data):
+    # each new value takes its parts from the earlier ones, so one object
+    # can occur many times, at several depths
+    pool = ["a", "b", 0, 7]
+    for _ in range(data.draw(st.integers(1, 12))):
+        part = st.sampled_from(pool)
+        kind = data.draw(st.sampled_from(["inl", "pair", "finset", "ndstate"]))
+        if kind == "inl":
+            v = Inl(data.draw(part))
+        elif kind == "pair":
+            v = Pair(data.draw(part), data.draw(part))
+        elif kind == "finset":
+            v = finset(data.draw(st.lists(part, max_size=3)))
+        else:
+            v = NdState(tuple((s, finset(Pair(data.draw(part), s)
+                                         for _ in range(data.draw(st.integers(0, 2)))))
+                              for s in ("s0", "s1")))
+        pool.append(v)
+    root = Pair(pool[-1], finset(pool[4:]))
+    assert render_elem(root) == _naive_render(root)

@@ -489,3 +489,36 @@ def test_stored_keys_equal_the_structural_keys(kind):
         assert canon_key(v) == keys[id(v)]
     # interning is structural equality: distinct objects have distinct keys
     assert len(set(keys.values())) == len(keys)
+
+
+def test_node_keys_are_stored_and_structural(rm_maybe):
+    shared = rm_maybe.iota("act", "p1", {"*": "x"})
+    t = rm_maybe.op_call("ask", "*", {"l": shared, "r": shared})
+    node = rm_maybe.out(t).value.value
+    key = node._canon_key_()
+    assert node._canon_key_() is key and canon_key(node) is key
+    assert key == (21, "ask", (0, "*"), ((22, shared.token), (22, shared.token)))
+
+    seeds = sig_val(rm_maybe.sig.op("ask"), "*", {"l": Pair("s", 1), "r": Inl("s")})
+    key = seeds._canon_key_()
+    assert seeds._canon_key_() is key
+    assert key == (21, "ask", (0, "*"), ((4, (0, "s"), (1, 1)), (2, (0, "s"))))
+
+
+def test_rendering_expands_each_shared_layer_once(monkeypatch):
+    from elgot.while_lang import make_env, run
+    expanded = {}
+    render = TOp._render_
+
+    def counted(self):
+        expanded.setdefault(id(self), [self, 0])[1] += 1
+        return render(self)
+
+    monkeypatch.setattr(TOp, "_render_", counted)
+    env = make_env("nondetstate", state_set=("s0", "s1"))
+    text = run("while true do write", env, "0", 16)
+    # one interned write layer per depth, shared by both states and both
+    # results, so the text doubles per layer while each layer renders once
+    assert len(text) == 8126394
+    assert len(expanded) == 16
+    assert max(n for _v, n in expanded.values()) == 1
