@@ -1,7 +1,8 @@
 """Command line interface: run while programs, solve process definitions,
 run the law suites, and evaluate serialized trees under an interpretation.
 
-Exit codes: 0 success, 1 check failures, 2 usage or parse errors.
+Exit codes: 0 success, 1 check failures, 2 usage or parse errors.  Commands
+raise on bad input; main is the one place that prints it and exits 2.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .bsp import BspLoadError, load_bsp, lts_to_csv, lts_to_dot, lts_to_text, \
 from .laws import Gen, GenConfig, run_axiom_suite, run_handler_suite, run_morphism_suite
 from .resumption import OpDecl, OpNode, ResTree, ResumptionMonad, Signature
 from .while_lang import SemanticError, WhileSyntaxError, make_env, parse, run
+
+
+class UsageError(Exception):
+    """Bad input that argparse cannot see, such as a missing --state-set."""
 
 
 def _int_at_least(low):
@@ -90,25 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    try:
-        source = _read(args.program)
-    except (OSError, UnicodeDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    source = _read(args.program)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
     states = tuple(args.state_set.split(",")) if args.state_set else None
     if args.base == "nondetstate" and not states:
-        print("error: --state-set is required for nondetstate", file=sys.stderr)
-        return 2
-    try:
-        stmt = parse(source)
-        env = make_env(args.base, alphabet=alphabet, state_set=states)
-        if args.trace:
-            print("# %s" % (stmt,))
-        print(run(stmt, env, args.input, args.depth))
-    except (WhileSyntaxError, SemanticError, ConfigError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise UsageError("--state-set is required for nondetstate")
+    stmt = parse(source)
+    env = make_env(args.base, alphabet=alphabet, state_set=states)
+    if args.trace:
+        print("# %s" % (stmt,))
+    print(run(stmt, env, args.input, args.depth))
     return 0
 
 
@@ -117,12 +113,7 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bsp(args) -> int:
-    try:
-        spec = load_bsp(_read(args.spec))
-        lts = solve_and_unfold(spec, args.depth)
-    except (OSError, UnicodeDecodeError, BspLoadError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    lts = solve_and_unfold(load_bsp(_read(args.spec)), args.depth)
     render = {"text": lts_to_text, "dot": lts_to_dot, "csv": lts_to_csv}[args.format]
     sys.stdout.write(render(lts))
     return 0
@@ -147,8 +138,7 @@ def cmd_laws(args) -> int:
         try:
             seed = int(env) if env else 42
         except ValueError:
-            print("error: ELGOT_SEED must be an integer, not %r" % env, file=sys.stderr)
-            return 2
+            raise UsageError("ELGOT_SEED must be an integer, not %r" % env) from None
     config = GenConfig(seed=seed, samples=args.samples, depth=args.depth)
     reports = []
     if args.suite in ("all", "base"):
@@ -177,12 +167,8 @@ def cmd_laws(args) -> int:
     for rep in reports:
         print(rep.text())
     if args.report:
-        try:
-            with open(args.report, "w") as fh:
-                json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        with open(args.report, "w") as fh:
+            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -268,33 +254,41 @@ def _decode_handle(data, fuel):
 def cmd_handle(args) -> int:
     try:
         data = json.loads(_read(args.file))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except RecursionError:
-        print("error: %s is nested too deeply to read" % args.file, file=sys.stderr)
-        return 2
+        raise UsageError("%s is nested too deeply to read" % args.file) from None
     try:
         target, job = _decode_handle(data, args.fuel)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         # the JSON parsed, but its shape or values do not describe a job
-        print("error: malformed handle file: %s" % exc, file=sys.stderr)
-        return 2
+        raise UsageError("malformed handle file: %s" % exc) from None
     try:
         result = handle(*job)
-    except (KeyError, InterpretationError, ConfigError, CarrierMismatchError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except KeyError as exc:
+        raise UsageError(str(exc)) from None
     print(target.render(result.value))
     print("converged" if result.converged else "approximate")
     return 0
+
+
+# the errors bad input raises; main reports each as "error: <message>", exit 2
+INPUT_ERRORS = (UsageError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+                WhileSyntaxError, SemanticError, ConfigError, BspLoadError,
+                InterpretationError, CarrierMismatchError)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"run": cmd_run, "bsp": cmd_bsp, "laws": cmd_laws,
                 "handle": cmd_handle}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except INPUT_ERRORS as exc:
+        message = exc
+    except RecursionError:
+        # until forcing is stackless, Python's recursion limit bounds nesting
+        message = "the input nests too deeply"
+    print("error: %s" % message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

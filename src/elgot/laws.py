@@ -21,7 +21,7 @@ from .handler import (EffectInterpretation, MonadMorphism,
                       check_universal_triangles, handle, morphism_iteration,
                       morphism_kleisli, morphism_strength, morphism_unit)
 from .iteration import guard_transform, solve_guarded
-from .resumption import OpNode, ResumptionMonad
+from .resumption import OpNode, ResumptionMonad, TCUT, TLeaf, TOp
 
 
 @dataclass
@@ -283,11 +283,9 @@ def law_strength_compat(gen: Gen, inst):
     inner = make_kleisli(inst, cx, inner_cod,
                          lambda p: inst.map(inst.strength(p.fst, f(p.snd)), dist_elem))
     rhs = inst.iterate(inner)
-    for p in cx.elements:
-        lhs = inst.strength(p.fst, fd(p.snd))
-        if not inst.equal(lhs, rhs(p)):
-            return "at %s: %s vs %s" % (render_elem(p), inst.render(lhs),
-                                        inst.render(rhs(p)))
+    lhs = make_kleisli(inst, cx, prod_carrier(c_car, y_car),
+                       lambda p: inst.strength(p.fst, fd(p.snd)))
+    return _first_mismatch(inst, lhs, rhs)
 
 
 def law_bekic(gen: Gen, inst):
@@ -367,7 +365,6 @@ def law_bind_join(gen: Gen, inst):
 
 def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
     """Independent substitution oracle, computed directly on truncations."""
-    from .resumption import TCUT, TOp
 
     def elem(e):
         if isinstance(e, Inl):
@@ -383,8 +380,6 @@ def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
 
 
 def _eager_strength_trunc(rm: ResumptionMonad, c, t, depth: int):
-    from .resumption import TCUT, TLeaf, TOp
-
     def elem(e):
         if isinstance(e, Inl):
             return TLeaf(Pair(c, e.value))

@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-# the atomic "delete if dead" that weakref.WeakValueDictionary is built on
-from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -195,31 +193,26 @@ def unfold_trees(base: ElgotMonad, layer: Callable, leaf: Callable) -> Callable:
 class _Interned:
     """A hash-consed truncation value: equal values are one object.
 
-    Each class's intern table is keyed shallowly, by the fields themselves:
-    children are interned already, or base-monad values over interned
-    elements, so the lookup never walks below one layer.  Equality and
-    hashing are therefore identity, and each value stores its canonical key,
-    built in _set from its children's stored keys.  The tables hold values
-    weakly, under the module's lock, so two equal values never coexist.
+    Each class's intern table is a weakref.WeakValueDictionary keyed
+    shallowly, by the fields themselves: children are interned already, or
+    base-monad values over interned elements, so the lookup never walks
+    below one layer.  Equality and hashing are therefore identity, and each
+    value stores its canonical key, built in _set from its children's stored
+    keys.  A miss inserts under the module's lock, so two equal values never
+    coexist.
     """
 
     __slots__ = ("_key", "__weakref__")
 
     def __new__(cls, *fields):
-        table = cls._table
-        entry = table.get(fields)
-        v = None if entry is None else entry()
+        v = cls._table.get(fields)
         if v is None:
             with _lock:     # check again: another thread may have won
-                entry = table.get(fields)
-                v = None if entry is None else entry()
+                v = cls._table.get(fields)
                 if v is None:
                     v = object.__new__(cls)
-                    v._set(*fields)
-                    # the callback drops the entry only while it is dead, so
-                    # it needs no lock and never drops a newer value's entry
-                    table[fields] = weakref.ref(
-                        v, lambda _entry: _remove_dead_weakref(table, fields))
+                    v._set(*fields)     # publish only a filled value
+                    cls._table[fields] = v
         return v
 
     def _canon_key_(self):
@@ -231,7 +224,7 @@ class _Interned:
 
 class TLeaf(_Interned):
     __slots__ = ("value",)
-    _table = {}    # fields -> weak reference to the one value
+    _table = weakref.WeakValueDictionary()    # fields -> the one value
 
     def _set(self, value):
         self.value = value
@@ -256,7 +249,7 @@ TCUT = _TCut()
 
 class TOp(_Interned):
     __slots__ = ("op", "param", "children")
-    _table = {}
+    _table = weakref.WeakValueDictionary()
 
     def _set(self, op: str, param, children: tuple):
         self.op, self.param = op, param

@@ -9,6 +9,7 @@ need no guardedness: the while rule iterates the loop step directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -79,39 +80,25 @@ class SemanticError(ValueError):
     pass
 
 
+# the README grammar's tokens; any other character is a syntax error
+_TOKEN = re.compile(r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<punct>[;{}])"
+                    r"|(?P<ident>[a-z][a-z0-9_]*)|(?P<other>.)")
+
+
 def _tokenize(source: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(source) and source[i] != "\n":
-                i += 1
-        elif ch in ";{}":
-            tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-        elif ch.isalpha() and ch.islower():
-            start = i
-            startcol = col
-            while i < len(source) and (source[i].isalnum() or source[i] == "_"):
-                if not (source[i].islower() or source[i].isdigit() or source[i] == "_"):
-                    break
-                i += 1
-                col += 1
-            word = source[start:i]
-            tokens.append(("ident", word, line, startcol))
-        else:
-            raise WhileSyntaxError("unexpected character %r" % ch, line, col)
-    tokens.append(("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "punct":
+            tokens.append((m.group(), m.group(), line, col))
+        elif kind == "ident":
+            tokens.append(("ident", m.group(), line, col))
+        elif kind == "other":
+            raise WhileSyntaxError("unexpected character %r" % m.group(), line, col)
+    tokens.append(("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -349,6 +349,19 @@ def test_deep_handle_files_exit_cleanly(tmp_path):
     assert r.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("source", ["; ".join(["skip"] * 300),
+                                    "while true do " * 300 + "skip"],
+                         ids=["skip-chain", "nested-while"])
+def test_deep_programs_never_print_a_traceback(tmp_path, source):
+    # while forcing recurses, these pass Python's recursion limit and exit 2
+    prog = tmp_path / "deep.whl"
+    prog.write_text(source)
+    r = cli("run", str(prog), "--input", "0", "--depth", "1")
+    assert r.returncode in (0, 2) and "Traceback" not in r.stderr, r.stderr[-300:]
+    if r.returncode == 2:
+        assert r.stderr.startswith("error: ")
+
+
 def test_parse_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.whl"
     bad.write_text("while do")

@@ -4,8 +4,8 @@ import pytest
 
 from elgot.core import Inl, Inr, Pair, carrier, make_kleisli, sum_carrier, \
     unit_carrier
-from elgot.base_monads import Just, NOTHING, NdState, approximants, \
-    elgot_instance, finset
+from elgot.base_monads import FinSetMonad, Just, NOTHING, NdState, \
+    approximants, elgot_instance, finset
 from elgot.handler import (EffectInterpretation, InterpretationError,
                            MonadMorphism, check_universal_triangles, handle,
                            identity_morphism,
@@ -65,6 +65,35 @@ def test_broken_interpretation_wrong_arity_rejected():
                            lambda p: finset(["l", "zzz"]))
     with pytest.raises(InterpretationError):
         EffectInterpretation(rm.sig, S, {"act": ups.effects["act"], "ask": bad_ask})
+
+
+def test_effects_must_cover_the_signature_on_its_parameters():
+    rm, S, sigma, ups = _setup_finset_target()
+    with pytest.raises(InterpretationError, match="no generic effect for operation ask"):
+        EffectInterpretation(rm.sig, S, {"act": ups.effects["act"]})
+    on_unit = make_kleisli(S, unit_carrier(), unit_carrier(), lambda p: S.unit("*"))
+    with pytest.raises(InterpretationError, match="expected the parameter carrier p"):
+        EffectInterpretation(rm.sig, S, {"act": on_unit, "ask": ups.effects["ask"]})
+
+
+def test_handle_rejects_bad_fuel_and_mismatched_targets():
+    rm, S, sigma, ups = _setup_finset_target()
+    t = rm.unit("x")
+    with pytest.raises(ValueError, match="fuel must be nonnegative"):
+        handle(rm, t, sigma, ups, -1)
+    other = maybe_to_finset(rm.base, elgot_instance("finset"))
+    with pytest.raises(InterpretationError, match="different monads"):
+        handle(rm, t, other, ups, 1)
+
+    class NoBottom(FinSetMonad):
+        name = "finset-without-bottom"
+        has_bottom = False
+
+    # the effects' values are finite sets, which NoBottom shares with S
+    no_bottom = NoBottom()
+    with pytest.raises(InterpretationError, match="has no bottom"):
+        handle(rm, t, maybe_to_finset(rm.base, no_bottom),
+               EffectInterpretation(rm.sig, no_bottom, ups.effects), 1)
 
 
 def test_handle_ext_is_sigma_from_fuel_one():

@@ -73,6 +73,14 @@ def test_guard_transform_drops_bare_loop_keeps_guarded_branch(rm_finset):
     assert els[0].value.op == "act"
 
 
+def test_iterate_requires_the_recursive_summand_to_be_the_domain(rm_maybe):
+    x, y, _cod = _xy(rm_maybe)
+    z = carrier("z", ("a", "c"))
+    f = make_kleisli(rm_maybe, x, sum_carrier(y, z), lambda v: rm_maybe.unit(Inr("a")))
+    with pytest.raises(ValueError, match="recursive summand z does not match the domain x"):
+        rm_maybe.iterate(f)
+
+
 def test_solve_guarded_without_recursion(rm_maybe):
     x, y, cod = _xy(rm_maybe, ys=("y0", "y1"))
     u = {"a": "y1", "b": "y0"}

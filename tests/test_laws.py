@@ -2,11 +2,12 @@ import json
 
 from elgot.core import Inl, Inr, KleisliFn, bottom_kleisli
 from elgot.base_monads import FinSetMonad, elgot_instance
+from elgot.resumption import ResumptionMonad
 from elgot.laws import (ELGOT_AXIOMS, HANDLER_LAWS, MORPHISM_LAWS, Gen,
                         GenConfig, LAW_CHECKS, REQUIRED_IDENTITIES,
                         run_axiom_suite, run_morphism_suite)
 
-from conftest import resumption
+from conftest import resumption, two_op_signature
 
 
 def test_registry_covers_the_checklist():
@@ -85,6 +86,23 @@ def test_suite_clean_on_resumption_instances():
     for kind in ("maybe", "finset"):
         rep = run_axiom_suite(resumption(kind), cfg)
         assert rep.ok, rep.text()
+
+
+def test_tree_characteristic_equations_compare_at_a_cut():
+    # at depth 1 the generated trees reach below the cut, so the oracles
+    # cut nodes too; deeper, the small trees end above it
+    class LateCut(ResumptionMonad):
+        def truncate(self, t, depth):
+            return super().truncate(t, depth + 1)
+
+    laws = ("resumption.kleisli_eq", "resumption.strength_eq")
+    cfg = GenConfig(seed=3, samples=50, depth=1)
+    for kind in ("maybe", "finset"):
+        rep = run_axiom_suite(resumption(kind, depth=1), cfg, laws=laws)
+        assert rep.ok and [r.samples for r in rep.results] == [50, 50], rep.text()
+        late = LateCut(elgot_instance(kind), two_op_signature(), depth=1)
+        rep = run_axiom_suite(late, cfg, laws=laws)
+        assert all(r.failures for r in rep.results), rep.text()
 
 
 def test_constant_bottom_iteration_is_caught():

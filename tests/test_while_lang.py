@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgot.core import Inl, Inr
 from elgot.while_lang import (Act, If, Seq, Skip, While, SemanticError,
@@ -30,6 +31,38 @@ def test_parse_errors_have_positions(bad):
     with pytest.raises(WhileSyntaxError) as exc:
         parse(bad)
     assert exc.value.line >= 1 and exc.value.col >= 1
+
+
+def test_identifiers_follow_the_readme_grammar():
+    # identifiers are [a-z][a-z0-9_]*; a non-ASCII letter is no identifier
+    with pytest.raises(WhileSyntaxError) as exc:
+        parse("café")
+    assert (exc.value.line, exc.value.col) == (1, 4)
+    assert "unexpected character 'é'" in str(exc.value)
+    assert parse("x_1; a0") == Seq(Act("x_1"), Act("a0"))
+
+
+def test_end_of_input_is_placed_after_a_trailing_comment():
+    with pytest.raises(WhileSyntaxError) as exc:
+        parse("skip; # done")
+    assert str(exc.value) == "1:13: expected a statement, got 'eof'"
+
+
+_SOURCE_WORDS = ("skip", "if", "then", "else", "while", "do", "true", "coin",
+                 "read", "write", "x_1", "B", ";", "{", "}", "#", "\n", " ", "\t")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=100),
+    st.lists(st.sampled_from(_SOURCE_WORDS), max_size=16).map(" ".join)))
+def test_parse_returns_a_statement_or_a_syntax_error(source):
+    try:
+        stmt = parse(source)
+    except WhileSyntaxError as exc:
+        assert exc.line >= 1 and exc.col >= 1
+    else:
+        assert isinstance(stmt, (Skip, Act, Seq, If, While))
 
 
 def test_interpret_skip_is_unit():
