@@ -4,6 +4,13 @@ nondeterminism (FinSet), and nondeterministic state over a finite state set.
 Iteration on all three is the least fixpoint of h |-> [unit, h]* . f,
 computed by Kleene iteration from bottom; the hom-lattices are finite so the
 chain is detected to stabilize by exact equality, never by a step budget.
+
+A FinSet is a frozenset, so binds, joins and the equality test of every
+Kleene round build and compare sets without sorting them.  Its canonical
+order, the members sorted by canon_key, is built on the first read of elems
+and kept; everything whose order can be seen walks elems: rendering,
+canonical keys, elements, sampling, and the outer loop of bind and map,
+whose callback may build trees that are numbered in creation order.
 """
 
 from __future__ import annotations
@@ -46,11 +53,34 @@ class Just:
         return (self.value,)
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """Canonical finite set: sorted by canon_key, deduplicated."""
+class FinSet(frozenset):
+    """Finite set: a frozenset, whose equality, hashing, `in` and `len` it
+    keeps, with elems, its members in canonical order (sorted by
+    canon_key), built on first read and stored.  Nothing may walk the set
+    in its own hash order where the order can be seen."""
 
-    elems: tuple
+    __slots__ = ("_elems",)
+
+    @property
+    def elems(self) -> tuple:
+        try:
+            return self._elems
+        except AttributeError:
+            # a singleton is already sorted, and its element may have no key;
+            # canon_key tells unequal elements apart, so no tie is left to
+            # the set's hash order
+            elems = tuple(self) if len(self) < 2 else tuple(sorted(self, key=canon_key))
+            object.__setattr__(self, "_elems", elems)
+            return elems
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of FinSet" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of FinSet" % name)
+
+    def __repr__(self):
+        return "FinSet(elems=%r)" % (self.elems,)
 
     def _canon_key_(self):
         return (12,) + tuple(canon_key(e) for e in self.elems)
@@ -58,18 +88,10 @@ class FinSet:
     def _render_(self):
         return ["{"] + spaced(self.elems) + ["}"]
 
-    def __contains__(self, e):
-        return e in self.elems
-
-    def __len__(self):
-        return len(self.elems)
-
 
 def finset(elems: Iterable) -> FinSet:
-    unique = dict.fromkeys(elems)
-    if len(unique) < 2:     # already in canonical order
-        return FinSet(tuple(unique))
-    return FinSet(tuple(sorted(unique, key=canon_key)))
+    """The set of elems; the one way every FinSet is built."""
+    return FinSet(elems)
 
 
 EMPTY_SET = finset(())
@@ -212,6 +234,9 @@ class MaybeMonad(_KleeneMonad):
             return NOTHING
         return f(v.value)
 
+    def map(self, v, g):
+        return NOTHING if v is NOTHING else Just(g(v.value))
+
     def elements(self, v):
         return () if v is NOTHING else (v.value,)
 
@@ -244,13 +269,16 @@ class FinSetMonad(_KleeneMonad):
     name = "finset"
 
     def unit(self, x):
-        return FinSet((x,))
+        return finset((x,))
 
     def bind(self, v, f):
-        out = []
+        out = set()
         for e in v.elems:
-            out.extend(f(e).elems)
+            out.update(f(e))
         return finset(out)
+
+    def map(self, v, g):
+        return finset(g(e) for e in v.elems)
 
     def elements(self, v):
         return v.elems
@@ -259,7 +287,7 @@ class FinSetMonad(_KleeneMonad):
         return EMPTY_SET
 
     def join(self, a, b):
-        return finset(a.elems + b.elems)
+        return finset(a | b)
 
     def choice(self, xs):
         return finset(xs)
@@ -292,12 +320,17 @@ class NondetStateMonad(_KleeneMonad):
         return self._value(lambda s: finset((Pair(x, s),)))
 
     def bind(self, v, f):
-        def per_state(s):
-            out = []
-            for p in v.at(s).elems:
-                out.extend(f(p.fst).at(p.snd).elems)
-            return finset(out)
-        return self._value(per_state)
+        table = []
+        for s, fs in v.table:
+            out = set()
+            for p in fs.elems:
+                out.update(f(p.fst).at(p.snd))
+            table.append((s, finset(out)))
+        return NdState(tuple(table))
+
+    def map(self, v, g):
+        return NdState(tuple((s, finset(Pair(g(p.fst), p.snd) for p in fs.elems))
+                             for s, fs in v.table))
 
     def elements(self, v):
         seen = {}
@@ -310,7 +343,7 @@ class NondetStateMonad(_KleeneMonad):
         return self._value(lambda _s: EMPTY_SET)
 
     def join(self, a, b):
-        return self._value(lambda s: finset(a.at(s).elems + b.at(s).elems))
+        return self._value(lambda s: finset(a.at(s) | b.at(s)))
 
     def choice(self, xs):
         return self._value(lambda s: finset(Pair(x, s) for x in xs))

@@ -186,7 +186,10 @@ def _parse_tree(rm, data):
         if isinstance(leaf, (str, int)) and not isinstance(leaf, bool):
             return Inl(leaf)
         if isinstance(p, dict) and "op" in p:
-            decl = rm.sig.op(p["op"])
+            try:
+                decl = rm.sig.op(p["op"])
+            except KeyError:
+                raise InterpretationError("unknown operation %r" % (p["op"],)) from None
             if p["param"] not in decl.param:
                 raise InterpretationError("operation %s has no parameter %r"
                                           % (decl.name, p["param"]))
@@ -258,7 +261,9 @@ def cmd_handle(args) -> int:
         raise UsageError("%s is nested too deeply to read" % args.file) from None
     try:
         target, job = _decode_handle(data, args.fuel)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError("malformed handle file: missing field %s" % exc) from None
+    except (TypeError, AttributeError, ValueError) as exc:
         # the JSON parsed, but its shape or values do not describe a job
         raise UsageError("malformed handle file: %s" % exc) from None
     try:

@@ -4,11 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgot.core import ConfigError, Inl, Inr, Pair, carrier, sum_carrier, \
-    make_kleisli, KleisliFn
+from elgot import base_monads
+from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, render_elem, \
+    sum_carrier, make_kleisli, KleisliFn
 from elgot.base_monads import (EMPTY_SET, FinSet, FinSetMonad, Just, MaybeMonad,
                                NOTHING, NdState, approximants, elgot_instance, finset,
                                kleene_iterate, partition_iterate_maybe)
+from elgot.resumption import OpNode, ResTree
 
 KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
 
@@ -24,6 +26,97 @@ def test_finset_canonical():
     assert finset(["b", "a", "b"]) == finset(["a", "b"])
     assert finset([]) == EMPTY_SET
     assert finset([Inr("x"), Inl("y")]).elems == (Inl("y"), Inr("x"))
+
+
+_TREES = (ResTree(fn=lambda: None), ResTree(fn=lambda: None))
+_ATOMS = st.one_of(st.sampled_from("abc"), st.integers(-2, 2))
+_ELEMS = st.recursive(
+    # as in a signature, an operation's arity atoms come in one fixed order
+    st.one_of(_ATOMS, st.builds(OpNode, st.sampled_from(["act", "ask"]), _ATOMS,
+                                st.lists(st.sampled_from(_TREES), max_size=2)
+                                .map(lambda ts: tuple(zip("lr", ts))))),
+    lambda inner: st.one_of(st.builds(Inl, inner), st.builds(Inr, inner),
+                            st.builds(Pair, inner, inner)),
+    max_leaves=4)
+
+
+def _sorted_elems(xs):
+    """The canonical tuple a FinSet stored before it became a frozenset."""
+    return tuple(sorted(dict.fromkeys(xs), key=canon_key))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_ELEMS, max_size=6), st.lists(_ELEMS, max_size=6))
+def test_finset_keeps_its_canonical_semantics(xs, ys):
+    a, b = finset(xs), finset(ys)
+    old_a, old_b = _sorted_elems(xs), _sorted_elems(ys)
+    assert a.elems == old_a and b.elems == old_b
+    assert (a == b) == (old_a == old_b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert canon_key(a) == (12,) + tuple(canon_key(e) for e in old_a)
+    assert render_elem(a) == "{%s}" % " ".join(render_elem(e) for e in old_a)
+    assert repr(a) == "FinSet(elems=%r)" % (old_a,)
+    assert len(a) == len(old_a)
+    for e in xs + ys + ["zz"]:
+        assert (e in a) == (e in old_a)
+    for name in ("elems", "_elems", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert a.elems == old_a
+
+
+def test_finset_sorts_only_where_its_order_is_read(monkeypatch):
+    calls = []
+    key = base_monads.canon_key
+    monkeypatch.setattr(base_monads, "canon_key", lambda v: calls.append(v) or key(v))
+
+    m = FinSetMonad()
+    v = finset(["c", "a", "b"])
+    assert len(calls) == 0
+    assert v.elems == ("a", "b", "c") and len(calls) == 3
+    assert v.elems == ("a", "b", "c") and len(calls) == 3
+
+    del calls[:]
+    w = m.bind(v, lambda e: finset([e, e + "1", "z"]))
+    wider = m.bind(v, lambda e: finset(["z", e, e + "1", "x", "y"]))
+    assert m.join(w, finset(["y", "x"])) == wider
+    assert w == finset(["a", "a1", "b", "b1", "c", "c1", "z"]) != v
+    assert calls == []      # bind, join and == never sort
+
+    # the chain x0 -> x1 -> ... -> x7, every other point and x7 returning y_i:
+    # sorting each step value once costs one key per element of a step with
+    # two, and no approximant is sorted
+    n = 8
+    xs = carrier("X", ["x%d" % i for i in range(n)])
+    ys = carrier("Y", ["y%d" % i for i in range(n)])
+
+    def step(x):
+        i = int(x[1:])
+        out = [Inl("y%d" % i)] if i % 2 == 0 or i == n - 1 else []
+        return finset(out + ([Inr("x%d" % (i + 1))] if i < n - 1 else []))
+    f = make_kleisli(m, xs, sum_carrier(ys, xs), step)
+    del calls[:]
+    fd = kleene_iterate(f)
+    assert len(calls) <= n
+    assert fd("x0") == finset(["y0", "y2", "y4", "y6", "y7"])
+
+
+@pytest.mark.parametrize("kind,kw", KINDS[1:])
+def test_bind_and_map_visit_elements_in_canonical_order(kind, kw):
+    # a callback may build trees, whose tokens are handed out in creation
+    # order, so it must see elements in canonical order, never hash order
+    m = elgot_instance(kind, **kw)
+    xs = [16, 1, 8, -1, 0]
+    assert list(frozenset(xs)) != sorted(xs)       # hash order differs here
+    v = m.choice(xs)
+    per_state = sorted(xs) * len(getattr(m, "states", "*"))
+    seen = []
+    m.bind(v, lambda x: seen.append(x) or m.unit(x))
+    assert seen == per_state
+    seen = []
+    assert m.map(v, lambda x: seen.append(x) or x) == v
+    assert seen == per_state
 
 
 @settings(max_examples=60, deadline=None)

@@ -180,6 +180,18 @@ def test_usage_errors_exit_two(tmp_path):
     r = cli("handle", str(bool_leaf))
     assert r.stderr == "error: malformed handle file: malformed tree payload: " \
         "{'leaf': True}\n"
+    no_child, no_effects, unknown_op = (json.loads(json.dumps(ND_SPEC)) for _ in "123")
+    del no_child["tree"]["set"][0]["children"]["t"]
+    del no_effects["effects"]
+    unknown_op["tree"]["set"][0]["op"] = "flip"
+    for name, doc, message in [("child", no_child, "missing field 't'"),
+                               ("effects", no_effects, "missing field 'effects'"),
+                               ("op", unknown_op, "unknown operation 'flip'")]:
+        path = tmp_path / ("nd_missing_%s.json" % name)
+        path.write_text(json.dumps(doc))
+        r = cli("handle", str(path))
+        assert r.returncode == 2
+        assert r.stderr == "error: malformed handle file: %s\n" % message
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe\xfa")
     bad_files += [("run", str(undecodable), "--input", "0"),
@@ -402,6 +414,40 @@ def test_byte_identical_across_runs(args):
     r1, r2 = cli(*args), cli(*args)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout.encode() == r2.stdout.encode()
+
+
+def _twelve_state_spec():
+    """A 12-state process definition whose states branch one to four ways."""
+    widths = [(5 * i) % 4 + 1 for i in range(12)]
+    lines = ["actions a b c", "states 12"]
+    lines += ["width %d %d" % (i, w) for i, w in enumerate(widths)]
+    for i, w in enumerate(widths):
+        lines.append("b %d %s" % (i, " ".join("abc"[(i + k) % 3] for k in range(w))))
+        lines.append("j %d %s" % (i, " ".join(str((7 * i + 3 * k + 1) % 12)
+                                              for k in range(w))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("laws", "--suite", "all", "--samples", "5", "--seed", "42"),
+    ("run", "TMP/loop.whl", "--base", "nondetstate", "--state-set", "s0,s1",
+     "--alphabet", "0,1", "--input", "0", "--depth", "3"),
+    ("bsp", "TMP/twelve.bsp", "--depth", "2"),
+    ("handle", "GOLDEN/handle_toss.json"),
+    ("handle", "TMP/nd_two_outcomes.json"),
+])
+def test_outputs_do_not_depend_on_hash_order(tmp_path, args):
+    # sets compare by hash, so whatever prints or walks one must sort it
+    (tmp_path / "loop.whl").write_text("read; while true do { write; read }")
+    (tmp_path / "twelve.bsp").write_text(_twelve_state_spec())
+    doc = json.loads(json.dumps(ND_SPEC))
+    doc["effects"]["toss"]["*"]["states"]["s0"].append(["t", "s0"])
+    (tmp_path / "nd_two_outcomes.json").write_text(json.dumps(doc))
+    args = [a.replace("GOLDEN", str(GOLDEN)).replace("TMP", str(tmp_path))
+            for a in args]
+    r0, r1 = (cli(*args, env={"PYTHONHASHSEED": seed}) for seed in ("0", "1"))
+    assert r0.returncode == r1.returncode == 0, r0.stderr
+    assert r0.stdout.encode() == r1.stdout.encode()
 
 
 def _in_process(*args):
