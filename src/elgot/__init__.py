@@ -7,7 +7,7 @@ from .core import (Carrier, CarrierMismatchError, ConfigError, ElgotMonad,
                    strong_iterate, sum_carrier)
 from .base_monads import (FinSetMonad, MaybeMonad, NondetStateMonad, NOTHING,
                           Just, FinSet, NdState, elgot_instance, finset,
-                          kleene_iterate, partition_iterate_maybe)
+                          kleene_iterate, partition_iterate_maybe, reach_iterate)
 from .resumption import (OpDecl, ResTree, ResumptionMonad, Signature, Thunk)
 from .iteration import (UnguardedError, bare_recursive_leaf, guard_transform,
                         iterate_res, solve_guarded)

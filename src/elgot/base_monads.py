@@ -1,20 +1,28 @@
 """The three omega-continuous base monads: partiality (Maybe), finite
 nondeterminism (FinSet), and nondeterministic state over a finite state set.
 
-Iteration on all three is the least fixpoint of h |-> [unit, h]* . f,
-computed by Kleene iteration from bottom; the hom-lattices are finite so the
-chain is detected to stabilize by exact equality, never by a step budget.
+Iteration on all three is the least fixpoint of h |-> [unit, h]* . f.  On
+these finite instances it is reachability: h(x) holds the results y with
+Inl(y) in f(x') for some x' that x reaches through Inr edges (over (point,
+state) pairs on nondetstate), so reach_iterate solves it in one pass over
+the recursion graph.  The Kleene chain from bottom (approximants) is its
+specification: kleene_iterate takes the chain until it is stable, detected
+by exact equality on the finite hom-lattice, never by a step budget, and the
+law suites check every solution against it.  The chain is also handle's
+fuel-indexed engine.
 
-A FinSet is a frozenset, so binds, joins and the equality test of every
-Kleene round build and compare sets without sorting them.  Its canonical
-order, the members sorted by canon_key, is built on the first read of elems
-and kept; everything whose order can be seen walks elems: rendering,
-canonical keys, elements, sampling, and the outer loop of bind and map,
-whose callback may build trees that are numbered in creation order.
+A FinSet is a frozenset, so binds, joins, the equality test of every
+Kleene round and the propagation pass build and compare sets without
+sorting them.  Its canonical order, the members sorted by canon_key, is
+built on the first read of elems and kept; everything whose order can be
+seen walks elems: rendering, canonical keys, elements, sampling, and the
+outer loop of bind and map, whose callback may build trees that are
+numbered in creation order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -120,7 +128,7 @@ class NdState:
 
 
 # ---------------------------------------------------------------------------
-# Kleene iteration (shared by all three instances)
+# Iteration (shared by all three instances)
 # ---------------------------------------------------------------------------
 
 def approximants(m: ElgotMonad, roots, step_at: Callable):
@@ -203,21 +211,73 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
             return KleisliFn(m, dom, cod, table)
 
 
+def reach_iterate(f: KleisliFn) -> KleisliFn:
+    """Least solution of h = [unit, h]* . f for f : X -> T(Y+X), solved by
+    propagation over the recursion graph; kleene_iterate is its
+    specification.
+
+    A position is a point with a start state.  m.moves(v) lists the
+    (state, element, next state) moves of the step value v, the state None
+    on maybe and finset.  Inl(y) moving to s' makes (y, s') a result of the
+    position; Inr(q) moving to s' makes the position read (q, s').  Each
+    step value is walked once, in its own order, from the domain through
+    every point it reaches.  Each result then runs backwards along the
+    reading edges, adding each (position, result) pair once: no rounds, no
+    table copies and no sorting.  m.pack(results, x) builds the value of x
+    from the result sets of its positions.  An Inr off f's table or a
+    non-sum element is left to the chain, which raises its own error in
+    its canonical order.
+    """
+    m = f.monad
+    cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
+    points = list(f.dom.elements)
+    seen = set(points)
+    results, readers, work = defaultdict(set), defaultdict(list), []
+    for x in points:            # grows as the walk reaches new points
+        for s, e, s2 in m.moves(f(x)):
+            if isinstance(e, Inl):
+                pos, r = (x, s), (e.value, s2)
+                results[pos].add(r)
+                work.append((pos, r))
+            elif isinstance(e, Inr) and e.value in f.table:
+                readers[e.value, s2].append((x, s))
+                if e.value not in seen:
+                    seen.add(e.value)
+                    points.append(e.value)
+            else:
+                return kleene_iterate(f)
+    while work:
+        pos, r = work.pop()
+        for p in readers.get(pos, ()):
+            got = results[p]
+            if r not in got:
+                got.add(r)
+                work.append((p, r))
+    return KleisliFn(m, f.dom, cod, {x: m.pack(results, x) for x in points})
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
 
 class _KleeneMonad(ElgotMonad):
-    """An instance iterated by the Kleene chain, with the operations on its
-    values: join(a, b), the least upper bound or None where there is none;
-    sample_below(rng, v), a random value below v; decode(data, elem), the
-    value a JSON literal describes (the counterpart of render); and on the
-    nondeterministic instances choice(xs), the value returning each x."""
+    """An instance whose iteration is the least fixpoint of the Kleene
+    chain.  reach_iterate solves it by propagation through two hooks:
+    moves(v), the (state, element, next state) moves of a step value v, and
+    pack(results, x), the value of the point x from the result sets of its
+    positions.  The chain itself, kleene_iterate, is the specification it
+    is checked against.
+
+    The operations on its values: join(a, b), the least upper bound or None
+    where there is none; sample_below(rng, v), a random value below v;
+    decode(data, elem), the value a JSON literal describes (the counterpart
+    of render); and on the nondeterministic instances choice(xs), the value
+    returning each x."""
 
     has_bottom = True
 
     def iterate(self, f):
-        return kleene_iterate(f)
+        return reach_iterate(f)
 
     def leq(self, a, b):
         return self.join(a, b) == b
@@ -239,6 +299,14 @@ class MaybeMonad(_KleeneMonad):
 
     def elements(self, v):
         return () if v is NOTHING else (v.value,)
+
+    def moves(self, v):
+        return () if v is NOTHING else ((None, v.value, None),)
+
+    def pack(self, results, x):
+        for y, _s in results.get((x, None), ()):
+            return Just(y)
+        return NOTHING
 
     def bottom(self):
         return NOTHING
@@ -282,6 +350,12 @@ class FinSetMonad(_KleeneMonad):
 
     def elements(self, v):
         return v.elems
+
+    def moves(self, v):
+        return ((None, e, None) for e in v)
+
+    def pack(self, results, x):
+        return finset(y for y, _s in results.get((x, None), ()))
 
     def bottom(self):
         return EMPTY_SET
@@ -339,6 +413,13 @@ class NondetStateMonad(_KleeneMonad):
                 seen[p.fst] = None
         return tuple(seen)
 
+    def moves(self, v):
+        return ((s, p.fst, p.snd) for s, fs in v.table for p in fs)
+
+    def pack(self, results, x):
+        return self._value(lambda s: finset(
+            Pair(y, s2) for y, s2 in results.get((x, s), ())))
+
     def bottom(self):
         return self._value(lambda _s: EMPTY_SET)
 
@@ -392,29 +473,11 @@ def partition_iterate_maybe(f: KleisliFn) -> KleisliFn:
     """Iteration on Maybe by partitioning the domain into preimage layers.
 
     X1 is the preimage of results, X_{i+1} the preimage of X_i; everything
-    else (immediate nothing, or a cycle of variables) diverges.  Must agree
+    else (immediate nothing, or a cycle of variables) diverges.  That is the
+    backward propagation of reach_iterate, which computes it; it must agree
     extensionally with kleene_iterate.
     """
     if not isinstance(f.monad, MaybeMonad):
         raise ConfigError("partition iteration is defined on Maybe only, got %s"
                           % f.monad.name)
-    m = f.monad
-    cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
-    table = {}
-    for x0 in f.dom.elements:
-        seen = set()
-        x = x0
-        result = NOTHING
-        while True:
-            if x in seen:          # cycle of variables, no operations: diverge
-                break
-            seen.add(x)
-            v = f(x)
-            if v is NOTHING:
-                break
-            if isinstance(v.value, Inl):
-                result = Just(v.value.value)
-                break
-            x = v.value.value
-        table[x0] = result
-    return KleisliFn(m, f.dom, cod, table)
+    return reach_iterate(f)

@@ -4,8 +4,10 @@ Given a monad morphism sigma from the base into the target and a generic
 effect for every signature operation, a tree is consumed one layer per step:
 leaves pass through, operation nodes are replaced by their generic effect
 returning the child trees.  Iterating that step from bottom over the nodes reached
-is the Kleene chain of base iteration (`base_monads.approximants`); on trees
-whose reachable node set is finite the chain stabilizes and the result is exact.
+is the Kleene chain `base_monads.approximants`, the specification of base
+iteration (which base monads solve by propagation instead); fuel counts its
+rounds, and on trees whose reachable node set is finite the chain stabilizes
+and the result is exact.
 Each round re-evaluates only the nodes just reached, the nodes whose value
 moved in the last round and the nodes with a child that moved; every other
 node keeps its value, so the approximants are those of re-evaluating all.

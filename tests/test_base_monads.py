@@ -1,5 +1,8 @@
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,7 @@ from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, render_e
     sum_carrier, make_kleisli, KleisliFn
 from elgot.base_monads import (EMPTY_SET, FinSet, FinSetMonad, Just, MaybeMonad,
                                NOTHING, NdState, approximants, elgot_instance, finset,
-                               kleene_iterate, partition_iterate_maybe)
+                               kleene_iterate, partition_iterate_maybe, reach_iterate)
 from elgot.resumption import OpNode, ResTree
 
 KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
@@ -97,9 +100,13 @@ def test_finset_sorts_only_where_its_order_is_read(monkeypatch):
         return finset(out + ([Inr("x%d" % (i + 1))] if i < n - 1 else []))
     f = make_kleisli(m, xs, sum_carrier(ys, xs), step)
     del calls[:]
+    # propagation walks each step value in its own order and sorts nothing
+    solved = m.iterate(f)
+    assert calls == []
     fd = kleene_iterate(f)
     assert len(calls) <= n
     assert fd("x0") == finset(["y0", "y2", "y4", "y6", "y7"])
+    assert solved.table == fd.table
 
 
 @pytest.mark.parametrize("kind,kw", KINDS[1:])
@@ -267,6 +274,67 @@ def test_semi_naive_chain_equals_jacobi(kind, kw, data):
         if after_stable == 3:
             break
     assert after_stable == 3
+
+
+_NODE = OpNode("act", "a", (("*", _TREES[0]),))
+# extra elements of a draw: none on half the draws, else calls off the table
+# or a non-sum element
+_BROKEN = [(), (), (Inr("q1"), Inr("q0")), ("bare",)]
+
+
+def _outcome(solve, f):
+    """The solution's table, or the type and text of the error raised."""
+    try:
+        return solve(f).table
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_propagation_equals_the_kleene_chain(kind, kw, data):
+    m = elgot_instance(kind, **kw)
+    points = ["p%d" % i for i in range(data.draw(st.integers(1, 7)))]
+    # results as the guarding transform sees them (cod=None, an operation
+    # node frozen as an atom) and calls to every point
+    broken = data.draw(st.sampled_from(_BROKEN))
+    elems = [Inl("y0"), Inl(Inr(_NODE))] + [Inr(p) for p in points] + list(broken)
+    # the domain is a prefix, so the other points are reached late or never
+    dom = carrier("x", points[:data.draw(st.integers(1, len(points)))])
+    system = {p: _random_value(data, m, kind, elems) for p in points}
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(points))
+        loop = m.unit(Inr(p))                   # a self-loop, kept next to p's step
+        joined = m.join(system[p], loop)
+        system[p] = loop if joined is None else joined
+    f = KleisliFn(m, dom, None, system)
+    assert _outcome(reach_iterate, f) == _outcome(kleene_iterate, f)
+
+
+_OFF_TABLE = """
+from elgot.base_monads import FinSetMonad, finset, kleene_iterate, reach_iterate
+from elgot.core import Inl, Inr, carrier, make_kleisli, sum_carrier
+m = FinSetMonad()
+x, y = carrier("x", ("x0", "x1")), carrier("y", ("y0",))
+off = [Inr("q%d" % i) for i in range(8, -1, -1)]
+f = make_kleisli(m, x, sum_carrier(y, x), lambda v: finset(off + [Inl("y0")]))
+for solve in (kleene_iterate, reach_iterate):
+    try:
+        solve(f)
+    except TypeError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_a_call_off_the_table_names_the_same_point_under_any_hash_seed():
+    # nine calls off the table in one set, whose own order moves with the seed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", _OFF_TABLE], capture_output=True,
+                             text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert out.stdout == \
+            "CarrierMismatchError q0 is not an element of carrier x\n" * 2, out.stderr
 
 
 def _reversed_chain(m, n):

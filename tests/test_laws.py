@@ -1,7 +1,8 @@
 import json
 
-from elgot.core import Inl, Inr, KleisliFn, bottom_kleisli
-from elgot.base_monads import FinSetMonad, elgot_instance
+from elgot.core import Inl, Inr, KleisliFn, bottom_kleisli, carrier, compose_kleisli, \
+    copair, kleisli_unit, make_kleisli, sum_carrier
+from elgot.base_monads import FinSetMonad, elgot_instance, finset
 from elgot.resumption import ResumptionMonad
 from elgot.laws import (ELGOT_AXIOMS, HANDLER_LAWS, MORPHISM_LAWS, Gen,
                         GenConfig, LAW_CHECKS, REQUIRED_IDENTITIES,
@@ -116,6 +117,45 @@ def test_constant_bottom_iteration_is_caught():
     rep = run_axiom_suite(Bottomed(), GenConfig(samples=20, seed=9))
     failing = {r.law for r in rep.results if not r.ok}
     assert "elgot.unfolding" in failing
+
+
+class _AboveLeast(FinSetMonad):
+    """Adds the first result to every point with an endless path of calls:
+    such a point's callers have one too, so this is still a fixpoint."""
+
+    name = "finset-above-least"
+
+    def iterate(self, f):
+        least = super().iterate(f)
+        endless = set(f.dom.elements)
+        while True:
+            keep = {x for x in endless
+                    if any(isinstance(e, Inr) and e.value in endless for e in f(x))}
+            if keep == endless:
+                break
+            endless = keep
+        extra = finset(f.cod.parts[0].elements[:1])
+        return KleisliFn(self, f.dom, least.cod,
+                         {x: self.join(least(x), extra) if x in endless else least(x)
+                          for x in f.dom.elements})
+
+
+def test_unfolding_law_rejects_a_fixpoint_above_the_least():
+    m = _AboveLeast()
+    x, y = carrier("x", ("x0",)), carrier("y", ("y0",))
+    f = make_kleisli(m, x, sum_carrier(y, x), lambda v: finset([Inr(v)]))
+    fd = m.iterate(f)
+    assert fd("x0") == finset(["y0"])
+    # the unfolding equation alone accepts it, on the self-loop and on samples
+    assert compose_kleisli(copair(kleisli_unit(m, y), fd), f).table == fd.table
+    gen = Gen(GenConfig(seed=9))
+    for _ in range(50):
+        xs, ys = gen.carrier("x"), gen.carrier("y")
+        g = gen.kleisli(m, xs, sum_carrier(ys, xs))
+        gd = m.iterate(g)
+        assert compose_kleisli(copair(kleisli_unit(m, ys), gd), g).table == gd.table
+    rep = run_axiom_suite(m, GenConfig(samples=50, seed=9), laws=("elgot.unfolding",))
+    assert not rep.ok, rep.text()
 
 
 def test_counterexamples_render_truncations():
