@@ -13,11 +13,11 @@ fuel-indexed engine.
 
 A FinSet is a frozenset, so binds, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
-sorting them.  Its canonical order, the members sorted by canon_key, is
-built on the first read of elems and kept; everything whose order can be
-seen walks elems: rendering, canonical keys, elements, sampling, and the
-outer loop of bind and map, whose callback may build trees that are
-numbered in creation order.
+sorting them.  Its canonical order, elems, is its members sorted by
+canon_key on each read; everything whose order can be seen walks elems:
+rendering, canonical keys, elements, sampling, and the outer loop of bind
+and map, whose callback may build trees that are numbered in creation
+order.
 """
 
 from __future__ import annotations
@@ -64,28 +64,17 @@ class Just:
 class FinSet(frozenset):
     """Finite set: a frozenset, whose equality, hashing, `in` and `len` it
     keeps, with elems, its members in canonical order (sorted by
-    canon_key), built on first read and stored.  Nothing may walk the set
-    in its own hash order where the order can be seen."""
+    canon_key), sorted on each read.  Nothing may walk the set in its own
+    hash order where the order can be seen."""
 
-    __slots__ = ("_elems",)
+    __slots__ = ()
 
     @property
     def elems(self) -> tuple:
-        try:
-            return self._elems
-        except AttributeError:
-            # a singleton is already sorted, and its element may have no key;
-            # canon_key tells unequal elements apart, so no tie is left to
-            # the set's hash order
-            elems = tuple(self) if len(self) < 2 else tuple(sorted(self, key=canon_key))
-            object.__setattr__(self, "_elems", elems)
-            return elems
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r of FinSet" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r of FinSet" % name)
+        # a singleton is already sorted, and its element may have no key;
+        # canon_key tells unequal elements apart, so no tie is left to the
+        # set's hash order
+        return tuple(self) if len(self) < 2 else tuple(sorted(self, key=canon_key))
 
     def __repr__(self):
         return "FinSet(elems=%r)" % (self.elems,)
@@ -407,11 +396,7 @@ class NondetStateMonad(_KleeneMonad):
                              for s, fs in v.table))
 
     def elements(self, v):
-        seen = {}
-        for _s, fs in v.table:
-            for p in fs.elems:
-                seen[p.fst] = None
-        return tuple(seen)
+        return tuple(dict.fromkeys(p.fst for _s, fs in v.table for p in fs.elems))
 
     def moves(self, v):
         return ((s, p.fst, p.snd) for s, fs in v.table for p in fs)

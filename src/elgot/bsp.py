@@ -221,8 +221,9 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
                 nxt.append((child_node, child))
         frontier = nxt
 
+    # a node is cut when it has a transition; no order is read, so no sort
     for node, tree in frontier:
-        if rm.base.elements(rm.out(tree)):
+        if rm.out(tree) != rm.base.bottom():
             node.cut = True
     return lts
 

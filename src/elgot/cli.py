@@ -214,18 +214,26 @@ _SIGMAS = {"maybe-to-finset": ("maybe", "finset", maybe_to_finset),
            "finset-to-nondetstate": ("finset", "nondetstate", finset_to_nondetstate)}
 
 
+def _atoms(value, field):
+    """The atoms a handle file lists in field; a string is no list of atoms."""
+    if not isinstance(value, list):
+        raise TypeError("%s must be a list, not %r" % (field, value))
+    return tuple(value)
+
+
 def _decode_handle(data, fuel):
     """The target monad and the arguments of handle() described by a
     decoded handle file; fuel overrides the file's "fuel" when not None."""
     ops = []
     for entry in data["signature"]:
-        ops.append(OpDecl(entry["name"],
-                          carrier(entry["name"] + ".param", tuple(entry["param"])),
-                          carrier(entry["name"] + ".arity", tuple(entry["arity"]))))
+        name = entry["name"]
+        ops.append(OpDecl(name,
+                          carrier(name + ".param", _atoms(entry["param"], name + ".param")),
+                          carrier(name + ".arity", _atoms(entry["arity"], name + ".arity"))))
     sig = Signature(tuple(ops))
-    base = elgot_instance(data["base"])
-    target = elgot_instance(data["target"],
-                            state_set=tuple(data.get("state_set", ())) or None)
+    states = _atoms(data.get("state_set", []), "state_set") or None
+    base = elgot_instance(data["base"], state_set=states)
+    target = elgot_instance(data["target"], state_set=states)
     rm = ResumptionMonad(base, sig)
     sigma_name = data.get("sigma", "identity")
     sigmas = dict(_SIGMAS, identity=(data["target"], data["target"],

@@ -303,4 +303,4 @@ def run(program: Union[str, Stmt], env: Env, value: str, depth: int) -> str:
     if value not in env.alphabet.elements:
         raise SemanticError("input %r is not in the alphabet" % value)
     sem = interpret(stmt, env)
-    return env.rm.base.render(env.rm.truncate(sem(value), depth))
+    return env.rm.render(sem(value), depth)

@@ -154,18 +154,21 @@ def test_usage_errors_exit_two(tmp_path):
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
     malformed = [("signature", 5), ("effects", []), ("state_set", 7),
-                 ("param", 3), (None, None)]
+                 ("param", 3), (None, None), ("arity", "ht"), ("state_set", "s0")]
     for field, value in malformed:
         doc = json.loads((GOLDEN / "handle_toss.json").read_text())
         if field is None:
             doc = [doc]                     # a top-level list
-        elif field == "param":
-            doc["signature"][0]["param"] = value
+        elif field in ("param", "arity"):
+            doc["signature"][0][field] = value
         else:
             doc[field] = value
-        path = tmp_path / ("toss_bad_%s.json" % field)
+        path = tmp_path / ("toss_bad_%s_%s.json" % (field, value))
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
+        if isinstance(value, str):          # a string is not read as its letters
+            r = cli("handle", str(path))
+            assert r.returncode == 2 and field in r.stderr, r.stderr
     for states in ({"s0": [["h", "s1"]], "s9": [["t", "s1"]]}, {"s0": [["t", "zz"]]}):
         doc = json.loads(json.dumps(ND_SPEC))
         doc["effects"]["toss"]["*"]["states"] = states
@@ -209,10 +212,10 @@ def test_usage_errors_exit_two(tmp_path):
         assert r.returncode == 2 and "Traceback" not in r.stderr, args
 
 
-def _identity_file(tmp_path, base, tree):
+def _identity_file(tmp_path, base, tree, **fields):
     doc = {"signature": [{"name": "toss", "param": ["*"], "arity": ["h", "t"]}],
            "base": base, "target": "finset", "sigma": "identity",
-           "effects": {"toss": {"*": {"set": ["h"]}}}, "tree": tree}
+           "effects": {"toss": {"*": {"set": ["h"]}}}, "tree": tree, **fields}
     path = tmp_path / ("identity_%s.json" % base)
     path.write_text(json.dumps(doc))
     return str(path)
@@ -227,6 +230,16 @@ def test_handle_identity_morphism(tmp_path):
     r = cli("handle", _identity_file(tmp_path, "maybe", {"just": node}))
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert "maybe" in r.stderr and "finset" in r.stderr
+
+    # the base is built over the file's state set as well as the target
+    nd = {"op": "toss", "param": "*",
+          "children": {"h": {"states": {"s0": [[{"leaf": "heads"}, "s0"]]}},
+                       "t": {"states": {}}}}
+    r = cli("handle", _identity_file(
+        tmp_path, "nondetstate", {"states": {"s0": [[nd, "s0"]]}}, target="nondetstate",
+        effects={"toss": {"*": {"states": {"s0": [["h", "s0"]]}}}}, state_set=["s0"]))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "(states (s0 {(pair heads s0)}))\nconverged\n"
 
 
 def test_handle_morphism_must_match_base_and_target(tmp_path):
