@@ -8,8 +8,9 @@ state) pairs on nondetstate), so reach_iterate solves it in one pass over
 the recursion graph.  The Kleene chain from bottom (approximants) is its
 specification: kleene_iterate takes the chain until it is stable, detected
 by exact equality on the finite hom-lattice, never by a step budget, and the
-law suites check every solution against it.  The chain is also handle's
-fuel-indexed engine.
+law suites check every solution against it.  It is also the specification
+of handle's fuel-indexed approximants, which the handler computes by
+propagation through the same two hooks, moves and pack.
 
 A FinSet is a frozenset, so binds, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -122,6 +123,10 @@ class NdState:
 
 def approximants(m: ElgotMonad, roots, step_at: Callable):
     """The endless Kleene chain of h |-> [unit, h]* . step_at from bottom.
+
+    Only oracles run it: kleene_iterate, which the elgot.unfolding law and
+    the tests check base iteration against, and the tests of handle, whose
+    result at fuel k is the k-th table at the tree's root.
 
     step_at(p) is an m-value over Inl(result) + Inr(point).  Roots are expanded
     before round 1; each round expands what the last expansion found, then

@@ -60,6 +60,15 @@ def test_handle_file():
     assert r.stdout == "{heads}\nconverged\n"
 
 
+def test_package_runs_as_a_module():
+    r = subprocess.run([sys.executable, "-m", "elgot", "handle",
+                        str(GOLDEN / "handle_toss.json")],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(PKG / "src")))
+    assert r.returncode == 0
+    assert r.stdout == "{heads}\nconverged\n"
+
+
 def test_handle_fuel_zero_is_approximate():
     r = cli("handle", str(GOLDEN / "handle_toss.json"), "--fuel", "0")
     assert r.returncode == 0

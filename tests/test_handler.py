@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgot.core import Inl, Inr, Pair, carrier, make_kleisli, sum_carrier, \
     unit_carrier
@@ -11,6 +13,7 @@ from elgot.handler import (EffectInterpretation, InterpretationError,
                            identity_morphism,
                            maybe_to_finset, maybe_to_nondetstate,
                            finset_to_nondetstate, zeta)
+from elgot import handler
 from elgot.resumption import ResTree, ResumptionMonad, sig_val
 
 from conftest import resumption, two_op_signature
@@ -167,6 +170,105 @@ def test_handle_returns_the_kth_table_of_the_chain(kind, kw):
         assert base.equal(r.value, table[t])
     # by round 4 some leaf has reached the root wherever l is offered
     assert (kind == "maybe") == base.equal(tables[-1][t], base.bottom())
+
+
+def test_handle_expands_only_nodes_within_fuel_plus_one(monkeypatch):
+    rm, S, sigma, ups = _setup_finset_target()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return zeta(*args)
+
+    monkeypatch.setattr(handler, "zeta", counted)
+
+    def spine():
+        return rm.op_call("act", "p0", {"*": ResTree(fn=lambda: spine().out())})
+
+    def fan():
+        return rm.op_call("ask", "*", {a: ResTree(fn=lambda: fan().out())
+                                       for a in ("l", "r")})
+
+    # every node is fresh: a spine has one node per distance, a fan 2^d
+    for fuel, in_spine, in_fan in ((0, 2, 3), (1, 3, 7), (2, 4, 15), (5, 7, 127)):
+        for t, nodes in ((spine(), in_spine), (fan(), in_fan)):
+            calls.clear()
+            r = handle(rm, t, sigma, ups, fuel)
+            assert len(calls) == len(set(calls)) == r.reached == nodes
+            assert not r.converged
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_fuel_counts_handling_rounds_with_a_lag(n):
+    # the leaf is first valued in round n and reaches the root n rounds later
+    rm, S, sigma, ups = _setup_finset_target()
+    t = rm.unit("x")
+    for _ in range(n):
+        t = rm.op_call("act", "p0", {"*": t})
+    for fuel in range(2 * n + 2):
+        r = handle(rm, t, sigma, ups, fuel)
+        assert S.equal(r.value, S.unit("x")) == r.converged == (fuel >= 2 * n)
+    assert handle(rm, t, sigma, ups, 100).rounds == 2 * n + 1
+
+
+def _chain_handle(rm, t, sigma, ups, fuel):
+    """handle as the Kleene chain runs it: (value, converged, rounds, the
+    number of nodes the chain expanded)."""
+    S = sigma.target
+    expanded = []
+
+    def step_at(tree):
+        expanded.append(tree)
+        return zeta(rm, tree, sigma, ups)
+
+    value = S.bottom()
+    for rounds, (table, stable) in enumerate(approximants(S, (t,), step_at), 1):
+        if rounds > fuel:
+            return value, stable, fuel, len(expanded)
+        value = table[t]
+        if stable:
+            return value, True, rounds, len(expanded)
+
+
+def _target(rm, kind, seed):
+    from elgot.laws import Gen, GenConfig
+    if kind == "maybe":
+        target, sigma = rm.base, identity_morphism(rm.base)
+    elif kind == "finset":
+        target = elgot_instance("finset")
+        sigma = maybe_to_finset(rm.base, target)
+    else:
+        target = elgot_instance("nondetstate", state_set=("s0", "s1"))
+        sigma = maybe_to_nondetstate(rm.base, target)
+    return sigma, Gen(GenConfig(seed=seed)).effect_interpretation(rm.sig, target)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["finite", "cyclic", "spine"]),
+       st.sampled_from(["maybe", "finset", "nondetstate"]),
+       st.integers(0, 12), st.integers(0, 2 ** 16))
+def test_handle_equals_the_chain(shape, target, fuel, seed):
+    from elgot.laws import Gen, GenConfig
+    rm = resumption("maybe")
+    sigma, ups = _target(rm, target, seed)
+    S = sigma.target
+    gen = Gen(GenConfig(seed=seed, node_budget=10))
+    x = gen.carrier("x", 2)
+    if shape == "finite":
+        t = gen.tree(rm, x)
+    elif shape == "cyclic":
+        rng = random.Random(seed)
+        unfold = _coalgebra_trees(rm, rng, x)
+        t = unfold(rng.choice(unfold.dom.elements))
+    else:
+        def spine():
+            return rm.op_call("ask", "*", {"l": rm.unit("x0"),
+                                           "r": ResTree(fn=lambda: spine().out())})
+        t = spine()
+    value, converged, rounds, expanded = _chain_handle(rm, t, sigma, ups, fuel)
+    r = handle(rm, t, sigma, ups, fuel)
+    assert S.equal(r.value, value) and S.render(r.value) == S.render(value)
+    assert (r.converged, r.rounds, r.reached) == (converged, rounds, expanded)
 
 
 def test_memoized_spine_converges_to_bottom():
