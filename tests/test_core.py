@@ -34,6 +34,23 @@ def test_canon_key_orders_mixed_elements():
     elems = [Inr("a"), "z", Inl("b"), Pair("a", "b"), "a"]
     ordered = sorted(elems, key=canon_key)
     assert ordered == ["a", "z", Inl("b"), Inr("a"), Pair("a", "b")]
+    # atoms, then ints, sums, pairs and base-monad values, each compared by
+    # its parts; "3" and 3 are different atoms
+    elems = [Just(Inl("x")), "z", Pair(Inl("a"), 2), 3, finset([Pair("x", "y")]),
+             Inr(1), NOTHING, Inl(Inr(Pair("3", "1"))), "a", Inl("b"),
+             finset(["b", Inl("a")]), Just("a"), Pair("a", "b"), 1, Inr("a"),
+             Inl(Inr(Pair(3, "1")))]
+    ordered = sorted(elems, key=canon_key)
+    assert ordered == ["a", "z", 1, 3, Inl("b"), Inl(Inr(Pair("3", "1"))),
+                       Inl(Inr(Pair(3, "1"))), Inr("a"), Inr(1),
+                       Pair("a", "b"), Pair(Inl("a"), 2), NOTHING, Just("a"),
+                       Just(Inl("x")), finset([Inl("a"), "b"]),
+                       finset([Pair("x", "y")])]
+    assert [render_elem(e) for e in ordered] == [
+        "a", "z", "1", "3", "(inl b)", "(inl (inr (pair 3 1)))",
+        "(inl (inr (pair 3 1)))", "(inr a)", "(inr 1)", "(pair a b)",
+        "(pair (inl a) 2)", "(bot)", "a", "(inl x)", "{b (inl a)}",
+        "{(pair x y)}"]
 
 
 def test_compose_unit_laws():
