@@ -8,6 +8,7 @@ raise on bad input; main is the one place that prints it and exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -140,36 +141,42 @@ def cmd_laws(args) -> int:
         except ValueError:
             raise UsageError("ELGOT_SEED must be an integer, not %r" % env) from None
     config = GenConfig(seed=seed, samples=args.samples, depth=args.depth)
+    # the report file is opened before any suite runs, so a bad path fails
+    # at once and prints nothing
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as fh:
+        reports = _law_reports(args.suite, config)
+        for rep in reports:
+            print(rep.text())
+        if fh is not None:
+            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+    return 0 if all(r.ok for r in reports) else 1
+
+
+def _law_reports(suite: str, config: GenConfig) -> list:
     reports = []
-    if args.suite in ("all", "base"):
+    if suite in ("all", "base"):
         for kind in ("maybe", "finset"):
             reports.append(run_axiom_suite(elgot_instance(kind), config))
         reports.append(run_axiom_suite(
             elgot_instance("nondetstate", state_set=("s0", "s1")), config))
-    if args.suite in ("all", "resumption"):
+    if suite in ("all", "resumption"):
         for kind in ("maybe", "finset"):
-            reports.append(run_axiom_suite(_standard_resumption(kind, args.depth),
+            reports.append(run_axiom_suite(_standard_resumption(kind, config.depth),
                                            config))
-    if args.suite in ("all", "morphism"):
+    if suite in ("all", "morphism"):
         for kind in ("maybe", "finset"):
-            rm = _standard_resumption(kind, args.depth)
+            rm = _standard_resumption(kind, config.depth)
             mor = MonadMorphism("ext", rm.base, rm, rm.ext)
             reports.append(run_morphism_suite(mor, config))
-    if args.suite in ("all", "handler"):
-        rm = _standard_resumption("maybe", args.depth)
+    if suite in ("all", "handler"):
+        rm = _standard_resumption("maybe", config.depth)
         target = elgot_instance("finset")
         sigma = maybe_to_finset(rm.base, target)
         gen_cfg = GenConfig(seed=config.seed + 1, samples=config.samples,
                             depth=config.depth)
         upsilon = Gen(gen_cfg).effect_interpretation(rm.sig, target)
         reports.append(run_handler_suite(rm, sigma, upsilon, config))
-
-    for rep in reports:
-        print(rep.text())
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-    return 0 if all(r.ok for r in reports) else 1
+    return reports
 
 
 # ---------------------------------------------------------------------------

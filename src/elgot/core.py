@@ -10,12 +10,20 @@ nodes build theirs on first use and store it, and truncated tree layers are
 hash-consed and store theirs once (see the resumption module).  Composite
 values render through one explicit stack, so neither keys nor text are
 bounded by Python's recursion depth.
+
+Sums and pairs are tagged tuples, (Inl, value), (Inr, value) and
+(Pair, fst, snd), so that hashing and equality run in the tuple's own code.
+A class hashes by its address, so the hash of a sum or pair, and with it a
+set's own iteration order, can change from one run to the next even at one
+PYTHONHASHSEED.  Output stays canonical because every order that can be
+seen walks a set's elems, which sorts by canonical key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 
 class CarrierMismatchError(TypeError):
@@ -30,38 +38,66 @@ class ConfigError(ValueError):
 # Tagged values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Inl:
-    value: Any
+class _Tagged(tuple):
+    """A value stored as the tuple (its class, *its fields): hashing and
+    equality are the tuple's own, run in C, and the leading class tells
+    values of different classes with equal fields apart."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % fv for fv in zip(self._fields, self[1:])))
+
+
+class Inl(_Tagged):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls, value))
 
     def _canon_key_(self):
-        return (2, canon_key(self.value))
+        return (2, canon_key(self[1]))
 
     def _render_(self):
-        return ("(inl ", self.value, ")")
+        return ("(inl ", self[1], ")")
 
 
-@dataclass(frozen=True)
-class Inr:
-    value: Any
+class Inr(_Tagged):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls, value))
 
     def _canon_key_(self):
-        return (3, canon_key(self.value))
+        return (3, canon_key(self[1]))
 
     def _render_(self):
-        return ("(inr ", self.value, ")")
+        return ("(inr ", self[1], ")")
 
 
-@dataclass(frozen=True)
-class Pair:
-    fst: Any
-    snd: Any
+class Pair(_Tagged):
+    __slots__ = ()
+    _fields = ("fst", "snd")
+    fst = property(itemgetter(1))
+    snd = property(itemgetter(2))
+
+    def __new__(cls, fst, snd):
+        return tuple.__new__(cls, (cls, fst, snd))
 
     def _canon_key_(self):
-        return (4, canon_key(self.fst), canon_key(self.snd))
+        return (4, canon_key(self[1]), canon_key(self[2]))
 
     def _render_(self):
-        return ("(pair ", self.fst, " ", self.snd, ")")
+        return ("(pair ", self[1], " ", self[2], ")")
 
 
 def canon_key(v):

@@ -219,6 +219,7 @@ def test_usage_errors_exit_two(tmp_path):
                  ("handle", toss, "--fuel", "many")] + bad_files:
         r = cli(*args)
         assert r.returncode == 2 and "Traceback" not in r.stderr, args
+        assert r.stdout == "", args         # bad input fails before any output
 
 
 def _identity_file(tmp_path, base, tree, **fields):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +8,7 @@ from elgot.core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair,
                         canon_key, carrier, compose_kleisli, kleisli_unit,
                         make_kleisli, prod_carrier, sum_carrier,
                         strong_iterate, dist_elem, KleisliFn,
-                        bottom_kleisli, render_elem)
+                        bottom_kleisli, case_sum, render_elem)
 from elgot.base_monads import (Just, NOTHING, NdState, elgot_instance, finset,
                                kleene_iterate)
 
@@ -28,6 +31,45 @@ def test_sum_and_prod_carriers():
 def test_dist_elem():
     assert dist_elem(Pair("c", Inl("y"))) == Inl(Pair("c", "y"))
     assert dist_elem(Pair("c", Inr("x"))) == Inr(Pair("c", "x"))
+
+
+def test_tagged_values_compare_by_class_and_fields():
+    for make in (Inl, Inr, lambda x: Pair(x, Inl(x))):
+        a, b = make(Pair("a", 1)), make(Pair("a", 1))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert make("a") != make("b") and make(1) != make("1")
+    assert Inl("x") != Inr("x") and Inl(Pair("a", "b")) != Pair("a", "b")
+    assert Inl("a") != ("a",) and Inr("a") != ("a",)
+    assert Pair("a", "b") != ("a", "b")
+    assert len({Inl("a"), Inr("a"), Pair("a", "a"), "a", ("a",)}) == 5
+    assert (Inl("a").value, Pair("a", "b").fst, Pair("a", "b").snd) == ("a", "a", "b")
+
+
+def test_tagged_values_are_frozen():
+    for v in (Inl("a"), Inr("a"), Pair("a", "b")):
+        assert not hasattr(v, "__dict__")
+        for attr in ("value", "fst", "snd", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, attr, "z")
+            with pytest.raises(AttributeError):
+                delattr(v, attr)
+    assert copy.copy(Pair("a", Inl(1))) == Pair("a", Inl(1))
+    assert pickle.loads(pickle.dumps(Inr(Pair("a", 1)))) == Inr(Pair("a", 1))
+
+
+def test_tagged_values_repr_as_dataclasses():
+    assert repr(Inl("a")) == "Inl(value='a')"
+    assert repr(Inr(1)) == "Inr(value=1)"
+    assert repr(Pair("a", Inr(1))) == "Pair(fst='a', snd=Inr(value=1))"
+    assert str(Inl(Pair("a", "b"))) == "Inl(value=Pair(fst='a', snd='b'))"
+
+
+def test_case_sum_rejects_non_sums():
+    assert case_sum(Inl("a"), str.upper, str.lower) == "A"
+    assert case_sum(Inr("B"), str.upper, str.lower) == "b"
+    for v in (("a",), (Inl, "a"), Pair("a", "b"), "a"):
+        with pytest.raises(TypeError):
+            case_sum(v, str.upper, str.lower)
 
 
 def test_canon_key_orders_mixed_elements():
