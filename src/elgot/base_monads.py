@@ -4,13 +4,13 @@ nondeterminism (FinSet), and nondeterministic state over a finite state set.
 Iteration on all three is the least fixpoint of h |-> [unit, h]* . f.  On
 these finite instances it is reachability: h(x) holds the results y with
 Inl(y) in f(x') for some x' that x reaches through Inr edges (over (point,
-state) pairs on nondetstate), so reach_iterate solves it in one pass over
-the recursion graph.  The Kleene chain from bottom (approximants) is its
-specification: kleene_iterate takes the chain until it is stable, detected
-by exact equality on the finite hom-lattice, never by a step budget, and the
-law suites check every solution against it.  It is also the specification
-of handle's fuel-indexed approximants, which the handler computes by
-propagation through the same two hooks, moves and pack.
+state) pairs on nondetstate).  One engine, propagate, computes the Kleene
+chain from bottom (approximants) in one pass over the recursion graph,
+through two hooks per instance, moves and pack: reach_iterate takes its
+stable table, and the handler its fuel-th table at a tree's root.  The
+chain is their specification: kleene_iterate takes it until it is stable,
+detected by exact equality on the finite hom-lattice, never by a step
+budget, and the law suites and the tests check both callers against it.
 
 A FinSet is a frozenset, so binds, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
@@ -205,49 +206,81 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
             return KleisliFn(m, dom, cod, table)
 
 
-def reach_iterate(f: KleisliFn) -> KleisliFn:
-    """Least solution of h = [unit, h]* . f for f : X -> T(Y+X), solved by
-    propagation over the recursion graph; kleene_iterate is its
-    specification.
+def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: Optional[int] = None):
+    """The Kleene chain `approximants` of step_at from roots, computed in
+    one pass: (first, stable, expanded).
 
     A position is a point with a start state.  m.moves(v) lists the
     (state, element, next state) moves of the step value v, the state None
-    on maybe and finset.  Inl(y) moving to s' makes (y, s') a result of the
-    position; Inr(q) moving to s' makes the position read (q, s').  Each
-    step value is walked once, in its own order, from the domain through
-    every point it reaches.  Each result then runs backwards along the
-    reading edges, adding each (position, result) pair once: no rounds, no
-    table copies and no sorting.  m.pack(results, x) builds the value of x
-    from the result sets of its positions.  An Inr off f's table or a
-    non-sum element is left to the chain, which raises its own error in
-    its canonical order.
+    on maybe and finset.  The points within fuel + 1 of roots, or all the
+    points they reach when fuel is None, are expanded breadth first, each
+    by one step_at whose value is walked once, through moves and in its own
+    order: Inl(y) moving to s' makes (y, s') a result of the position
+    (p, s) in round v(p) = max(dist(p), 1), the round in which the chain
+    first values p, and Inr(q) moving to s' makes (p, s) read (q, s') and
+    finds q.  A result of round k at q then reaches each reader p in round
+    max(v(p), k + 1), the first time p gets it; rounds are taken in
+    increasing order from buckets (semi-naive evaluation with the rounds
+    made explicit), so no table is copied or re-bound and nothing is
+    sorted.  first[pos][r] is the round in which r first reaches pos, so
+    the chain's k-th table holds at p the results of its positions of
+    round at most k.  stable is the first round in which no point lies at
+    the next distance and no result is new, or None when that round is
+    past fuel + 1; expanded lists the points in the order of expansion.  A
+    non-sum element raises TypeError.
+    """
+    first, readers, bucket = defaultdict(dict), defaultdict(list), defaultdict(list)
+    seen, level, expanded = set(roots), list(roots), []
+    for d in count() if fuel is None else range(fuel + 2):
+        found, vp = [], max(d, 1)
+        for p in level:
+            for s, e, s2 in m.moves(step_at(p)):
+                pos = p, s
+                if isinstance(e, Inl):
+                    got, r = first[pos], (e.value, s2)
+                    if r not in got:
+                        got[r] = vp
+                        bucket[vp].append((pos, r))
+                elif isinstance(e, Inr):
+                    # a point never expanded has no results to pass on
+                    readers[e.value, s2].append((pos, vp))
+                    if e.value not in seen:
+                        seen.add(e.value)
+                        found.append(e.value)
+                else:
+                    raise TypeError("iteration over a non-sum element %r" % (e,))
+        expanded += level
+        level = found
+        if not level:
+            break
+
+    for k in count(1) if fuel is None else range(1, fuel + 2):
+        now = bucket.pop(k, ())
+        if not now and k >= d and not level:
+            return first, k, expanded
+        for pos, r in now:
+            for p, vp in readers.get(pos, ()):
+                got = first[p]
+                if r not in got:
+                    got[r] = later = max(vp, k + 1)
+                    bucket[later].append((p, r))
+    return first, None, expanded
+
+
+def reach_iterate(f: KleisliFn) -> KleisliFn:
+    """Least solution of h = [unit, h]* . f for f : X -> T(Y+X): the stable
+    table of `propagate` from the domain, rounds ignored, each point's value
+    packed by m.pack from the results of its positions.  An Inr off f's
+    table or a non-sum element raises TypeError in the walk's order; the
+    chain, run then, raises its own error in its canonical order.
     """
     m = f.monad
     cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
-    points = list(f.dom.elements)
-    seen = set(points)
-    results, readers, work = defaultdict(set), defaultdict(list), []
-    for x in points:            # grows as the walk reaches new points
-        for s, e, s2 in m.moves(f(x)):
-            if isinstance(e, Inl):
-                pos, r = (x, s), (e.value, s2)
-                results[pos].add(r)
-                work.append((pos, r))
-            elif isinstance(e, Inr) and e.value in f.table:
-                readers[e.value, s2].append((x, s))
-                if e.value not in seen:
-                    seen.add(e.value)
-                    points.append(e.value)
-            else:
-                return kleene_iterate(f)
-    while work:
-        pos, r = work.pop()
-        for p in readers.get(pos, ()):
-            got = results[p]
-            if r not in got:
-                got.add(r)
-                work.append((p, r))
-    return KleisliFn(m, f.dom, cod, {x: m.pack(results, x) for x in points})
+    try:
+        first, _stable, points = propagate(m, f.dom.elements, f)
+    except TypeError:
+        return kleene_iterate(f)
+    return KleisliFn(m, f.dom, cod, {x: m.pack(first, x) for x in points})
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +289,12 @@ def reach_iterate(f: KleisliFn) -> KleisliFn:
 
 class _KleeneMonad(ElgotMonad):
     """An instance whose iteration is the least fixpoint of the Kleene
-    chain.  reach_iterate solves it by propagation through two hooks:
+    chain.  reach_iterate solves it with propagate, through two hooks:
     moves(v), the (state, element, next state) moves of a step value v, and
     pack(results, x), the value of the point x from the result sets of its
-    positions.  The chain itself, kleene_iterate, is the specification it
-    is checked against.
+    positions; handle evaluates trees into it through the same two.  The
+    chain itself, kleene_iterate, is the specification both are checked
+    against.
 
     The operations on its values: join(a, b), the least upper bound or None
     where there is none; sample_below(rng, v), a random value below v;
@@ -464,7 +498,7 @@ def partition_iterate_maybe(f: KleisliFn) -> KleisliFn:
 
     X1 is the preimage of results, X_{i+1} the preimage of X_i; everything
     else (immediate nothing, or a cycle of variables) diverges.  That is the
-    backward propagation of reach_iterate, which computes it; it must agree
+    backward pass of propagate, so reach_iterate computes it; it must agree
     extensionally with kleene_iterate.
     """
     if not isinstance(f.monad, MaybeMonad):

@@ -72,6 +72,7 @@ def parse_bsp_text(text: str) -> BspSpec:
     widths = {}
     b_rows = {}
     j_rows = {}
+    row_lines = {}     # (key, state) -> the line of that row
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,12 +84,19 @@ def parse_bsp_text(text: str) -> BspSpec:
                 actions = tuple(parts[1:])
             elif key == "states":
                 states = int(parts[1])
-            elif key == "width":
-                widths[int(parts[1])] = int(parts[2])
-            elif key == "b":
-                b_rows[int(parts[1])] = tuple(parts[2:])
-            elif key == "j":
-                j_rows[int(parts[1])] = tuple(int(t) for t in parts[2:])
+            elif key in ("width", "b", "j"):
+                i = int(parts[1])
+                if (key, i) in row_lines:
+                    raise BspLoadError("line %d: a second %s row for state %d (the "
+                                       "first is on line %d)"
+                                       % (lineno, key, i, row_lines[key, i]))
+                row_lines[key, i] = lineno
+                if key == "width":
+                    widths[i] = int(parts[2])
+                elif key == "b":
+                    b_rows[i] = tuple(parts[2:])
+                else:
+                    j_rows[i] = tuple(int(t) for t in parts[2:])
             else:
                 raise BspLoadError("line %d: unknown key %r" % (lineno, key))
         except (IndexError, ValueError) as exc:
@@ -97,6 +105,10 @@ def parse_bsp_text(text: str) -> BspSpec:
             raise BspLoadError("line %d: malformed entry %r" % (lineno, raw))
     if actions is None or states is None:
         raise BspLoadError("actions and states are required")
+    for (key, i), lineno in row_lines.items():
+        if not 0 <= i < states:
+            raise BspLoadError("line %d: %s row for state %d out of range "
+                               "(states %d)" % (lineno, key, i, states))
     def row(table, i, default):
         return table.get(i, default)
     return BspSpec(actions, states,

@@ -7,9 +7,9 @@ returning the child trees.  Iterating that step from bottom over the nodes
 reached is the Kleene chain `base_monads.approximants`; fuel counts its
 rounds, and on trees whose reachable node set is finite the chain stabilizes
 and the result is exact.  The chain is handle's specification, not its
-engine: handle computes the fuel-th approximant in one propagation pass, as
-base iteration (reach_iterate) solves its fixpoints, through the same two
-instance hooks, and the tests check it against the chain.
+engine: handle takes the fuel-th table from base_monads.propagate, the
+engine that solves base iteration too, and the tests check it against the
+chain.
 Unfolding (coit), lifting (bind, map, strength) and the guarded solver build
 one tree per seed, so a tree built from finitely many seeds, such as the
 denotation of a while program, reaches finitely many nodes and converges.
@@ -22,10 +22,10 @@ evaluator.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
+from .base_monads import propagate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
                    SuiteReport, render_elem)
 from .resumption import ResTree, ResumptionMonad
@@ -134,30 +134,17 @@ class HandleResult:
 
 def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
            upsilon: EffectInterpretation, fuel: int) -> HandleResult:
-    """The fuel-th approximant of evaluating t, with convergence detection.
+    """The fuel-th approximant of evaluating t, with convergence detection:
+    the fuel-th table at t of the Kleene chain `approximants` of zeta from
+    t, computed by `propagate`, which expands only the nodes within
+    fuel + 1 of t and runs zeta once per node.
 
-    Approximants start at bottom and apply one handling step per round: they
-    are the Kleene chain `approximants` of zeta over the nodes reached from
-    t, the specification this function is tested against.  Round k values
-    the nodes at distance at most k from t from the last round's values of
-    their children, so fuel lags behind depth: a node at distance d is first
-    valued in round max(d, 1), and one more round passes per edge on the
-    way back up (n operations over a leaf show its result at fuel 2n and
-    converge in round 2n + 1).  Convergence is exact equality on the set of
-    nodes reached, so a converged result is the final value, and an
-    unconverged one is a sound under-approximation in the target's order.
-
-    The chain is not run.  The nodes within fuel + 1 of t are expanded
-    breadth first, children in S.elements order as in the chain, so zeta
-    runs once per node and in the chain's order.  Each step value is read
-    once through the hooks reach_iterate uses: Inl(y) moving to s' makes
-    (y, s') a result of the position (p, s) in round v(p) = max(dist(p), 1),
-    and Inr(q) moving to s' makes (p, s) read (q, s').  A result of round k
-    at q reaches each reader p in round max(v(p), k + 1), the first time p
-    gets it; rounds are taken in increasing order from buckets (semi-naive
-    evaluation with the rounds made explicit), so no table is copied or
-    re-bound.  Round k is stable when no node lies at distance k + 1 and no
-    result is new in it.
+    Fuel lags behind depth: a node at distance d is first valued in round
+    max(d, 1), and one more round passes per edge on the way back up (n
+    operations over a leaf show its result at fuel 2n and converge in round
+    2n + 1).  Convergence is exact equality on the set of nodes reached, so
+    a converged result is the final value, and an unconverged one is a
+    sound under-approximation in the target's order.
     """
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
@@ -167,49 +154,12 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     if not S.has_bottom:
         raise InterpretationError(
             "target %s has no bottom; approximants need one" % S.name)
-    # expand breadth first, reading each step value as it is made; level
-    # ends nonempty when nodes lie at fuel + 2, and otherwise d is the
-    # largest distance.  first[pos][r] is the round in which the result r
-    # first reaches the position pos.
-    first, readers, bucket = defaultdict(dict), defaultdict(list), defaultdict(list)
-    seen, level, reached = {t}, [t], 0
-    for d in range(fuel + 2):
-        found, vp = [], max(d, 1)
-        for p in level:
-            v = zeta(rm, p, sigma, upsilon)
-            for e in S.elements(v):
-                if isinstance(e, Inr) and e.value not in seen:
-                    seen.add(e.value)
-                    found.append(e.value)
-            for s, e, s2 in S.moves(v):
-                if isinstance(e, Inl):
-                    got, r = first[p, s], (e.value, s2)
-                    if r not in got:
-                        got[r] = vp
-                        bucket[vp].append(((p, s), r))
-                else:       # a node never expanded has no results to pass on
-                    readers[e.value, s2].append(((p, s), vp))
-        reached += len(level)
-        level = found
-        if not level:
-            break
-
-    stable = None
-    for k in range(1, fuel + 2):
-        now = bucket.pop(k, ())
-        if not now and k >= d and not level:
-            stable = k
-            break
-        for pos, r in now:
-            for p, vp in readers.get(pos, ()):
-                got = first[p]
-                if r not in got:
-                    got[r] = later = max(vp, k + 1)
-                    bucket[later].append((p, r))
+    first, stable, expanded = propagate(
+        S, (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
     rounds = fuel if stable is None else min(stable, fuel)
     value = S.pack({pos: [r for r, k in got.items() if k <= rounds]
                     for pos, got in first.items() if pos[0] is t}, t)
-    return HandleResult(value, stable is not None, rounds, reached)
+    return HandleResult(value, stable is not None, rounds, len(expanded))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, render_e
     sum_carrier, make_kleisli, KleisliFn
 from elgot.base_monads import (EMPTY_SET, FinSet, FinSetMonad, Just, MaybeMonad,
                                NOTHING, NdState, approximants, elgot_instance, finset,
-                               kleene_iterate, partition_iterate_maybe, reach_iterate)
+                               kleene_iterate, partition_iterate_maybe, propagate,
+                               reach_iterate)
 from elgot.resumption import OpNode, ResTree
 
 KINDS = [("maybe", {}), ("finset", {}), ("nondetstate", {"state_set": ("s0", "s1")})]
@@ -305,17 +306,40 @@ def test_propagation_equals_the_kleene_chain(kind, kw, data):
     # results as the guarding transform sees them (cod=None, an operation
     # node frozen as an atom) and calls to every point
     broken = data.draw(st.sampled_from(_BROKEN))
-    elems = [Inl("y0"), Inl(Inr(_NODE))] + [Inr(p) for p in points] + list(broken)
+    # on a ring the domain is the first point, and each point calls the next
+    # and maybe the first, so points lie far away and read a point near by
+    ring = data.draw(st.booleans())
+    calls = points[:1] if ring else points
+    elems = [Inl("y0"), Inl(Inr(_NODE))] + [Inr(p) for p in calls] + list(broken)
     # the domain is a prefix, so the other points are reached late or never
-    dom = carrier("x", points[:data.draw(st.integers(1, len(points)))])
+    dom = carrier("x", points[:1 if ring else data.draw(st.integers(1, len(points)))])
     system = {p: _random_value(data, m, kind, elems) for p in points}
+    for p, nxt in zip(points, points[1:] + points[:1]) if ring else ():
+        joined = m.join(system[p], m.unit(Inr(nxt)))
+        system[p] = m.unit(Inr(nxt)) if joined is None else joined
     if data.draw(st.booleans()):
         p = data.draw(st.sampled_from(points))
         loop = m.unit(Inr(p))                   # a self-loop, kept next to p's step
         joined = m.join(system[p], loop)
         system[p] = loop if joined is None else joined
     f = KleisliFn(m, dom, None, system)
-    assert _outcome(reach_iterate, f) == _outcome(kleene_iterate, f)
+    want = _outcome(kleene_iterate, f)
+    assert _outcome(reach_iterate, f) == want
+    if isinstance(want, tuple):         # an error: the chain has no tables
+        return
+    # with fuel k, the results that arrive by round k make the chain's k-th
+    # table, every position of every point included
+    tables = []
+    for table, stable in approximants(m, dom.elements, f):
+        tables.append(table)
+        if stable:
+            break
+    for k, table in enumerate(tables, 1):
+        first, _stable, expanded = propagate(m, dom.elements, f, k)
+        by_k = {pos: [r for r, n in got.items() if n <= k] for pos, got in first.items()}
+        assert set(table) <= set(expanded)
+        assert {x: m.pack(by_k, x) for x in expanded} == \
+            {x: table.get(x, m.bottom()) for x in expanded}
 
 
 _OFF_TABLE = """

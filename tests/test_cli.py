@@ -204,6 +204,18 @@ def test_usage_errors_exit_two(tmp_path):
         r = cli("handle", str(path))
         assert r.returncode == 2
         assert r.stderr == "error: malformed handle file: %s\n" % message
+    # a row for a state outside 0..states-1, or a second row for one state
+    for name, rows, message in [
+            ("high", "b 7 b\nj 7 0\n", "line 3: b row for state 7 out of range"),
+            ("negative", "b -1 a\n", "line 3: b row for state -1 out of range"),
+            ("width", "width 2 0\n", "line 3: width row for state 2 out of range"),
+            ("repeated", "b 0 a\nj 0 1\nb 0 b\nj 0 0\n",
+             "line 5: a second b row for state 0 (the first is on line 3)")]:
+        path = tmp_path / ("rows_%s.bsp" % name)
+        path.write_text("actions a b\nstates 2\n" + rows)
+        r = cli("bsp", str(path))
+        assert r.returncode == 2 and r.stderr.startswith("error: " + message), r.stderr
+        bad_files.append(("bsp", str(path)))
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe\xfa")
     bad_files += [("run", str(undecodable), "--input", "0"),
@@ -451,6 +463,15 @@ def _twelve_state_spec():
     return "\n".join(lines) + "\n"
 
 
+def _fan(depth, label):
+    """A finset handle tree: a leaf next to a toss node over two fans."""
+    if not depth:
+        return {"set": [{"leaf": label + "a"}, {"leaf": label + "b"}]}
+    node = {"op": "toss", "param": "*",
+            "children": {a: _fan(depth - 1, label + a) for a in "ht"}}
+    return {"set": [{"leaf": label}, node]}
+
+
 @pytest.mark.parametrize("args", [
     ("laws", "--suite", "all", "--samples", "5", "--seed", "42"),
     ("run", "TMP/loop.whl", "--base", "nondetstate", "--state-set", "s0,s1",
@@ -458,6 +479,7 @@ def _twelve_state_spec():
     ("bsp", "TMP/twelve.bsp", "--depth", "2"),
     ("handle", "GOLDEN/handle_toss.json"),
     ("handle", "TMP/nd_two_outcomes.json"),
+    ("handle", "TMP/identity_finset.json"),
 ])
 def test_outputs_do_not_depend_on_hash_order(tmp_path, args):
     # sets compare by hash, so whatever prints or walks one must sort it
@@ -466,6 +488,10 @@ def test_outputs_do_not_depend_on_hash_order(tmp_path, args):
     doc = json.loads(json.dumps(ND_SPEC))
     doc["effects"]["toss"]["*"]["states"]["s0"].append(["t", "s0"])
     (tmp_path / "nd_two_outcomes.json").write_text(json.dumps(doc))
+    # a finset fan: 2, 4 and 8 nodes at distances 1, 2 and 3, each level
+    # expanded in the order of the sets that find it
+    _identity_file(tmp_path, "finset", _fan(3, "x"),
+                   effects={"toss": {"*": {"set": ["h", "t"]}}})
     args = [a.replace("GOLDEN", str(GOLDEN)).replace("TMP", str(tmp_path))
             for a in args]
     r0, r1 = (cli(*args, env={"PYTHONHASHSEED": seed}) for seed in ("0", "1"))

@@ -198,6 +198,30 @@ def test_handle_expands_only_nodes_within_fuel_plus_one(monkeypatch):
             assert not r.converged
 
 
+@pytest.mark.parametrize("kind,kw", [("finset", {}),
+                                     ("nondetstate", {"state_set": ("s0", "s1")})])
+def test_handle_walks_each_step_value_once(kind, kw, monkeypatch):
+    # children are found through moves, in the value's own order, so no
+    # step value is listed in canonical order as well
+    base = elgot_instance(kind, **kw)
+    rm = ResumptionMonad(base, two_op_signature())
+    u_act = make_kleisli(base, rm.sig.op("act").param, unit_carrier(),
+                         lambda p: base.unit("*"))
+    u_ask = make_kleisli(base, unit_carrier(), rm.sig.op("ask").arity,
+                         lambda p: ASK[kind](base))
+    ups = EffectInterpretation(rm.sig, base, {"act": u_act, "ask": u_ask})
+
+    def fan():
+        return rm.op_call("ask", "*", {a: ResTree(fn=lambda: fan().out())
+                                       for a in ("l", "r")})
+
+    listed = []
+    elements = base.elements
+    monkeypatch.setattr(base, "elements", lambda v: listed.append(v) or elements(v))
+    r = handle(rm, fan(), identity_morphism(base), ups, 4)
+    assert r.reached == 63 and listed == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_fuel_counts_handling_rounds_with_a_lag(n):
     # the leaf is first valued in round n and reaches the root n rounds later
