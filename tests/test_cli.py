@@ -45,6 +45,22 @@ def test_bsp_dot_matches_golden():
     assert r.stdout == (GOLDEN / "two_state_depth1.dot").read_text()
 
 
+def test_bsp_same_label_edges_keep_their_order(tmp_path):
+    # state 0 has two a-transitions, to states 0 and 1: nothing in the
+    # table orders them, so the text pins the order the solver gives them
+    spec = tmp_path / "same_label.bsp"
+    spec.write_text("actions a\nstates 2\nwidth 0 2\nb 0 a a\nj 0 0 1\n"
+                    "b 1 a\nj 1 0\n")
+    r = cli("bsp", str(spec), "--format", "text", "--depth", "2")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "initial s0\n"
+        "cut s0_3\ncut s1_2\ncut s0_4\ncut s0_5\ncut s1_3\n"
+        "s0 -a-> s0_1\ns0 -a-> s1_1\ns1 -a-> s0_2\n"
+        "s0_1 -a-> s0_3\ns0_1 -a-> s1_2\ns1_1 -a-> s0_4\n"
+        "s0_2 -a-> s0_5\ns0_2 -a-> s1_3\n")
+
+
 def test_bsp_csv_depth_two():
     r = cli("bsp", str(GOLDEN / "two_state.bsp"), "--depth", "2",
             "--format", "csv")
