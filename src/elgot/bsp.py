@@ -2,10 +2,13 @@
 choice, solved by unguarded iteration and exported as depth-bounded
 labelled transition systems.
 
-A definition gives each state i a chain of variables (i,0), (i,1), ...;
-variable (i,k) either takes the k-th transition (action b[i][k] to state
-j[i][k]) or falls through to (i,k+1), without any guard.  Solving collapses
-each chain so state i's outgoing edges are exactly its table rows.
+A definition gives each state i a chain of variables (i,0), ..., (i,w)
+for its width w; variable (i,k) with k < w either takes the k-th transition
+(action b[i][k] to state j[i][k]) or falls through to (i,k+1), without any
+guard, and (i,w) is the empty choice.  Solving collapses each chain so state
+i's outgoing edges are exactly its table rows.  Unfolding reads each root's
+solved layer once into a successor table of (label, state) pairs and walks
+that table level by level.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import Inl, Inr, KleisliFn, Pair, carrier, empty_carrier, \
-    prod_carrier, sum_carrier, unit_carrier
+    sum_carrier, unit_carrier
 from .base_monads import FinSetMonad, finset
 from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 
@@ -46,6 +49,8 @@ class BspSpec:
         if not all(isinstance(a, str) for a in self.actions) \
                 or len(set(self.actions)) != len(self.actions):
             raise BspLoadError("actions must be distinct strings")
+        if not self.actions:
+            raise BspLoadError("a spec needs at least one action")
         if not _is_int(self.states) or not all(map(_is_int, self.widths)) \
                 or not all(_is_int(t) for row in self.j for t in row):
             raise BspLoadError("states, widths and targets must be integers")
@@ -122,6 +127,9 @@ def parse_bsp_json(text: str) -> BspSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BspLoadError("invalid JSON: %s" % exc)
+    if not isinstance(data, dict):
+        raise BspLoadError("malformed spec object: the top level is a %s, not an "
+                           "object" % type(data).__name__)
     try:
         b = tuple(tuple(_list(row, "a row of b")) for row in _list(data["b"], "b"))
         j = tuple(tuple(_list(row, "a row of j")) for row in _list(data["j"], "j"))
@@ -133,7 +141,9 @@ def parse_bsp_json(text: str) -> BspSpec:
 
 
 def load_bsp(text: str) -> BspSpec:
-    if text.lstrip().startswith("{"):
+    """A spec whose first character is {, [ or " is JSON; anything else is
+    the key/value text format."""
+    if text.lstrip()[:1] in ("{", "[", '"'):
         return parse_bsp_json(text)
     return parse_bsp_text(text)
 
@@ -145,25 +155,25 @@ def load_bsp(text: str) -> BspSpec:
 def build_equations(spec: BspSpec):
     """The recursive definition over variables (state, transition index).
 
-    Variable (i,k) with k < width(i) is the choice of the k-th prefixed
-    transition and the bare fall-through variable (i,k+1); past the width
-    the chain ends in the empty choice.  The fall-through summand is
-    unguarded by construction.
+    The variables are the (i,k) with k <= width(i), in (state, k) order,
+    exactly those a root (i,0) reaches.  Variable (i,k) with k < width(i)
+    is the choice of the k-th prefixed transition and the bare fall-through
+    variable (i,k+1); (i,width(i)) ends the chain in the empty choice.  The
+    fall-through summand is unguarded by construction.
     """
     base = FinSetMonad()
     act_car = carrier("a", spec.actions)
     sig = Signature((OpDecl("act", act_car, unit_carrier()),))
     rm = ResumptionMonad(base, sig)
 
-    k_count = max(spec.widths) + 1 if spec.widths else 1
-    st_car = carrier("st", tuple(str(i) for i in range(spec.states)))
-    k_car = carrier("k", tuple(str(k) for k in range(k_count)))
-    var_car = prod_carrier(st_car, k_car)
+    var_car = carrier("(st,k)", tuple(Pair(str(i), str(k))
+                                      for i in range(spec.states)
+                                      for k in range(spec.widths[i] + 1)))
     cod = sum_carrier(empty_carrier(), var_car)
 
     def equation(v: Pair):
         i, k = int(v.fst), int(v.snd)
-        if k >= spec.widths[i]:
+        if k == spec.widths[i]:
             return rm.out_inv(base.bottom())
         cont = rm.unit(Inr(Pair(str(spec.j[i][k]), "0")))
         node = OpNode("act", spec.b[i][k], (("*", cont),))
@@ -199,44 +209,45 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     Roots are named s<i>; deeper occurrences get fresh numeric suffixes.
     Occurrences are identified with states by first-layer value identity
     against the root layers; deadlocked states all share the empty layer and
-    normalize to the least such index.
+    normalize to the least such index.  An occurrence of state i has root
+    i's layer, so each root's layer is read once, in canonical order, into a
+    table of (label, state) successors, and the unfolding walks that table.
     """
     rm, g = build_equations(spec)
     sol = rm.iterate(g)
-    roots = {i: sol(Pair(str(i), "0")) for i in range(spec.states)}
+    layers = [rm.out(sol(Pair(str(i), "0"))) for i in range(spec.states)]
 
     identify = {}
-    for i in range(spec.states):
-        identify.setdefault(rm.out(roots[i]), i)
+    for i, layer in enumerate(layers):
+        identify.setdefault(layer, i)
+    succ = []
+    for layer in layers:
+        row = []
+        for e in rm.base.elements(layer):
+            assert isinstance(e, Inr), "solved system still has bare leaves"
+            state = identify.get(rm.out(e.value.child("*")))
+            assert state is not None, "child layer does not match any state"
+            row.append((e.value.param, state))
+        succ.append(row)
 
     lts = Lts(initial="s0")
-    counters = {i: 0 for i in range(spec.states)}
-    frontier = []
-    for i in range(spec.states):
-        lts.nodes.append(LtsNode("s%d" % i, i, 0))
-        frontier.append((lts.nodes[-1], roots[i]))
-
+    counters = [0] * spec.states
+    frontier = [LtsNode("s%d" % i, i, 0) for i in range(spec.states)]
+    lts.nodes.extend(frontier)
     for level in range(depth):
         nxt = []
-        for node, tree in frontier:
-            for e in rm.base.elements(rm.out(tree)):
-                assert isinstance(e, Inr), "solved system still has bare leaves"
-                opnode = e.value
-                child = opnode.child("*")
-                state = identify.get(rm.out(child))
-                assert state is not None, "child layer does not match any state"
+        for node in frontier:
+            for label, state in succ[node.state]:
                 counters[state] += 1
-                child_node = LtsNode("s%d_%d" % (state, counters[state]),
-                                     state, level + 1)
-                lts.nodes.append(child_node)
-                lts.edges.append((node.name, opnode.param, child_node.name))
-                nxt.append((child_node, child))
+                child = LtsNode("s%d_%d" % (state, counters[state]), state, level + 1)
+                lts.edges.append((node.name, label, child.name))
+                nxt.append(child)
+        lts.nodes.extend(nxt)
         frontier = nxt
 
-    # a node is cut when it has a transition; no order is read, so no sort
-    for node, tree in frontier:
-        if rm.out(tree) != rm.base.bottom():
-            node.cut = True
+    # a node is cut when its state has a transition
+    for node in frontier:
+        node.cut = bool(succ[node.state])
     return lts
 
 

@@ -106,17 +106,17 @@ class OpNode:
     Equality and hashing go through (op, param, children); trees compare and
     hash by identity, never by structure, so these nodes can sit inside
     base-monad set values.  Before coit unfolds them, the children are seeds.
-    A node never changes, so its canonical key is built on first use and
-    stored.
+    A node never changes, so its hash and its canonical key are built on
+    first use and stored.
     """
 
-    __slots__ = ("op", "param", "children", "_key")
+    __slots__ = ("op", "param", "children", "_key", "_hash")
 
     def __init__(self, op: str, param, children):
         self.op = op
         self.param = param
         self.children = tuple(children)   # ((arity atom, ResTree), ...)
-        self._key = None
+        self._key = self._hash = None
 
     def child(self, a) -> "ResTree":
         for atom, t in self.children:
@@ -130,7 +130,10 @@ class OpNode:
             other.op, other.param, other.children)
 
     def __hash__(self):
-        return hash((self.op, self.param, self.children))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.op, self.param, self.children))
+        return h
 
     def _canon_key_(self):
         key = self._key

@@ -68,10 +68,36 @@ def test_parse_json_equivalent():
     "states 1\n",                                          # missing actions
     "actions a\nstates 0\n",                               # no states
     "actions a\nstates 1\nwobble\n",                       # unknown key
+    "actions\nstates 1\n",                                 # no actions
+    '{"actions": [], "states": 1, "b": [[]], "j": [[]]}',  # no actions
+    "[]",                                                  # not an object
+    '"x"',                                                 # not an object
 ])
 def test_load_errors(bad):
     with pytest.raises(BspLoadError):
         load_bsp(bad)
+
+
+def test_load_error_messages():
+    # a JSON spec's errors all carry the prefix "malformed spec object: "
+    for text in ("actions\nstates 1\n", '{"actions": [], "states": 1, "b": [[]], "j": [[]]}'):
+        with pytest.raises(BspLoadError, match="a spec needs at least one action$"):
+            load_bsp(text)
+    for text, kind in (("[]", "list"), (' "x"', "str"), ("5", "int")):
+        with pytest.raises(BspLoadError, match="^malformed spec object: the top "
+                                               "level is a %s, not an object$" % kind):
+            parse_bsp_json(text)
+
+
+def test_build_equations_declares_only_reachable_variables():
+    # state 1 deadlocks; the chain of state i ends at (i, width(i))
+    spec = parse_bsp_text("actions a b\nstates 3\nwidth 0 2\nwidth 1 0\n"
+                          "width 2 1\nb 0 a b\nj 0 1 2\nb 2 a\nj 2 0\n")
+    _rm, g = build_equations(spec)
+    assert g.dom.elements == (Pair("0", "0"), Pair("0", "1"), Pair("0", "2"),
+                              Pair("1", "0"),
+                              Pair("2", "0"), Pair("2", "1"))
+    assert len(g.dom.elements) == sum(w + 1 for w in spec.widths)
 
 
 def test_build_equations_deadlock_state():

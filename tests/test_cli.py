@@ -232,6 +232,21 @@ def test_usage_errors_exit_two(tmp_path):
         r = cli("bsp", str(path))
         assert r.returncode == 2 and r.stderr.startswith("error: " + message), r.stderr
         bad_files.append(("bsp", str(path)))
+    # a spec with no actions, and a JSON spec whose top level is no object
+    for name, text, message in [
+            ("no_actions.bsp", "actions\nstates 1\n",
+             "a spec needs at least one action"),
+            ("no_actions.json", '{"actions": [], "states": 1, "b": [[]], "j": [[]]}',
+             "malformed spec object: a spec needs at least one action"),
+            ("array.json", "[]",
+             "malformed spec object: the top level is a list, not an object"),
+            ("string.json", '"x"',
+             "malformed spec object: the top level is a str, not an object")]:
+        path = tmp_path / name
+        path.write_text(text)
+        r = cli("bsp", str(path))
+        assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
+        bad_files.append(("bsp", str(path)))
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe\xfa")
     bad_files += [("run", str(undecodable), "--input", "0"),

@@ -8,8 +8,8 @@ import pytest
 from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, \
     sum_carrier, make_kleisli
 from elgot.base_monads import FinSet, Just, NOTHING, NdState, elgot_instance, finset
-from elgot.resumption import (OpDecl, ResTree, ResumptionMonad, Signature, Thunk,
-                              TLeaf, TCUT, TOp, sig_val)
+from elgot.resumption import (OpDecl, OpNode, ResTree, ResumptionMonad, Signature,
+                              Thunk, TLeaf, TCUT, TOp, sig_val)
 
 from conftest import resumption, two_op_signature
 
@@ -175,6 +175,17 @@ CELLS = pytest.mark.parametrize("force", [
     lambda fn: Thunk(fn).force,
     lambda fn: ResTree(fn=fn).out,
 ], ids=["Thunk.force", "ResTree.out"])
+
+
+def test_op_node_stores_its_hash():
+    t = ResTree(fn=lambda: finset(()))
+    node = OpNode("act", "a", (("*", t),))
+    assert hash(node) == hash(("act", "a", (("*", t),)))
+    assert hash(OpNode("act", "a", [("*", t)])) == hash(node)
+    # a second hash reads the stored value and never rebuilds the tuple
+    first = hash(node)
+    node.param = "b"
+    assert hash(node) == first
 
 
 @CELLS
