@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from elgot.base_monads import FinSetMonad
 from elgot.core import Inl, Inr, Pair
 from elgot.bsp import (BspLoadError, BspSpec, build_equations, load_bsp,
                        lts_to_csv, lts_to_dot, lts_to_text, parse_bsp_json,
@@ -78,17 +79,6 @@ def test_load_errors(bad):
         load_bsp(bad)
 
 
-def test_load_error_messages():
-    # a JSON spec's errors all carry the prefix "malformed spec object: "
-    for text in ("actions\nstates 1\n", '{"actions": [], "states": 1, "b": [[]], "j": [[]]}'):
-        with pytest.raises(BspLoadError, match="a spec needs at least one action$"):
-            load_bsp(text)
-    for text, kind in (("[]", "list"), (' "x"', "str"), ("5", "int")):
-        with pytest.raises(BspLoadError, match="^malformed spec object: the top "
-                                               "level is a %s, not an object$" % kind):
-            parse_bsp_json(text)
-
-
 def test_build_equations_declares_only_reachable_variables():
     # state 1 deadlocks; the chain of state i ends at (i, width(i))
     spec = parse_bsp_text("actions a b\nstates 3\nwidth 0 2\nwidth 1 0\n"
@@ -143,6 +133,19 @@ def test_two_state_depth_two_count_matches_oracle():
     oracle = table_oracle(spec, 2)
     assert len(lts.edges) == len(oracle)
     assert sorted(lts.edge_states()) == sorted(oracle)
+
+
+def test_unfolding_lists_each_root_layer_once(monkeypatch):
+    # an occurrence of a state has its root's layer, so no occurrence's
+    # layer is listed again, at any depth
+    listed = []
+    elements = FinSetMonad.elements
+    monkeypatch.setattr(FinSetMonad, "elements",
+                        lambda self, v: listed.append(v) or elements(self, v))
+    spec = parse_bsp_text(TWO_STATE)
+    lts = solve_and_unfold(spec, 3)
+    assert len(lts.edges) == 3 + 4 + 5
+    assert len(listed) == spec.states
 
 
 def test_deadlock_state_has_no_edges():
