@@ -4,13 +4,17 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgot.core import (CarrierMismatchError, ConfigError, Inl, Inr, Pair,
-                        canon_key, carrier, compose_kleisli, kleisli_unit,
+from elgot.core import (Carrier, CarrierMismatchError, ConfigError, Inl, Inr,
+                        Pair, canon_key, carrier, compose_kleisli, kleisli_unit,
                         make_kleisli, prod_carrier, sum_carrier,
                         strong_iterate, dist_elem, KleisliFn,
-                        bottom_kleisli, case_sum, render_elem)
+                        bottom_kleisli, case_sum, empty_carrier, render_elem,
+                        unit_carrier)
 from elgot.base_monads import (Just, NOTHING, NdState, elgot_instance, finset,
                                kleene_iterate)
+from elgot.bsp import BspLoadError, BspSpec
+from elgot.resumption import OpDecl, Signature
+from elgot.while_lang import Act, If, Seq, Skip, While
 
 
 def test_carrier_rejects_duplicates():
@@ -62,6 +66,147 @@ def test_tagged_values_repr_as_dataclasses():
     assert repr(Inr(1)) == "Inr(value=1)"
     assert repr(Pair("a", Inr(1))) == "Pair(fst='a', snd=Inr(value=1))"
     assert str(Inl(Pair("a", "b"))) == "Inl(value=Pair(fst='a', snd='b'))"
+
+
+def _immutable_values():
+    """One value of each immutable class outside Inl, Inr and Pair, built
+    afresh on each call, with the names of its fields."""
+    x = carrier("x", ("x0", "x1"))
+    write = OpDecl("write", x, unit_carrier())
+    return [
+        (Just(Pair("a", 1)), ("value",)),
+        (NdState((("s0", finset([Pair("a", "s1")])), ("s1", finset([])))), ("table",)),
+        (x, ("name", "elements", "kind", "parts")),
+        (sum_carrier(x, unit_carrier()), ("name", "elements", "kind", "parts")),
+        (write, ("name", "param", "arity")),
+        (Signature((write, OpDecl("read", unit_carrier(), x))), ("ops",)),
+        (BspSpec(("a", "b"), 2, (1, 0), (("b",), ()), ((1,), ())),
+         ("actions", "states", "widths", "b", "j")),
+        (Skip(), ()),
+        (Act("write"), ("name",)),
+        (Seq(Act("read"), Seq(Skip(), Act("write"))), ("first", "second")),
+        (If("coin", Skip(), Act("write")), ("pred", "then", "orelse")),
+        (While("true", Seq(Skip(), Act("read"))), ("pred", "body")),
+    ]
+
+
+def test_tagged_values_of_every_module_compare_by_class_and_fields():
+    for (a, fields), (b, _) in zip(_immutable_values(), _immutable_values()):
+        assert a is not b and a == b and hash(a) == hash(b), a
+        assert not a != b
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    values = [v for v, _ in _immutable_values()]
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert a != b and not a == b, (a, b)
+    assert Just("a") != Inl("a") and Just("a") != Inr("a") and Inl("a") != Just("a")
+    assert Just("a") != Just("b") and Just(1) != Just("1") and Just("a") != ("a",)
+    assert Act("a") != Just("a") and Skip() != Act("skip") and Skip() == Skip()
+    assert Seq(Skip(), Skip()) != Pair(Skip(), Skip())
+    assert len({Just("a"), Inl("a"), Inr("a"), Act("a"), "a", ("a",)}) == 6
+    assert Carrier("x", ("a",)) == Carrier("x", ("a",), "atoms", ()) == carrier("x", ["a"])
+    assert Carrier("x", ("a",)) != Carrier("y", ("a",))
+    assert Carrier("x", ("a",)) != Carrier("x", ("a",), "sum", ())
+    assert hash(Carrier("x", ("a",))) == hash(carrier("x", ("a",)))
+    u = unit_carrier()
+    assert OpDecl("w", u, u) != OpDecl("v", u, u)
+    assert Signature((OpDecl("w", u, u),)) != Signature((OpDecl("v", u, u),))
+
+
+def test_tagged_values_of_every_module_keep_their_fields_and_defaults():
+    c = Carrier("x", ("a", "b"))
+    assert (c.name, c.elements, c.kind, c.parts) == ("x", ("a", "b"), "atoms", ())
+    assert Carrier(name="x", elements=("a", "b")) == c
+    assert len(c) == 2 and "a" in c and "c" not in c and c
+    assert len(empty_carrier()) == 0 and not empty_carrier()
+    s = sum_carrier(c, unit_carrier())
+    assert s.kind == "sum" and s.parts == (c, unit_carrier()) and Inr("*") in s
+    assert len(s) == 3 and "a" not in s
+    write = OpDecl("write", c, unit_carrier())
+    assert (write.name, write.param, write.arity) == ("write", c, unit_carrier())
+    sig = Signature((write,))
+    assert sig.ops == (write,) and sig.op("write") is write
+    with pytest.raises(KeyError):
+        sig.op("read")
+    nd = NdState((("s0", finset(["a"])),))
+    assert nd.table == (("s0", finset(["a"])),) and nd.at("s0") == finset(["a"])
+    spec = BspSpec(("a",), 1, (1,), (("a",),), ((0,),))
+    assert (spec.actions, spec.states, spec.widths, spec.b, spec.j) == (
+        ("a",), 1, (1,), (("a",),), ((0,),))
+    loop = While("coin", If("true", Act("read"), Skip()))
+    assert (loop.pred, loop.body.pred, loop.body.then.name) == ("coin", "true", "read")
+    assert loop.body.orelse == Skip() and Just("a").value == "a"
+
+
+def test_tagged_values_of_every_module_are_frozen():
+    for v, fields in _immutable_values():
+        for attr in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(v, attr, "z")
+            with pytest.raises(AttributeError):
+                delattr(v, attr)
+        for f in fields:
+            assert getattr(v, f) == getattr(copy.copy(v), f)
+        assert copy.copy(v) == v and copy.deepcopy(v) == v
+        assert pickle.loads(pickle.dumps(v)) == v, v
+        assert type(pickle.loads(pickle.dumps(v))) is type(v)
+
+
+def test_tagged_values_of_every_module_repr_as_dataclasses():
+    x = carrier("x", ("x0",))
+    x_text = "Carrier(name='x', elements=('x0',), kind='atoms', parts=())"
+    one_text = "Carrier(name='1', elements=('*',), kind='atoms', parts=())"
+    write = OpDecl("write", x, unit_carrier())
+    write_text = "OpDecl(name='write', param=%s, arity=%s)" % (x_text, one_text)
+    assert repr(Just("a")) == "Just(value='a')"
+    assert repr(Just(Inl(1))) == "Just(value=Inl(value=1))"
+    assert repr(NdState((("s0", finset(["a"])),))) == \
+        "NdState(table=(('s0', FinSet(elems=('a',))),))"
+    assert repr(x) == x_text and str(x) == x_text
+    assert repr(sum_carrier(x, unit_carrier())) == (
+        "Carrier(name='(x+1)', elements=(Inl(value='x0'), Inr(value='*')), "
+        "kind='sum', parts=(%s, %s))" % (x_text, one_text))
+    assert repr(write) == write_text
+    assert repr(Signature((write,))) == "Signature(ops=(%s,))" % write_text
+    assert repr(BspSpec(("a",), 1, (1,), (("a",),), ((0,),))) == \
+        "BspSpec(actions=('a',), states=1, widths=(1,), b=(('a',),), j=((0,),))"
+    assert repr(Skip()) == "Skip()" and repr(Act("write")) == "Act(name='write')"
+    assert repr(If("coin", Skip(), Act("write"))) == \
+        "If(pred='coin', then=Skip(), orelse=Act(name='write'))"
+    assert repr(While("true", Seq(Skip(), Act("read")))) == \
+        "While(pred='true', body=Seq(first=Skip(), second=Act(name='read')))"
+    assert str(Seq(Act("a"), Seq(Skip(), Act("b")))) == \
+        "Seq(first=Act(name='a'), second=Seq(first=Skip(), second=Act(name='b')))"
+
+
+def test_tagged_values_of_every_module_check_their_fields():
+    with pytest.raises(ConfigError, match="^carrier x has duplicate elements$"):
+        Carrier("x", ("a", "b", "a"))
+    with pytest.raises(ConfigError, match="^carrier n has duplicate elements$"):
+        carrier("n", ["0", "0"])
+    empty, x = empty_carrier(), carrier("x", ("a",))
+    for param, arity in ((empty, x), (x, empty), (empty, empty)):
+        with pytest.raises(ConfigError, match="^operation w needs nonempty "
+                           "parameter and arity carriers$"):
+            OpDecl("w", param, arity)
+    w = OpDecl("w", x, x)
+    with pytest.raises(ConfigError, match="^duplicate operation names in signature$"):
+        Signature((w, OpDecl("v", x, x), OpDecl("w", x, unit_carrier())))
+    assert Signature(()).ops == ()
+    for fields, message in [
+            (((), 1, (0,), ((),), ((),)), "a spec needs at least one action"),
+            ((("a", "a"), 1, (0,), ((),), ((),)), "actions must be distinct strings"),
+            ((("a",), 0, (), (), ()), "need at least one state"),
+            ((("a",), 1, (1,), (("zzz",),), ((0,),)), "unknown action 'zzz' in row 0"),
+            ((("a",), 1, (1,), (("a",),), ((3,),)), "target 3 out of range in row 0"),
+            ((("a",), 1, (2,), (("a",),), ((0,),)),
+             "row 0 does not match its declared width"),
+            ((("a",), 2, (0,), ((),), ((),)), "tables must have one row per state"),
+            ((("a",), "1", (0,), ((),), ((),)),
+             "states, widths and targets must be integers")]:
+        with pytest.raises(BspLoadError) as exc:
+            BspSpec(*fields)
+        assert str(exc.value) == message
 
 
 def test_case_sum_rejects_non_sums():
