@@ -24,12 +24,11 @@ order.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
-                   canon_key, carrier, spaced)
+                   _Tagged, canon_key, carrier, spaced)
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +51,18 @@ class _Nothing:
 NOTHING = _Nothing()
 
 
-@dataclass(frozen=True)
-class Just:
-    value: Any
+class Just(_Tagged):
+    __slots__ = ()
+    _fields = ("value",)
+
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls, value))
 
     def _canon_key_(self):
-        return (11, canon_key(self.value))
+        return (11, canon_key(self[1]))
 
     def _render_(self):
-        return (self.value,)
+        return (self[1],)
 
 
 class FinSet(frozenset):
@@ -96,24 +98,27 @@ def finset(elems: Iterable) -> FinSet:
 EMPTY_SET = finset(())
 
 
-@dataclass(frozen=True)
-class NdState:
+class NdState(_Tagged):
     """Total map from state atoms to sets of (result, next state) pairs."""
 
-    table: tuple   # ((state, FinSet of Pair(x, state')), ...) in state order
+    __slots__ = ()
+    _fields = ("table",)   # ((state, FinSet of Pair(x, state')), ...) in state order
+
+    def __new__(cls, table: tuple):
+        return tuple.__new__(cls, (cls, table))
 
     def at(self, s) -> FinSet:
-        for state, v in self.table:
+        for state, v in self[1]:
             if state == s:
                 return v
         raise KeyError(s)
 
     def _canon_key_(self):
-        return (13,) + tuple((canon_key(s), canon_key(v)) for s, v in self.table)
+        return (13,) + tuple((canon_key(s), canon_key(v)) for s, v in self[1])
 
     def _render_(self):
         parts = ["(states"]
-        for s, v in self.table:
+        for s, v in self[1]:
             parts += (" (", s, " ", v, ")")
         return parts + [")"]
 

@@ -14,10 +14,8 @@ that table level by level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .core import Inl, Inr, KleisliFn, Pair, carrier, empty_carrier, \
+from .core import Inl, Inr, KleisliFn, Pair, _Tagged, carrier, empty_carrier, \
     sum_carrier, unit_carrier
 from .base_monads import FinSetMonad, finset
 from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
@@ -37,37 +35,36 @@ def _list(x, what: str) -> list:
     return x
 
 
-@dataclass(frozen=True)
-class BspSpec:
-    actions: tuple
-    states: int
-    widths: tuple
-    b: tuple          # b[i][k]: action label of the k-th transition of state i
-    j: tuple          # j[i][k]: target state of that transition
+class BspSpec(_Tagged):
+    """A process definition: b[i][k] is the action label of the k-th
+    transition of state i and j[i][k] its target state."""
 
-    def __post_init__(self):
-        if not all(isinstance(a, str) for a in self.actions) \
-                or len(set(self.actions)) != len(self.actions):
+    __slots__ = ()
+    _fields = ("actions", "states", "widths", "b", "j")
+
+    def __new__(cls, actions: tuple, states: int, widths: tuple, b: tuple, j: tuple):
+        if not all(isinstance(a, str) for a in actions) \
+                or len(set(actions)) != len(actions):
             raise BspLoadError("actions must be distinct strings")
-        if not self.actions:
+        if not actions:
             raise BspLoadError("a spec needs at least one action")
-        if not _is_int(self.states) or not all(map(_is_int, self.widths)) \
-                or not all(_is_int(t) for row in self.j for t in row):
+        if not _is_int(states) or not all(map(_is_int, widths)) \
+                or not all(_is_int(t) for row in j for t in row):
             raise BspLoadError("states, widths and targets must be integers")
-        if self.states < 1:
+        if states < 1:
             raise BspLoadError("need at least one state")
-        if len(self.widths) != self.states or len(self.b) != self.states \
-                or len(self.j) != self.states:
+        if len(widths) != states or len(b) != states or len(j) != states:
             raise BspLoadError("tables must have one row per state")
-        for i in range(self.states):
-            if len(self.b[i]) != self.widths[i] or len(self.j[i]) != self.widths[i]:
+        for i in range(states):
+            if len(b[i]) != widths[i] or len(j[i]) != widths[i]:
                 raise BspLoadError("row %d does not match its declared width" % i)
-            for lbl in self.b[i]:
-                if lbl not in self.actions:
+            for lbl in b[i]:
+                if lbl not in actions:
                     raise BspLoadError("unknown action %r in row %d" % (lbl, i))
-            for tgt in self.j[i]:
-                if not (0 <= tgt < self.states):
+            for tgt in j[i]:
+                if not (0 <= tgt < states):
                     raise BspLoadError("target %r out of range in row %d" % (tgt, i))
+        return tuple.__new__(cls, (cls, actions, states, widths, b, j))
 
 
 def parse_bsp_text(text: str) -> BspSpec:
@@ -130,14 +127,16 @@ def parse_bsp_json(text: str) -> BspSpec:
     if not isinstance(data, dict):
         raise BspLoadError("malformed spec object: the top level is a %s, not an "
                            "object" % type(data).__name__)
+    # an error about the JSON's shape is prefixed; the spec's own check
+    # reads as it does for the text format
     try:
         b = tuple(tuple(_list(row, "a row of b")) for row in _list(data["b"], "b"))
         j = tuple(tuple(_list(row, "a row of j")) for row in _list(data["j"], "j"))
         widths = tuple(_list(data.get("width", [len(row) for row in b]), "width"))
-        return BspSpec(tuple(_list(data["actions"], "actions")), data["states"],
-                       widths, b, j)
+        actions, states = tuple(_list(data["actions"], "actions")), data["states"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BspLoadError("malformed spec object: %s" % exc)
+    return BspSpec(actions, states, widths, b, j)
 
 
 def load_bsp(text: str) -> BspSpec:
@@ -183,19 +182,23 @@ def build_equations(spec: BspSpec):
     return rm, KleisliFn(rm, var_car, cod, table)
 
 
-@dataclass
 class LtsNode:
-    name: str
-    state: int
-    depth: int
-    cut: bool = False
+    __slots__ = ("name", "state", "depth", "cut")
+
+    def __init__(self, name: str, state: int, depth: int):
+        self.name = name
+        self.state = state
+        self.depth = depth
+        self.cut = False
 
 
-@dataclass
 class Lts:
-    nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)   # (src name, label, dst name)
-    initial: Optional[str] = None
+    __slots__ = ("nodes", "edges", "initial")
+
+    def __init__(self, initial: str):
+        self.nodes = []
+        self.edges = []     # (src name, label, dst name)
+        self.initial = initial
 
     def edge_states(self):
         """Edges with occurrence names replaced by their state indices."""
@@ -230,7 +233,7 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
             row.append((e.value.param, state))
         succ.append(row)
 
-    lts = Lts(initial="s0")
+    lts = Lts("s0")
     counters = [0] * spec.states
     frontier = [LtsNode("s%d" % i, i, 0) for i in range(spec.states)]
     lts.nodes.extend(frontier)

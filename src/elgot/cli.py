@@ -95,10 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
 # run
 # ---------------------------------------------------------------------------
 
+def _entries(text, flag: str):
+    """The comma separated entries of a flag, or None for none; an entry
+    that is empty or repeated is an error naming the flag."""
+    if not text:
+        return None
+    entries, seen = tuple(text.split(",")), set()
+    for i, entry in enumerate(entries, 1):
+        if not entry:
+            raise UsageError("%s %r: entry %d is empty" % (flag, text, i))
+        if entry in seen:
+            raise UsageError("%s %r: entry %r is repeated" % (flag, text, entry))
+        seen.add(entry)
+    return entries
+
+
 def cmd_run(args) -> int:
     source = _read(args.program)
-    alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
-    states = tuple(args.state_set.split(",")) if args.state_set else None
+    alphabet = _entries(args.alphabet, "--alphabet")
+    states = _entries(args.state_set, "--state-set")
     if args.base == "nondetstate" and not states:
         raise UsageError("--state-set is required for nondetstate")
     stmt = parse(source)

@@ -11,17 +11,20 @@ hash-consed and store theirs once (see the resumption module).  Composite
 values render through one explicit stack, so neither keys nor text are
 bounded by Python's recursion depth.
 
-Sums and pairs are tagged tuples, (Inl, value), (Inr, value) and
-(Pair, fst, snd), so that hashing and equality run in the tuple's own code.
-A class hashes by its address, so the hash of a sum or pair, and with it a
-set's own iteration order, can change from one run to the next even at one
-PYTHONHASHSEED.  Output stays canonical because every order that can be
-seen walks a set's elems, which sorts by canonical key.
+Every immutable value of the package is a tagged tuple, its class followed
+by its fields: sums and pairs, (Inl, value), (Inr, value) and (Pair, fst,
+snd), and likewise carriers, maybe and nondetstate values, operation
+declarations, signatures, process definitions and while-program syntax.
+Hashing and equality run in the tuple's own code.  A class hashes by its
+address, so the hash of a tagged value, and with it a set's own iteration
+order, can change from one run to the next even at one PYTHONHASHSEED.
+Output stays canonical because every order that can be seen walks a set's
+elems, which sorts by canonical key.  Mutable records are plain classes
+with __slots__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -41,10 +44,28 @@ class ConfigError(ValueError):
 class _Tagged(tuple):
     """A value stored as the tuple (its class, *its fields): hashing and
     equality are the tuple's own, run in C, and the leading class tells
-    values of different classes with equal fields apart."""
+    values of different classes with equal fields apart.
+
+    A subclass lists its field names in _fields and gets a read-only
+    property for each.  It defines __new__ only to check its fields, to
+    give defaults, or, on the values that binds build (sums, pairs and
+    base-monad values), to skip the count check of the shared one, which
+    would make each about half again as slow to build.
+    """
 
     __slots__ = ()
     _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls._fields):
+            raise TypeError("%s() takes %d positional arguments but %d were given"
+                            % (cls.__name__, len(cls._fields), len(fields)))
+        return tuple.__new__(cls, (cls, *fields))
 
     def __getnewargs__(self):
         return self[1:]
@@ -57,7 +78,6 @@ class _Tagged(tuple):
 class Inl(_Tagged):
     __slots__ = ()
     _fields = ("value",)
-    value = property(itemgetter(1))
 
     def __new__(cls, value):
         return tuple.__new__(cls, (cls, value))
@@ -72,7 +92,6 @@ class Inl(_Tagged):
 class Inr(_Tagged):
     __slots__ = ()
     _fields = ("value",)
-    value = property(itemgetter(1))
 
     def __new__(cls, value):
         return tuple.__new__(cls, (cls, value))
@@ -87,8 +106,6 @@ class Inr(_Tagged):
 class Pair(_Tagged):
     __slots__ = ()
     _fields = ("fst", "snd")
-    fst = property(itemgetter(1))
-    snd = property(itemgetter(2))
 
     def __new__(cls, fst, snd):
         return tuple.__new__(cls, (cls, fst, snd))
@@ -181,24 +198,22 @@ def dist_elem(p: Pair):
 # Carriers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(_Tagged):
     """A named finite set of elements with a stable enumeration order."""
 
-    name: str
-    elements: tuple
-    kind: str = "atoms"       # "atoms" | "sum" | "prod"
-    parts: tuple = ()
+    __slots__ = ()
+    _fields = ("name", "elements", "kind", "parts")   # kind: atoms | sum | prod
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ConfigError("carrier %s has duplicate elements" % self.name)
+    def __new__(cls, name: str, elements: tuple, kind: str = "atoms", parts: tuple = ()):
+        if len(set(elements)) != len(elements):
+            raise ConfigError("carrier %s has duplicate elements" % name)
+        return tuple.__new__(cls, (cls, name, elements, kind, parts))
 
     def __contains__(self, x):
-        return x in self.elements
+        return x in self[2]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self[2])
 
 
 def carrier(name: str, atoms: Iterable[str]) -> Carrier:
@@ -387,12 +402,14 @@ def strong_iterate(f: KleisliFn) -> KleisliFn:
 SKIP = object()
 
 
-@dataclass
 class LawResult:
-    law: str
-    samples: int = 0
-    failures: list = field(default_factory=list)
-    skipped: int = 0        # samples left unchecked
+    __slots__ = ("law", "samples", "failures", "skipped")
+
+    def __init__(self, law: str):
+        self.law = law
+        self.samples = 0
+        self.failures = []
+        self.skipped = 0        # samples left unchecked
 
     @property
     def ok(self):
@@ -407,11 +424,13 @@ class LawResult:
             self.failures.append(outcome)
 
 
-@dataclass
 class SuiteReport:
-    instance: str
-    seed: Optional[int] = None
-    results: list = field(default_factory=list)
+    __slots__ = ("instance", "seed", "results")
+
+    def __init__(self, instance: str, seed: Optional[int] = None, results=()):
+        self.instance = instance
+        self.seed = seed
+        self.results = list(results)
 
     @property
     def ok(self):

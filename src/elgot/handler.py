@@ -22,7 +22,6 @@ evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .base_monads import propagate
@@ -35,7 +34,6 @@ class InterpretationError(ValueError):
     """An operation the interpretation cannot handle."""
 
 
-@dataclass
 class MonadMorphism:
     """A natural family of maps between two monads' values.
 
@@ -44,10 +42,14 @@ class MonadMorphism:
     component gives None where it has no value.
     """
 
-    name: str
-    source: ElgotMonad
-    target: ElgotMonad
-    component: Callable
+    __slots__ = ("name", "source", "target", "component")
+
+    def __init__(self, name: str, source: ElgotMonad, target: ElgotMonad,
+                 component: Callable):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.component = component
 
 
 def identity_morphism(m: ElgotMonad) -> MonadMorphism:
@@ -124,12 +126,14 @@ def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     return S.bind(v, elem)
 
 
-@dataclass
 class HandleResult:
-    value: Any
-    converged: bool
-    rounds: int
-    reached: int     # the nodes expanded, each by one handling step
+    __slots__ = ("value", "converged", "rounds", "reached")
+
+    def __init__(self, value: Any, converged: bool, rounds: int, reached: int):
+        self.value = value
+        self.converged = converged
+        self.rounds = rounds
+        self.reached = reached     # the nodes expanded, each by one handling step
 
 
 def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,

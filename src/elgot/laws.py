@@ -10,7 +10,6 @@ regression tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .base_monads import _KleeneMonad, kleene_iterate
@@ -25,15 +24,24 @@ from .iteration import guard_transform, solve_guarded
 from .resumption import OpNode, ResumptionMonad, TCUT, TLeaf, TOp
 
 
-@dataclass
 class GenConfig:
-    seed: int = 42
-    min_carrier: int = 1
-    max_carrier: int = 3
-    branch: int = 2
-    node_budget: int = 15
-    depth: int = 6
-    samples: int = 100
+    __slots__ = ("seed", "min_carrier", "max_carrier", "branch", "node_budget",
+                 "depth", "samples")
+
+    def __init__(self, seed: int = 42, min_carrier: int = 1, max_carrier: int = 3,
+                 branch: int = 2, node_budget: int = 15, depth: int = 6,
+                 samples: int = 100):
+        self.seed = seed
+        self.min_carrier = min_carrier
+        self.max_carrier = max_carrier
+        self.branch = branch
+        self.node_budget = node_budget
+        self.depth = depth
+        self.samples = samples
+
+    def replace(self, **changes) -> "GenConfig":
+        """A copy with the named fields changed."""
+        return GenConfig(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
 
 class Gen:
@@ -534,7 +542,7 @@ def run_axiom_suite(inst, config: GenConfig,
         fn, kind = LAW_CHECKS[name]
         if not _applicable(kind, inst):
             continue
-        gen = Gen(replace(config, seed=_subseed(config.seed, name)))
+        gen = Gen(config.replace(seed=_subseed(config.seed, name)))
         res = LawResult(name)
         for _ in range(config.samples):
             res.note(fn(gen, inst))

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
-                   canon_key, render_elem, spaced)
+                   _Tagged, canon_key, render_elem, spaced)
 
 _tokens = itertools.count(1)
 # Guards every first forcing and every intern-table miss.  It is re-entrant
@@ -38,26 +37,26 @@ _lock = threading.RLock()
 # Signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpDecl:
-    name: str
-    param: Carrier
-    arity: Carrier
+class OpDecl(_Tagged):
+    __slots__ = ()
+    _fields = ("name", "param", "arity")
 
-    def __post_init__(self):
-        if not self.param.elements or not self.arity.elements:
+    def __new__(cls, name: str, param: Carrier, arity: Carrier):
+        if not param.elements or not arity.elements:
             raise ConfigError("operation %s needs nonempty parameter and arity "
-                              "carriers" % self.name)
+                              "carriers" % name)
+        return tuple.__new__(cls, (cls, name, param, arity))
 
 
-@dataclass(frozen=True)
-class Signature:
-    ops: tuple
+class Signature(_Tagged):
+    __slots__ = ()
+    _fields = ("ops",)
 
-    def __post_init__(self):
-        names = [o.name for o in self.ops]
+    def __new__(cls, ops: tuple):
+        names = [o.name for o in ops]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate operation names in signature")
+        return tuple.__new__(cls, (cls, ops))
 
     def op(self, name: str) -> OpDecl:
         for o in self.ops:

@@ -10,10 +10,9 @@ need no guardedness: the while rule iterates the loop step directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
-from .core import (Carrier, Inl, Inr, KleisliFn, carrier, case_sum,
+from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, case_sum,
                    compose_kleisli, make_kleisli, sum_carrier, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
 from .resumption import OpDecl, ResumptionMonad, Signature
@@ -29,23 +28,21 @@ RESERVED = frozenset({"skip", "if", "then", "else", "while", "do",
 # Syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(_Tagged):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Act:
-    name: str
+class Act(_Tagged):
+    __slots__ = ()
+    _fields = ("name",)
 
 
-@dataclass(frozen=True, repr=False)
-class Seq:
-    first: "Stmt"
-    second: "Stmt"
+class Seq(_Tagged):
+    __slots__ = ()
+    _fields = ("first", "second")
 
     def __repr__(self):
-        # the dataclass repr's text, from a loop down the right-nested chain
+        # _Tagged.__repr__'s text, from a loop down the right-nested chain
         opened, stmt = [], self
         while isinstance(stmt, Seq):
             opened.append("Seq(first=%r, second=" % (stmt.first,))
@@ -53,17 +50,14 @@ class Seq:
         return "".join(opened) + repr(stmt) + ")" * len(opened)
 
 
-@dataclass(frozen=True)
-class If:
-    pred: str
-    then: "Stmt"
-    orelse: "Stmt"
+class If(_Tagged):
+    __slots__ = ()
+    _fields = ("pred", "then", "orelse")
 
 
-@dataclass(frozen=True)
-class While:
-    pred: str
-    body: "Stmt"
+class While(_Tagged):
+    __slots__ = ()
+    _fields = ("pred", "body")
 
 
 Stmt = Union[Skip, Act, Seq, If, While]
@@ -193,12 +187,15 @@ def parse(source: str) -> Stmt:
 BOOL2 = carrier("2", ("ff", "tt"))
 
 
-@dataclass
 class Env:
-    rm: ResumptionMonad
-    alphabet: Carrier
-    actions: dict
-    predicates: dict
+    __slots__ = ("rm", "alphabet", "actions", "predicates")
+
+    def __init__(self, rm: ResumptionMonad, alphabet: Carrier, actions: dict,
+                 predicates: dict):
+        self.rm = rm
+        self.alphabet = alphabet
+        self.actions = actions
+        self.predicates = predicates
 
 
 def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:

@@ -31,6 +31,17 @@ def test_run_matches_golden():
     assert r.stdout == (GOLDEN / "sect7_depth3.txt").read_text()
 
 
+def test_package_imports_without_dataclasses_or_inspect():
+    # -S: no site .pth file may import either on the package's behalf
+    r = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, elgot.cli, elgot.laws, elgot.handler, elgot.bsp, "
+         "elgot.while_lang; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(PKG / "src")))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 def test_run_trace_prefixes_ast():
     r = cli("run", str(GOLDEN / "sect7_prog.whl"), "--input", "0",
             "--depth", "1", "--trace")
@@ -232,12 +243,13 @@ def test_usage_errors_exit_two(tmp_path):
         r = cli("bsp", str(path))
         assert r.returncode == 2 and r.stderr.startswith("error: " + message), r.stderr
         bad_files.append(("bsp", str(path)))
-    # a spec with no actions, and a JSON spec whose top level is no object
+    # a spec with no actions, which reads the same in both formats, and a
+    # JSON spec whose top level is no object
     for name, text, message in [
             ("no_actions.bsp", "actions\nstates 1\n",
              "a spec needs at least one action"),
             ("no_actions.json", '{"actions": [], "states": 1, "b": [[]], "j": [[]]}',
-             "malformed spec object: a spec needs at least one action"),
+             "a spec needs at least one action"),
             ("array.json", "[]",
              "malformed spec object: the top level is a list, not an object"),
             ("string.json", '"x"',
@@ -247,6 +259,29 @@ def test_usage_errors_exit_two(tmp_path):
         r = cli("bsp", str(path))
         assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
         bad_files.append(("bsp", str(path)))
+    # one fault, the same line whatever the format
+    for text_spec, json_spec in [
+            ("actions\nstates 1\n", '{"actions": [], "states": 1, "b": [[]], "j": [[]]}'),
+            ("actions a b\nstates 2\nwidth 0 1\nb 0 zzz\nj 0 1\n",
+             '{"actions": ["a", "b"], "states": 2, "b": [["zzz"], []], "j": [[1], []]}')]:
+        (tmp_path / "same.bsp").write_text(text_spec)
+        (tmp_path / "same.json").write_text(json_spec)
+        r_text = cli("bsp", str(tmp_path / "same.bsp"))
+        r_json = cli("bsp", str(tmp_path / "same.json"))
+        assert r_text.returncode == r_json.returncode == 2
+        assert r_text.stderr == r_json.stderr and "malformed" not in r_json.stderr
+    # an empty or repeated entry in a comma separated flag
+    for args, message in [
+            (("--alphabet", "0,0"), "--alphabet '0,0': entry '0' is repeated"),
+            (("--alphabet", ",,"), "--alphabet ',,': entry 1 is empty"),
+            (("--alphabet", "0,1,"), "--alphabet '0,1,': entry 3 is empty"),
+            (("--base", "nondetstate", "--state-set", "s0,s0"),
+             "--state-set 's0,s0': entry 's0' is repeated"),
+            (("--base", "nondetstate", "--state-set", "s0,,s1"),
+             "--state-set 's0,,s1': entry 2 is empty")]:
+        r = cli("run", prog, "--input", "0", *args)
+        assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
+        bad_files.append(("run", prog, "--input", "0") + args)
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\xff\xfe\xfa")
     bad_files += [("run", str(undecodable), "--input", "0"),

@@ -209,6 +209,15 @@ def test_tagged_values_of_every_module_check_their_fields():
         assert str(exc.value) == message
 
 
+def test_tagged_values_reject_a_wrong_field_count():
+    for make, args in [(Act, ()), (Act, ("a", "b")), (Skip, ("x",)), (Seq, (Skip(),)),
+                       (If, ("true", Skip())), (While, ("true", Skip(), Skip())),
+                       (Just, ()), (NdState, ((), ())), (Inl, ("a", "b")), (Pair, ("a",)),
+                       (Carrier, ("x",)), (OpDecl, ("w", carrier("x", ("a",))))]:
+        with pytest.raises(TypeError):
+            make(*args)
+
+
 def test_case_sum_rejects_non_sums():
     assert case_sum(Inl("a"), str.upper, str.lower) == "A"
     assert case_sum(Inr("B"), str.upper, str.lower) == "b"
