@@ -12,20 +12,21 @@ chain is their specification: kleene_iterate takes it until it is stable,
 detected by exact equality on the finite hom-lattice, never by a step
 budget, and the law suites and the tests check both callers against it.
 
-A FinSet is a frozenset, so binds, joins, the equality test of every
+A FinSet is a frozenset, so binds, maps, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
 sorting them.  Its canonical order, elems, is its members sorted by
 canon_key on each read; everything whose order can be seen walks elems:
-rendering, canonical keys, elements, sampling, and the outer loop of bind
-and map, whose callback may build trees that are numbered in creation
-order.
+rendering, canonical keys, elements, sampling, and the outer loop of bind,
+whose callback may build trees that are numbered in creation order.  map
+walks the set in its own hash order, so its callback must neither build
+nor force a tree.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable, Iterable
 from itertools import count
-from typing import Callable, Iterable, Optional
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
                    _Tagged, canon_key, carrier, spaced)
@@ -69,7 +70,9 @@ class FinSet(frozenset):
     """Finite set: a frozenset, whose equality, hashing, `in` and `len` it
     keeps, with elems, its members in canonical order (sorted by
     canon_key), sorted on each read.  Nothing may walk the set in its own
-    hash order where the order can be seen."""
+    hash order where the order can be seen: the outer loop of bind walks
+    elems, and map, which walks the set itself, takes only callbacks that
+    neither build nor force a tree."""
 
     __slots__ = ()
 
@@ -211,7 +214,7 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
             return KleisliFn(m, dom, cod, table)
 
 
-def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: Optional[int] = None):
+def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
     """The Kleene chain `approximants` of step_at from roots, computed in
     one pass: (first, stable, expanded).
 
@@ -379,7 +382,7 @@ class FinSetMonad(_KleeneMonad):
         return finset(out)
 
     def map(self, v, g):
-        return finset(g(e) for e in v.elems)
+        return finset(map(g, v))
 
     def elements(self, v):
         return v.elems
@@ -436,7 +439,7 @@ class NondetStateMonad(_KleeneMonad):
         return NdState(tuple(table))
 
     def map(self, v, g):
-        return NdState(tuple((s, finset(Pair(g(p.fst), p.snd) for p in fs.elems))
+        return NdState(tuple((s, finset(Pair(g(p.fst), p.snd) for p in fs))
                              for s, fs in v.table))
 
     def elements(self, v):
@@ -480,7 +483,7 @@ class NondetStateMonad(_KleeneMonad):
         raise ValueError("malformed nondetstate value: %r" % (data,))
 
 
-def elgot_instance(kind: str, state_set: Optional[Iterable[str]] = None) -> ElgotMonad:
+def elgot_instance(kind: str, state_set: Iterable[str] | None = None) -> ElgotMonad:
     """A fully populated instance from the closed family."""
     if kind == "maybe":
         return MaybeMonad()

@@ -25,8 +25,8 @@ with __slots__.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
 
 
 class CarrierMismatchError(TypeError):
@@ -305,7 +305,7 @@ class KleisliFn:
 
     __slots__ = ("monad", "dom", "cod", "table")
 
-    def __init__(self, monad, dom: Carrier, cod: Optional[Carrier], table: dict):
+    def __init__(self, monad, dom: Carrier, cod: Carrier | None, table: dict):
         self.monad = monad
         self.dom = dom
         self.cod = cod
@@ -323,7 +323,7 @@ class KleisliFn:
             self.dom.name, self.cod.name if self.cod else "?", self.monad.name)
 
 
-def make_kleisli(monad, dom: Carrier, cod: Optional[Carrier], fn: Callable) -> KleisliFn:
+def make_kleisli(monad, dom: Carrier, cod: Carrier | None, fn: Callable) -> KleisliFn:
     return KleisliFn(monad, dom, cod, {x: fn(x) for x in dom.elements})
 
 
@@ -331,7 +331,7 @@ def kleisli_unit(monad, car: Carrier) -> KleisliFn:
     return make_kleisli(monad, car, car, monad.unit)
 
 
-def bottom_kleisli(monad, dom: Carrier, cod: Optional[Carrier]) -> KleisliFn:
+def bottom_kleisli(monad, dom: Carrier, cod: Carrier | None) -> KleisliFn:
     return make_kleisli(monad, dom, cod, lambda _x: monad.bottom())
 
 
@@ -340,7 +340,7 @@ def compose_kleisli(g: KleisliFn, f: KleisliFn) -> KleisliFn:
     if f.monad is not g.monad:
         raise CarrierMismatchError(
             "cannot compose across monads %s and %s" % (f.monad.name, g.monad.name))
-    if f.cod is not None and f.cod.elements != g.dom.elements:
+    if f.cod is not None and f.cod is not g.dom and f.cod.elements != g.dom.elements:
         raise CarrierMismatchError(
             "codomain carrier %s of the first argument does not match domain "
             "carrier %s of the second" % (f.cod.name, g.dom.name))
@@ -361,7 +361,7 @@ def copair(f: KleisliFn, g: KleisliFn) -> KleisliFn:
     return KleisliFn(f.monad, dom, f.cod, table)
 
 
-def map_kleisli(f: KleisliFn, cod: Optional[Carrier], g: Callable) -> KleisliFn:
+def map_kleisli(f: KleisliFn, cod: Carrier | None, g: Callable) -> KleisliFn:
     """Postcompose f with T g for a pure g on elements."""
     m = f.monad
     return KleisliFn(m, f.dom, cod, {x: m.map(f(x), g) for x in f.dom.elements})
@@ -427,7 +427,7 @@ class LawResult:
 class SuiteReport:
     __slots__ = ("instance", "seed", "results")
 
-    def __init__(self, instance: str, seed: Optional[int] = None, results=()):
+    def __init__(self, instance: str, seed: int | None = None, results=()):
         self.instance = instance
         self.seed = seed
         self.results = list(results)

@@ -22,7 +22,7 @@ evaluator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from collections.abc import Callable, Iterable
 
 from .base_monads import propagate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
@@ -129,7 +129,7 @@ def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
 class HandleResult:
     __slots__ = ("value", "converged", "rounds", "reached")
 
-    def __init__(self, value: Any, converged: bool, rounds: int, reached: int):
+    def __init__(self, value: object, converged: bool, rounds: int, reached: int):
         self.value = value
         self.converged = converged
         self.rounds = rounds
@@ -248,7 +248,7 @@ def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
     """
     S = sigma.target
 
-    def evaluate(t: ResTree) -> Optional[Any]:
+    def evaluate(t: ResTree) -> object:
         r = handle(rm, t, sigma, upsilon, fuel)
         return r.value if r.converged else None
 

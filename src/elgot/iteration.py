@@ -94,8 +94,9 @@ def iterate_res(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     of guard_transform(f).  Nothing is bound until a first layer is
     observed, and the base fixpoint is then shared by every point."""
     if f.cod is not None and f.cod.kind == "sum":
-        if f.cod.parts[1].elements != f.dom.elements:
+        rec = f.cod.parts[1]
+        if rec is not f.dom and rec.elements != f.dom.elements:
             raise ValueError(
                 "recursive summand %s does not match the domain %s"
-                % (f.cod.parts[1].name, f.dom.name))
+                % (rec.name, f.dom.name))
     return _unfold(rm, guard_transform(rm, f))

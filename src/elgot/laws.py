@@ -9,8 +9,9 @@ regression tests.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .base_monads import _KleeneMonad, kleene_iterate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult, Pair, Carrier,
@@ -44,6 +45,21 @@ class GenConfig:
         return GenConfig(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
 
+# Carriers never change, and the law checks draw theirs from a small family:
+# one atom carrier per (prefix, size), and sums and products of those.  Each
+# is built once and shared by every sample, so compositions over one
+# carrier find it by identity.  The memos live here, not in core, so they
+# are bounded and hold only what the law checks build, never a user's input.
+
+@functools.lru_cache(maxsize=64)
+def _atoms(prefix: str, size: int) -> Carrier:
+    return carrier(prefix, tuple("%s%d" % (prefix, i) for i in range(size)))
+
+
+sum_carrier = functools.lru_cache(maxsize=256)(sum_carrier)
+prod_carrier = functools.lru_cache(maxsize=64)(prod_carrier)
+
+
 class Gen:
     """Deterministic sample stream for one suite run."""
 
@@ -51,9 +67,10 @@ class Gen:
         self.cfg = config
         self.rng = random.Random(config.seed)
 
-    def carrier(self, prefix: str, size: Optional[int] = None) -> Carrier:
-        n = size or self.rng.randint(self.cfg.min_carrier, self.cfg.max_carrier)
-        return carrier(prefix, tuple("%s%d" % (prefix, i) for i in range(n)))
+    def carrier(self, prefix: str, size: int | None = None) -> Carrier:
+        """The carrier prefix0 .. prefix(n-1), one object per (prefix, n)."""
+        return _atoms(prefix, size or self.rng.randint(self.cfg.min_carrier,
+                                                       self.cfg.max_carrier))
 
     def elem(self, car: Carrier):
         return self.rng.choice(car.elements)
@@ -117,7 +134,7 @@ class Gen:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _first_mismatch(inst, f: KleisliFn, g: KleisliFn) -> Optional[str]:
+def _first_mismatch(inst, f: KleisliFn, g: KleisliFn) -> str | None:
     for x in f.dom.elements:
         if not inst.equal(f(x), g(x)):
             return "at %s: %s vs %s" % (render_elem(x),
@@ -393,6 +410,10 @@ def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
 
 
 def _eager_strength_trunc(rm: ResumptionMonad, c, t, depth: int):
+    # elem forces the children of t inside base.map, which walks a set in
+    # hash order.  That is safe only because Gen.tree builds eager trees,
+    # whose layers are stored at construction: forcing one builds no tree
+    # and draws no token, so the walk's order cannot be seen.
     def elem(e):
         if isinstance(e, Inl):
             return TLeaf(Pair(c, e.value))
@@ -533,7 +554,7 @@ def _applicable(kind: str, inst) -> bool:
 
 
 def run_axiom_suite(inst, config: GenConfig,
-                    laws: Optional[Iterable[str]] = None) -> SuiteReport:
+                    laws: Iterable[str] | None = None) -> SuiteReport:
     """Per-law pass/fail counts on fresh random samples for one instance."""
     names = list(laws) if laws is not None else [
         name for name, (_fn, kind) in LAW_CHECKS.items() if _applicable(kind, inst)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from typing import Callable, Mapping, Optional
+from collections.abc import Callable, Mapping
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
                    _Tagged, canon_key, render_elem, spaced)
@@ -83,7 +83,7 @@ class Thunk:
 
     __slots__ = ("token", "_fn", "_value")
 
-    def __init__(self, fn: Optional[Callable] = None, value=None):
+    def __init__(self, fn: Callable | None = None, value=None):
         self.token = next(_tokens)
         self._fn = fn
         self._value = value
@@ -150,7 +150,7 @@ class ResTree(Thunk):
 
     __slots__ = ()
 
-    def __init__(self, step=None, fn: Optional[Callable] = None):
+    def __init__(self, step=None, fn: Callable | None = None):
         Thunk.__init__(self, fn, step)
 
     out = Thunk.force
@@ -370,8 +370,9 @@ class ResumptionMonad(ElgotMonad):
                 break
             levels.append(reached)
         # build from the deepest level up; nodes at the depth bound are cut.
-        # base.map rebuilds each layer, so set layers come out sorted by the
-        # stored keys of the interned elements
+        # The children were forced above, in the canonical walk of
+        # base.elements; elem only looks them up and builds interned
+        # layers, which draw no tokens, so base.map may walk in any order
         def elem(e):
             if isinstance(e, Inl):
                 return TLeaf(e.value)
@@ -397,5 +398,5 @@ class ResumptionMonad(ElgotMonad):
     def equal(self, a, b) -> bool:
         return self.bisimilar(a, b, self.depth)
 
-    def render(self, t: ResTree, depth: Optional[int] = None) -> str:
+    def render(self, t: ResTree, depth: int | None = None) -> str:
         return self.base.render(self.truncate(t, self.depth if depth is None else depth))

@@ -10,7 +10,7 @@ need no guardedness: the while rule iterates the loop step directly.
 from __future__ import annotations
 
 import re
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, case_sum,
                    compose_kleisli, make_kleisli, sum_carrier, unit_carrier)
@@ -60,7 +60,8 @@ class While(_Tagged):
     _fields = ("pred", "body")
 
 
-Stmt = Union[Skip, Act, Seq, If, While]
+# the five statement classes, a tuple so that isinstance(s, Stmt) works
+Stmt = (Skip, Act, Seq, If, While)
 
 
 class WhileSyntaxError(ValueError):
@@ -294,7 +295,7 @@ def interpret(stmt: Stmt, env: Env) -> KleisliFn:
     raise SemanticError("unknown statement %r" % (stmt,))
 
 
-def run(program: Union[str, Stmt], env: Env, value: str, depth: int) -> str:
+def run(program: str | Stmt, env: Env, value: str, depth: int) -> str:
     """Parse if needed, interpret, truncate at the given depth, render."""
     stmt = parse(program) if isinstance(program, str) else program
     if value not in env.alphabet.elements:

@@ -118,8 +118,10 @@ def test_finset_sorts_only_where_its_order_is_read(monkeypatch):
 
 @pytest.mark.parametrize("kind,kw", KINDS[1:])
 def test_bind_and_map_visit_elements_in_canonical_order(kind, kw):
-    # a callback may build trees, whose tokens are handed out in creation
-    # order, so it must see elements in canonical order, never hash order
+    # a bind callback may build trees, whose tokens are handed out in
+    # creation order, so it must see elements in canonical order, never hash
+    # order; a map callback may not build trees, so map walks the set itself
+    # and only its value is canonical
     m = elgot_instance(kind, **kw)
     xs = [16, 1, 8, -1, 0]
     assert list(frozenset(xs)) != sorted(xs)       # hash order differs here
@@ -129,8 +131,43 @@ def test_bind_and_map_visit_elements_in_canonical_order(kind, kw):
     m.bind(v, lambda x: seen.append(x) or m.unit(x))
     assert seen == per_state
     seen = []
-    assert m.map(v, lambda x: seen.append(x) or x) == v
-    assert seen == per_state
+    mapped = m.map(v, lambda x: seen.append(x) or x % 3)
+    assert mapped == m.bind(v, lambda x: m.unit(x % 3)) == m.choice([x % 3 for x in xs])
+    assert sorted(seen) == sorted(per_state)       # once per member and state
+
+
+def test_map_sorts_nothing(monkeypatch):
+    calls = []
+    key = base_monads.canon_key
+    monkeypatch.setattr(base_monads, "canon_key", lambda v: calls.append(v) or key(v))
+    v = finset(["c", "a", "b"])
+    assert FinSetMonad().map(v, str.upper) == finset(["A", "B", "C"])
+    nd = elgot_instance("nondetstate", state_set=("s0", "s1"))
+    assert nd.map(nd.choice(["c", "a", "b"]), str.upper) == nd.choice(["A", "B", "C"])
+    assert calls == []
+
+
+_INTS = st.integers(-3, 3)
+_VALUES = {
+    "maybe": st.one_of(st.just(NOTHING), st.builds(Just, _INTS)),
+    "finset": st.lists(_INTS, max_size=5).map(finset),
+    "nondetstate": st.tuples(*[
+        st.lists(st.builds(Pair, _INTS, st.sampled_from(("s0", "s1"))), max_size=4)
+        .map(finset) for _s in ("s0", "s1")]).map(
+            lambda sets: NdState(tuple(zip(("s0", "s1"), sets)))),
+}
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), table=st.dictionaries(_INTS, _INTS))
+def test_map_is_bind_of_unit(kind, kw, data, table):
+    m = elgot_instance(kind, **kw)
+    v = data.draw(_VALUES[kind])
+
+    def g(x):
+        return table.get(x, x)
+    assert m.map(v, g) == m.bind(v, lambda x: m.unit(g(x)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -36,7 +36,8 @@ def test_package_imports_without_dataclasses_or_inspect():
     r = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, elgot.cli, elgot.laws, elgot.handler, elgot.bsp, "
-         "elgot.while_lang; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "elgot.while_lang; "
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(PKG / "src")))
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
@@ -560,9 +561,15 @@ def test_outputs_do_not_depend_on_hash_order(tmp_path, args):
                    effects={"toss": {"*": {"set": ["h", "t"]}}})
     args = [a.replace("GOLDEN", str(GOLDEN)).replace("TMP", str(tmp_path))
             for a in args]
-    r0, r1 = (cli(*args, env={"PYTHONHASHSEED": seed}) for seed in ("0", "1"))
+    # laws also writes its --report file, one per hash seed
+    reports = [tmp_path / ("report%s.json" % seed) for seed in ("0", "1")]
+    r0, r1 = (cli(*args, *(("--report", str(rep)) if args[0] == "laws" else ()),
+                  env={"PYTHONHASHSEED": seed})
+              for seed, rep in zip(("0", "1"), reports))
     assert r0.returncode == r1.returncode == 0, r0.stderr
     assert r0.stdout.encode() == r1.stdout.encode()
+    if args[0] == "laws":
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def _in_process(*args):

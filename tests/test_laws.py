@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 
+from elgot import laws
+from elgot.cli import main
 from elgot.core import Inl, Inr, KleisliFn, bottom_kleisli, carrier, compose_kleisli, \
     copair, kleisli_unit, make_kleisli, sum_carrier
 from elgot.base_monads import FinSetMonad, elgot_instance, finset
@@ -30,6 +34,23 @@ def test_generation_is_deterministic():
 
     assert stream(42) == stream(42)
     assert stream(42) != stream(43)
+
+
+def test_generator_carriers_are_built_once():
+    assert Gen(GenConfig(seed=1)).carrier("x", 3) is Gen(GenConfig(seed=2)).carrier("x", 3)
+    x, y = Gen(GenConfig(seed=1)).carrier("x", 2), Gen(GenConfig(seed=1)).carrier("y", 1)
+    assert laws.sum_carrier(x, y) is laws.sum_carrier(x, y) == sum_carrier(x, y)
+    assert laws.prod_carrier(x, y) is laws.prod_carrier(x, y)
+
+
+def test_carrier_memos_hold_the_whole_family():
+    for seed in ("1", "2"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["laws", "--suite", "all", "--samples", "5", "--seed", seed]) == 0
+    for memo in (laws._atoms, laws.sum_carrier, laws.prod_carrier):
+        info = memo.cache_info()
+        # every carrier the suites draw fits, so none was evicted and rebuilt
+        assert 0 < info.currsize < info.maxsize and info.hits > info.misses
 
 
 def test_tree_generation_is_deterministic():
