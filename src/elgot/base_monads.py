@@ -427,7 +427,7 @@ class NondetStateMonad(_KleeneMonad):
         return NdState(tuple((s, per_state(s)) for s in self.states))
 
     def unit(self, x):
-        return self._value(lambda s: finset((Pair(x, s),)))
+        return NdState(tuple([(s, finset((Pair(x, s),))) for s in self.states]))
 
     def bind(self, v, f):
         table = []

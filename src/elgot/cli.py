@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 
 from .core import (CarrierMismatchError, ConfigError, Inl, Inr, carrier,
@@ -95,15 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
 # run
 # ---------------------------------------------------------------------------
 
+# what an entry may not hold: the rendered output could not be read back
+_UNREADABLE = re.compile(r"[\s(){}]")
+
+
 def _entries(text, flag: str):
     """The comma separated entries of a flag, or None for none; an entry
-    that is empty or repeated is an error naming the flag."""
+    that is empty, repeated, or holds whitespace or any of (){} is an error
+    naming the flag."""
     if not text:
         return None
     entries, seen = tuple(text.split(",")), set()
     for i, entry in enumerate(entries, 1):
         if not entry:
             raise UsageError("%s %r: entry %d is empty" % (flag, text, i))
+        bad = _UNREADABLE.search(entry)
+        if bad:
+            raise UsageError("%s %r: entry %r contains %r; an entry holds no "
+                             "whitespace and none of (){}" % (flag, text, entry,
+                                                              bad.group()))
         if entry in seen:
             raise UsageError("%s %r: entry %r is repeated" % (flag, text, entry))
         seen.add(entry)

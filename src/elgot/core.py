@@ -297,10 +297,13 @@ class ElgotMonad:
 class KleisliFn:
     """A total function from a finite carrier into monadic values.
 
-    The table is materialized up front, so repeated application is pure by
-    construction.  cod is the carrier of result elements inside the monadic
-    value; it may be None for internal morphisms whose elements are not
-    drawn from a declared carrier (frozen operation nodes, for instance).
+    The table maps each point to its value, so repeated application is pure
+    by construction.  make_kleisli and compose_kleisli fill it up front; a
+    table may also be a dict that builds a point's value on its first
+    lookup (the while-language denotations).  cod is the carrier of result
+    elements inside the monadic value; it may be None for internal
+    morphisms whose elements are not drawn from a declared carrier (frozen
+    operation nodes, for instance).
     """
 
     __slots__ = ("monad", "dom", "cod", "table")
@@ -315,6 +318,8 @@ class KleisliFn:
         try:
             return self.table[x]
         except KeyError:
+            if x in self.dom:
+                raise       # from building a point's value, not a mismatch
             raise CarrierMismatchError(
                 "%s is not an element of carrier %s" % (render_elem(x), self.dom.name))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .core import Inl, Inr, KleisliFn, case_sum, render_elem
-from .resumption import ResTree, ResumptionMonad
+from .resumption import ResTree, ResumptionMonad, unfold_trees
 
 
 class UnguardedError(ValueError):
@@ -74,9 +74,20 @@ def _unfold(rm: ResumptionMonad, g: KleisliFn) -> KleisliFn:
     """sol(x) = bind(g(x), [unit, sol]) = lift(g(x)) for one shared lifting,
     so a subtree that several points reach lifts to one tree.  For a guarded
     g every recursive call sits under an operation node, so the first layer
-    of sol(x) never waits on the first layer of a solution."""
+    of sol(x) never waits on the first layer of a solution.  A leaf Inl(y)
+    becomes the layer base.unit(Inl(y)) directly, not the layer of a unit
+    tree."""
     y_car = g.cod.parts[0] if g.cod is not None and g.cod.kind == "sum" else None
-    lift = rm.lifting(lambda e: case_sum(e, rm.unit, lambda x: lift(g(x))))
+    base = rm.base
+
+    def leaf(e):
+        if isinstance(e, Inl):
+            return base.unit(e)
+        if isinstance(e, Inr):
+            return lift(g(e.value)).out()
+        raise TypeError("expected a sum value, got %r" % (e,))
+
+    lift = unfold_trees(base, rm.out, leaf)
     return KleisliFn(rm, g.dom, y_car, {x: lift(g(x)) for x in g.dom.elements})
 
 

@@ -7,7 +7,11 @@ once, and an operation node's children are the child trees themselves.
 Trees compare and hash by identity and nodes by their children's identity,
 which is what lets base-monad fixpoints treat subtrees as opaque atoms, and
 what makes memoized forcing observable in tests.  Every tree also carries a
-unique token, its canonical key.
+unique token, its canonical key.  unfold_trees is the one lazy
+corecursion: one object per unfolding, whose trees' cells are partial
+applications of one step function to it and a seed.  map and the guarded
+solutions of the iteration module write a leaf's layer directly, rather
+than build a unit tree only to read its first layer.
 
 Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-
@@ -23,6 +27,7 @@ import itertools
 import threading
 import weakref
 from collections.abc import Callable, Mapping
+from functools import partial
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn,
                    _Tagged, canon_key, render_elem, spaced)
@@ -151,7 +156,10 @@ class ResTree(Thunk):
     __slots__ = ()
 
     def __init__(self, step=None, fn: Callable | None = None):
-        Thunk.__init__(self, fn, step)
+        # Thunk.__init__ inlined: one frame per tree
+        self.token = next(_tokens)
+        self._fn = fn
+        self._value = step
 
     out = Thunk.force
 
@@ -162,30 +170,42 @@ class ResTree(Thunk):
         return ("(tree #%d)" % self.token,)
 
 
-def unfold_trees(base: ElgotMonad, layer: Callable, leaf: Callable) -> Callable:
-    """The one lazy corecursion: seed -> the memoised tree whose first layer
-    is layer(seed) bound by Inl(x) -> leaf(x) and by replacing each node's
-    child seeds with their trees.  Revisiting a seed yields the identical
-    tree, so a finite graph of seeds unfolds into a finite, possibly cyclic,
-    graph of trees.
+class unfold_trees:
+    """The one lazy corecursion: called on a seed, the memoised tree whose
+    first layer is layer(seed) bound by Inl(x) -> leaf(x), a base-monad
+    value, and by replacing each node's child seeds with their trees.
+    Revisiting a seed yields the identical tree, so a finite graph of seeds
+    unfolds into a finite, possibly cyclic, graph of trees.  One object
+    serves every tree of an unfolding: each lazy tree's cell is the partial
+    application of _unfold_step to it and the seed, not a closure of its own.
     """
-    memo = {}
 
-    def elem(e):
-        if isinstance(e, Inl):
-            return leaf(e.value)
-        node = e.value
-        return base.unit(Inr(OpNode(node.op, node.param,
-                                    tuple((a, tree(s)) for a, s in node.children))))
+    __slots__ = ("base", "layer", "leaf", "memo")
 
-    def tree(seed) -> ResTree:
-        t = memo.get(seed)
+    def __init__(self, base: ElgotMonad, layer: Callable, leaf: Callable):
+        self.base = base
+        self.layer = layer
+        self.leaf = leaf
+        self.memo = {}
+
+    def __call__(self, seed) -> ResTree:
+        t = self.memo.get(seed)
         if t is None:
             # setdefault keeps the first tree if two forcings race here
-            t = memo.setdefault(seed, ResTree(fn=lambda: base.bind(layer(seed), elem)))
+            t = self.memo.setdefault(seed, ResTree(fn=partial(_unfold_step, self, seed)))
         return t
 
-    return tree
+    def elem(self, e):
+        if isinstance(e, Inl):
+            return self.leaf(e.value)
+        node = e.value
+        return self.base.unit(Inr(OpNode(node.op, node.param,
+                                         tuple((a, self(s)) for a, s in node.children))))
+
+
+def _unfold_step(unfolding: unfold_trees, seed):
+    """The first layer of the tree unfolding grows from seed."""
+    return unfolding.base.bind(unfolding.layer(seed), unfolding.elem)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +348,15 @@ class ResumptionMonad(ElgotMonad):
         return unfold_trees(self.base, self.out, lambda v: self.out(f(v)))
 
     def bind(self, t: ResTree, f: Callable) -> ResTree:
-        """Lift t by f; map and strength derive from this lifting."""
+        """Lift t by f."""
         return self.lifting(f)(t)
+
+    def map(self, t: ResTree, g: Callable) -> ResTree:
+        """bind(t, unit . g), with each leaf's layer base.unit(Inl(g(v)))
+        written directly rather than read from a unit tree; strength
+        derives from this."""
+        base = self.base
+        return unfold_trees(base, self.out, lambda v: base.unit(Inl(g(v))))(t)
 
     # -- order and iteration -------------------------------------------------
 

@@ -34,7 +34,8 @@ code = cli.main(["run", sys.argv[1], "--base", "finset", "--input", "0",
                  "--depth", "3"])
 metrics = tracer.metrics()
 for name in ("resumption.truncate.calls", "core.canon_key.calls",
-             "base_monads.finset.calls"):
+             "base_monads.finset.calls", "resumption.trees_built",
+             "resumption.steps_run"):
     assert metrics[name] > 0, (name, metrics)
 raise SystemExit(code)
 """

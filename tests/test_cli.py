@@ -279,7 +279,17 @@ def test_usage_errors_exit_two(tmp_path):
             (("--base", "nondetstate", "--state-set", "s0,s0"),
              "--state-set 's0,s0': entry 's0' is repeated"),
             (("--base", "nondetstate", "--state-set", "s0,,s1"),
-             "--state-set 's0,,s1': entry 2 is empty")]:
+             "--state-set 's0,,s1': entry 2 is empty"),
+            # an entry the rendered output could not be read back from
+            (("--alphabet", "a b", "--input", "a b"),
+             "--alphabet 'a b': entry 'a b' contains ' '; an entry holds no "
+             "whitespace and none of (){}"),
+            (("--alphabet", "0,{1}"),
+             "--alphabet '0,{1}': entry '{1}' contains '{'; an entry holds no "
+             "whitespace and none of (){}"),
+            (("--base", "nondetstate", "--state-set", "s0,s(1)"),
+             "--state-set 's0,s(1)': entry 's(1)' contains '('; an entry holds "
+             "no whitespace and none of (){}")]:
         r = cli("run", prog, "--input", "0", *args)
         assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
         bad_files.append(("run", prog, "--input", "0") + args)

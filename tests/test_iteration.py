@@ -7,7 +7,7 @@ from elgot.iteration import (UnguardedError, bare_recursive_leaf,
                              guard_transform, solve_guarded)
 from elgot.resumption import ResumptionMonad, TOp, TCUT, TLeaf
 
-from conftest import resumption, two_op_signature
+from conftest import resumption, tokens_drawn, two_op_signature
 
 
 def _xy(rm, xs=("a", "b"), ys=("y0",)):
@@ -150,6 +150,22 @@ def test_solving_a_guarded_definition_binds_nothing_up_front():
     assert rm.base.binds == before
     g = make_kleisli(rm, x, cod, lambda v: rm.unit(Inr("b" if v == "a" else v)))
     assert bare_recursive_leaf(rm, g) == ("a", "b")
+
+
+def test_a_solution_builds_no_unit_tree_per_leaf(rm_finset):
+    # each first layer holds three leaves, written directly as layers: the
+    # solution and its forcing draw one token per point, its own tree's
+    x, y, cod = _xy(rm_finset, ys=("y0", "y1", "y2"))
+    f = make_kleisli(rm_finset, x, cod, lambda v: rm_finset.out_inv(
+        finset([Inl(Inl(w)) for w in y.elements])))
+
+    def solve_and_force():
+        sol = solve_guarded(rm_finset, f)
+        return [rm_finset.out(sol(v)) for v in x.elements]
+
+    drawn, layers = tokens_drawn(solve_and_force)
+    assert drawn == len(x.elements)
+    assert layers == [finset([Inl(w) for w in y.elements])] * len(x.elements)
 
 
 def test_iterate_binds_on_demand_and_shares_the_base_fixpoint():

@@ -11,7 +11,7 @@ from elgot.base_monads import FinSet, Just, NOTHING, NdState, elgot_instance, fi
 from elgot.resumption import (OpDecl, OpNode, ResTree, ResumptionMonad, Signature,
                               Thunk, TLeaf, TCUT, TOp, sig_val)
 
-from conftest import resumption, two_op_signature
+from conftest import resumption, tokens_drawn, two_op_signature
 
 
 def test_signature_validation():
@@ -113,6 +113,18 @@ def test_strength_then_snd_is_identity(rm_finset):
     t = rm_finset.iota("ask", "*", {"l": "x", "r": "y"})
     roundtrip = rm_finset.map(rm_finset.strength("c", t), lambda p: p.snd)
     assert rm_finset.bisimilar(roundtrip, t, 6)
+
+
+def test_map_and_strength_build_no_unit_tree_per_leaf(rm_finset):
+    # each leaf's layer is written directly: forcing the first layer of the
+    # image draws only the image's own token
+    t = rm_finset.ext(finset(["a", "b", "c", "d"]))
+    drawn, layer = tokens_drawn(lambda: rm_finset.out(rm_finset.map(t, lambda v: v + "!")))
+    assert drawn == 1
+    assert layer == finset([Inl("a!"), Inl("b!"), Inl("c!"), Inl("d!")])
+    drawn, layer = tokens_drawn(lambda: rm_finset.out(rm_finset.strength("c", t)))
+    assert drawn == 1
+    assert layer == finset([Inl(Pair("c", v)) for v in "abcd"])
 
 
 def test_truncate_leaf_at_depth_zero(rm_maybe):

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgot.core import Inl, Inr
+from elgot.core import CarrierMismatchError, Inl, Inr
 from elgot.while_lang import (Act, If, Seq, Skip, While, SemanticError,
                               WhileSyntaxError, interpret, make_env, parse, run)
+
+from conftest import tokens_drawn
 
 
 def test_parse_skip():
@@ -166,3 +168,41 @@ def test_run_validates_input():
 def test_default_alphabet_is_eight_symbols():
     env = make_env("finset")
     assert env.alphabet.elements == tuple(str(i) for i in range(8))
+
+
+def test_denotations_are_built_one_point_at_a_time():
+    env = make_env("finset")                  # the default 8-letter alphabet
+    drawn, sem = tokens_drawn(lambda: interpret(parse("read; write"), env))
+    assert drawn == 0
+    t = sem("3")
+    assert list(sem.table) == ["3"]
+    assert sem("3") is t
+    with pytest.raises(CarrierMismatchError):
+        sem("zz")
+    assert list(sem.table) == ["3"]
+
+
+def test_a_key_error_while_building_a_point_propagates():
+    env = make_env("finset", alphabet=("0", "1"))
+    missing = KeyError("missing")
+
+    def boom(_v):
+        raise missing
+
+    env.actions["boom"] = boom
+    sem = interpret(parse("skip; boom"), env)
+    with pytest.raises(KeyError) as exc:
+        env.rm.out(sem("0"))
+    assert exc.value is missing
+    with pytest.raises(KeyError) as exc:
+        interpret(parse("boom"), env)("1")
+    assert exc.value is missing
+
+
+def test_a_point_outside_the_alphabet_is_a_carrier_mismatch():
+    env = make_env("finset", alphabet=("0", "1"))
+    for source in ("skip", "write", "skip; write", "if true then skip else write",
+                   "while false do write"):
+        sem = interpret(parse(source), env)
+        with pytest.raises(CarrierMismatchError, match="^2 is not an element of carrier n$"):
+            sem("2")
