@@ -21,8 +21,19 @@ from .base_monads import FinSetMonad, finset
 from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 
 
+# The most states a definition may declare.  A text definition defaults
+# every row it leaves out, so its few bytes could otherwise ask for tables of
+# any length; one at the limit with no rows solves in seconds.
+MAX_STATES = 100_000
+
+
 class BspLoadError(ValueError):
     pass
+
+
+def _check_state_count(states: int) -> None:
+    if states > MAX_STATES:
+        raise BspLoadError("states %d is above the limit of %d" % (states, MAX_STATES))
 
 
 def _is_int(x) -> bool:
@@ -53,6 +64,7 @@ class BspSpec(_Tagged):
             raise BspLoadError("states, widths and targets must be integers")
         if states < 1:
             raise BspLoadError("need at least one state")
+        _check_state_count(states)
         if len(widths) != states or len(b) != states or len(j) != states:
             raise BspLoadError("tables must have one row per state")
         for i in range(states):
@@ -107,6 +119,7 @@ def parse_bsp_text(text: str) -> BspSpec:
             raise BspLoadError("line %d: malformed entry %r" % (lineno, raw))
     if actions is None or states is None:
         raise BspLoadError("actions and states are required")
+    _check_state_count(states)    # before any table is built
     for (key, i), lineno in row_lines.items():
         if not 0 <= i < states:
             raise BspLoadError("line %d: %s row for state %d out of range "

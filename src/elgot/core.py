@@ -4,23 +4,22 @@ type of every law check.
 
 Atoms are plain strings; every composite value (sum tags, pairs, operation
 nodes, truncated tree layers) has a canonical sort key so that finite sets
-over mixed element types have a stable, deterministic order.  Sums, pairs and
-base-monad values build their key from their parts on each call; operation
-nodes build theirs on first use and store it, and truncated tree layers are
-hash-consed and store theirs once (see the resumption module).  Composite
-values render through one explicit stack, so neither keys nor text are
-bounded by Python's recursion depth.
+over mixed element types have a stable, deterministic order.  Sums, pairs,
+operation nodes and base-monad values build their key from their parts on
+each call; truncated tree layers are hash-consed and store theirs once (see
+the resumption module).  Composite values render through one explicit
+stack, so neither keys nor text are bounded by Python's recursion depth.
 
 Every immutable value of the package is a tagged tuple, its class followed
 by its fields: sums and pairs, (Inl, value), (Inr, value) and (Pair, fst,
 snd), and likewise carriers, maybe and nondetstate values, operation
-declarations, signatures, process definitions and while-program syntax.
-Hashing and equality run in the tuple's own code.  A class hashes by its
-address, so the hash of a tagged value, and with it a set's own iteration
-order, can change from one run to the next even at one PYTHONHASHSEED.
-Output stays canonical because every order that can be seen walks a set's
-elems, which sorts by canonical key.  Mutable records are plain classes
-with __slots__.
+declarations, signatures, operation nodes, process definitions and
+while-program syntax.  Hashing and equality run in the tuple's own code.
+A class hashes by its address, so the hash of a tagged value, and with it
+a set's own iteration order, can change from one run to the next even at
+one PYTHONHASHSEED.  Output stays canonical because every order that can
+be seen walks a set's elems, which sorts by canonical key.  Mutable
+records are plain classes with __slots__.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ class _Tagged(tuple):
 
     A subclass lists its field names in _fields and gets a read-only
     property for each.  It defines __new__ only to check its fields, to
-    give defaults, or, on the values that binds build (sums, pairs and
-    base-monad values), to skip the count check of the shared one, which
-    would make each about half again as slow to build.
+    give defaults, to store a list field as a tuple (operation nodes), or,
+    on the values that binds build (sums, pairs and base-monad values), to
+    skip the count check of the shared one, which would make each about
+    half again as slow to build.
     """
 
     __slots__ = ()

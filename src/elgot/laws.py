@@ -26,14 +26,11 @@ from .resumption import OpNode, ResumptionMonad, TCUT, TLeaf, TOp
 
 
 class GenConfig:
-    __slots__ = ("seed", "min_carrier", "max_carrier", "branch", "node_budget",
-                 "depth", "samples")
+    __slots__ = ("seed", "max_carrier", "branch", "node_budget", "depth", "samples")
 
-    def __init__(self, seed: int = 42, min_carrier: int = 1, max_carrier: int = 3,
-                 branch: int = 2, node_budget: int = 15, depth: int = 6,
-                 samples: int = 100):
+    def __init__(self, seed: int = 42, max_carrier: int = 3, branch: int = 2,
+                 node_budget: int = 15, depth: int = 6, samples: int = 100):
         self.seed = seed
-        self.min_carrier = min_carrier
         self.max_carrier = max_carrier
         self.branch = branch
         self.node_budget = node_budget
@@ -69,8 +66,7 @@ class Gen:
 
     def carrier(self, prefix: str, size: int | None = None) -> Carrier:
         """The carrier prefix0 .. prefix(n-1), one object per (prefix, n)."""
-        return _atoms(prefix, size or self.rng.randint(self.cfg.min_carrier,
-                                                       self.cfg.max_carrier))
+        return _atoms(prefix, size or self.rng.randint(1, self.cfg.max_carrier))
 
     def elem(self, car: Carrier):
         return self.rng.choice(car.elements)

@@ -3,15 +3,17 @@
 A tree is observed one layer at a time: out(t) is a base-monad value whose
 elements are either Inl(leaf) or Inr(operation node).  A tree is the
 suspension of its first layer, a memoised cell (Thunk) computed at most
-once, and an operation node's children are the child trees themselves.
-Trees compare and hash by identity and nodes by their children's identity,
-which is what lets base-monad fixpoints treat subtrees as opaque atoms, and
-what makes memoized forcing observable in tests.  Every tree also carries a
-unique token, its canonical key.  unfold_trees is the one lazy
-corecursion: one object per unfolding, whose trees' cells are partial
-applications of one step function to it and a seed.  map and the guarded
-solutions of the iteration module write a leaf's layer directly, rather
-than build a unit tree only to read its first layer.
+once.  An operation node is a tagged tuple like every other value of the
+package, and its children are the child trees themselves.  Trees compare
+and hash by identity and nodes by their children's identity, which is what
+lets base-monad fixpoints treat subtrees as opaque atoms, and what makes
+memoized forcing observable in tests.  Every tree also carries a unique
+token, its canonical key; a node builds its key from its parts on each
+call.  unfold_trees is the one lazy corecursion: one object per unfolding,
+whose trees' cells are partial applications of one step function to it
+and a seed.  map and the guarded solutions of the iteration module write a
+leaf's layer directly, rather than build a unit tree only to read its first
+layer.
 
 Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-
@@ -104,50 +106,34 @@ class Thunk:
         return v
 
 
-class OpNode:
-    """One operation layer: name, parameter, child tree per arity atom.
+class OpNode(_Tagged):
+    """One operation layer, the tagged tuple (OpNode, op, param, children):
+    name, parameter, and a child tree per arity atom, in arity order.
 
-    Equality and hashing go through (op, param, children); trees compare and
-    hash by identity, never by structure, so these nodes can sit inside
-    base-monad set values.  Before coit unfolds them, the children are seeds.
-    A node never changes, so its hash and its canonical key are built on
-    first use and stored.
+    Equality and hashing are the tuple's own; trees compare and hash by
+    identity, never by structure, so these nodes can sit inside base-monad
+    set values.  Before coit unfolds them, the children are seeds.
     """
 
-    __slots__ = ("op", "param", "children", "_key", "_hash")
+    __slots__ = ()
+    _fields = ("op", "param", "children")
 
-    def __init__(self, op: str, param, children):
-        self.op = op
-        self.param = param
-        self.children = tuple(children)   # ((arity atom, ResTree), ...)
-        self._key = self._hash = None
+    def __new__(cls, op: str, param, children):
+        # ((arity atom, ResTree), ...); callers may pass a list
+        return tuple.__new__(cls, (cls, op, param, tuple(children)))
 
     def child(self, a) -> "ResTree":
-        for atom, t in self.children:
+        for atom, t in self[3]:
             if atom == a:
                 return t
         raise KeyError(a)
 
-    def __eq__(self, other):
-        return isinstance(other, OpNode) and (
-            self.op, self.param, self.children) == (
-            other.op, other.param, other.children)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.op, self.param, self.children))
-        return h
-
     def _canon_key_(self):
-        key = self._key
-        if key is None:
-            key = self._key = (21, self.op, canon_key(self.param),
-                               tuple(canon_key(c) for _a, c in self.children))
-        return key
+        return (21, self[1], canon_key(self[2]),
+                tuple(canon_key(c) for _a, c in self[3]))
 
     def _render_(self):
-        return ("(node ", self.op, " ", self.param, ")")
+        return ("(node ", self[1], " ", self[2], ")")
 
 
 class ResTree(Thunk):

@@ -5,7 +5,7 @@ import pytest
 
 from elgot.base_monads import FinSetMonad
 from elgot.core import Inl, Inr, Pair
-from elgot.bsp import (BspLoadError, BspSpec, build_equations, load_bsp,
+from elgot.bsp import (MAX_STATES, BspLoadError, BspSpec, build_equations, load_bsp,
                        lts_to_csv, lts_to_dot, lts_to_text, parse_bsp_json,
                        parse_bsp_text, solve_and_unfold)
 
@@ -77,6 +77,14 @@ def test_parse_json_equivalent():
 def test_load_errors(bad):
     with pytest.raises(BspLoadError):
         load_bsp(bad)
+
+
+def test_state_count_is_bounded():
+    assert load_bsp("actions a\nstates %d\n" % MAX_STATES).states == MAX_STATES
+    for spec in ("actions a\nstates %d\n" % (MAX_STATES + 1),
+                 '{"actions": ["a"], "states": %d, "b": [], "j": []}' % (MAX_STATES + 1)):
+        with pytest.raises(BspLoadError, match="^states 100001 is above the limit of 100000$"):
+            load_bsp(spec)
 
 
 def test_build_equations_declares_only_reachable_variables():

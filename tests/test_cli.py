@@ -419,6 +419,28 @@ def test_bsp_fuzzed_spec_never_crashes(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue()
 
 
+def _cap_address_space():
+    # a runaway allocation then raises MemoryError in the child instead of
+    # exhausting the machine
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", [
+    "actions a\nstates 1000000000\n",
+    '{"actions": ["a"], "states": 1000000000, "b": [], "j": []}'])
+def test_bsp_refuses_a_huge_state_count(tmp_path, spec):
+    # 22 bytes of text declare 10^9 states whose rows all default to empty
+    path = tmp_path / "huge.bsp"
+    path.write_text(spec)
+    r = subprocess.run([sys.executable, "-m", "elgot", "bsp", str(path), "--depth", "0"],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(PKG / "src")},
+                       preexec_fn=_cap_address_space)
+    assert r.returncode == 2, r.stderr[-300:]
+    assert r.stderr == "error: states 1000000000 is above the limit of 100000\n"
+
+
 def test_long_sequence_runs(tmp_path):
     prog = tmp_path / "long.whl"
     prog.write_text("; ".join(["write"] * 5000))
@@ -484,6 +506,44 @@ def test_deep_programs_never_print_a_traceback(tmp_path, source):
     assert r.returncode in (0, 2) and "Traceback" not in r.stderr, r.stderr[-300:]
     if r.returncode == 2:
         assert r.stderr.startswith("error: ")
+
+
+# programs of the README grammar over the built-in actions and predicates
+# and one unknown name of each kind, which the environment rejects
+_IDENTS = st.sampled_from(["read", "write", "jump"])
+_PREDS = st.sampled_from(["true", "false", "coin", "odd"])
+_PROGRAMS = st.recursive(
+    st.one_of(st.just("skip"), _IDENTS),
+    lambda stmt: st.one_of(
+        st.builds("{}; {}".format, stmt, stmt),
+        st.builds("if {} then {} else {}".format, _PREDS, stmt, stmt),
+        st.builds("while {} do {}".format, _PREDS, stmt),
+        st.builds("{{ {} }}".format, stmt)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_fuzzed_program_never_crashes(tmp_path_factory, data):
+    # --depth stays small: the text of `while true do write` on a
+    # nondeterministic base doubles with each unit of depth
+    source = data.draw(st.one_of(
+        _PROGRAMS, st.integers(1, 2000).map(lambda n: "; ".join(["skip"] * n))))
+    base = data.draw(st.sampled_from(["maybe", "finset", "nondetstate"]))
+    args = ["--base", base, "--input", data.draw(st.sampled_from("07")),
+            "--depth", str(data.draw(st.integers(0, 5)))]
+    if base == "nondetstate":
+        args += ["--state-set", data.draw(st.sampled_from(["s0", "s0,s1"]))]
+    file = tmp_path_factory.getbasetemp() / "fuzzed.whl"
+    file.write_text(source)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(file), *args])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue()
 
 
 def test_parse_errors_exit_two(tmp_path):

@@ -13,7 +13,7 @@ from elgot.core import (Carrier, CarrierMismatchError, ConfigError, Inl, Inr,
 from elgot.base_monads import (Just, NOTHING, NdState, elgot_instance, finset,
                                kleene_iterate)
 from elgot.bsp import BspLoadError, BspSpec
-from elgot.resumption import OpDecl, Signature
+from elgot.resumption import OpDecl, OpNode, Signature, sig_val
 from elgot.while_lang import Act, If, Seq, Skip, While
 
 
@@ -80,6 +80,9 @@ def _immutable_values():
         (sum_carrier(x, unit_carrier()), ("name", "elements", "kind", "parts")),
         (write, ("name", "param", "arity")),
         (Signature((write, OpDecl("read", unit_carrier(), x))), ("ops",)),
+        # atom seeds: a deep copy of a tree child would be another tree
+        (sig_val(OpDecl("read", unit_carrier(), x), "*", {"x0": "s0", "x1": Pair("s", 1)}),
+         ("op", "param", "children")),
         (BspSpec(("a", "b"), 2, (1, 0), (("b",), ()), ((1,), ())),
          ("actions", "states", "widths", "b", "j")),
         (Skip(), ()),
@@ -168,6 +171,8 @@ def test_tagged_values_of_every_module_repr_as_dataclasses():
         "kind='sum', parts=(%s, %s))" % (x_text, one_text))
     assert repr(write) == write_text
     assert repr(Signature((write,))) == "Signature(ops=(%s,))" % write_text
+    assert repr(sig_val(write, "x0", {"*": "s0"})) == \
+        "OpNode(op='write', param='x0', children=(('*', 's0'),))"
     assert repr(BspSpec(("a",), 1, (1,), (("a",),), ((0,),))) == \
         "BspSpec(actions=('a',), states=1, widths=(1,), b=(('a',),), j=((0,),))"
     assert repr(Skip()) == "Skip()" and repr(Act("write")) == "Act(name='write')"
@@ -213,7 +218,8 @@ def test_tagged_values_reject_a_wrong_field_count():
     for make, args in [(Act, ()), (Act, ("a", "b")), (Skip, ("x",)), (Seq, (Skip(),)),
                        (If, ("true", Skip())), (While, ("true", Skip(), Skip())),
                        (Just, ()), (NdState, ((), ())), (Inl, ("a", "b")), (Pair, ("a",)),
-                       (Carrier, ("x",)), (OpDecl, ("w", carrier("x", ("a",))))]:
+                       (Carrier, ("x",)), (OpDecl, ("w", carrier("x", ("a",)))),
+                       (OpNode, ("w", "a")), (OpNode, ("w", "a", (), ()))]:
         with pytest.raises(TypeError):
             make(*args)
 

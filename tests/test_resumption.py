@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, \
+from elgot.core import ConfigError, Inl, Inr, Pair, _Tagged, canon_key, carrier, \
     sum_carrier, make_kleisli
 from elgot.base_monads import FinSet, Just, NOTHING, NdState, elgot_instance, finset
 from elgot.resumption import (OpDecl, OpNode, ResTree, ResumptionMonad, Signature,
@@ -189,15 +189,23 @@ CELLS = pytest.mark.parametrize("force", [
 ], ids=["Thunk.force", "ResTree.out"])
 
 
-def test_op_node_stores_its_hash():
-    t = ResTree(fn=lambda: finset(()))
+def test_op_node_is_a_tagged_value():
+    t, u = (ResTree(fn=lambda: finset(())) for _ in range(2))
     node = OpNode("act", "a", (("*", t),))
-    assert hash(node) == hash(("act", "a", (("*", t),)))
-    assert hash(OpNode("act", "a", [("*", t)])) == hash(node)
-    # a second hash reads the stored value and never rebuilds the tuple
-    first = hash(node)
-    node.param = "b"
-    assert hash(node) == first
+    assert isinstance(node, _Tagged) and tuple(node) == (OpNode, "act", "a", (("*", t),))
+    assert (node.op, node.param, node.children, node.child("*")) == ("act", "a", (("*", t),), t)
+    # list children are stored as a tuple
+    listed = OpNode("act", "a", [("*", t)])
+    assert type(listed.children) is tuple
+    # equal exactly when op, param and the identical child trees agree
+    assert listed is not node and listed == node and hash(listed) == hash(node)
+    assert OpNode("act", "b", (("*", t),)) != node
+    assert OpNode("ask", "a", (("*", t),)) != node
+    assert OpNode("act", "a", (("+", t),)) != node
+    # a tree equal in every observation but not identical is another child
+    assert OpNode("act", "a", (("*", u),)) != node
+    assert node != ("act", "a", (("*", t),)) and node != Inr(node)
+    assert len({node, listed, OpNode("act", "a", (("*", u),))}) == 2
 
 
 @CELLS
@@ -514,18 +522,16 @@ def test_stored_keys_equal_the_structural_keys(kind):
     assert len(set(keys.values())) == len(keys)
 
 
-def test_node_keys_are_stored_and_structural(rm_maybe):
+def test_node_keys_are_structural(rm_maybe):
     shared = rm_maybe.iota("act", "p1", {"*": "x"})
     t = rm_maybe.op_call("ask", "*", {"l": shared, "r": shared})
     node = rm_maybe.out(t).value.value
-    key = node._canon_key_()
-    assert node._canon_key_() is key and canon_key(node) is key
-    assert key == (21, "ask", (0, "*"), ((22, shared.token), (22, shared.token)))
+    key = (21, "ask", (0, "*"), ((22, shared.token), (22, shared.token)))
+    assert node._canon_key_() == key and canon_key(node) == key
 
     seeds = sig_val(rm_maybe.sig.op("ask"), "*", {"l": Pair("s", 1), "r": Inl("s")})
-    key = seeds._canon_key_()
-    assert seeds._canon_key_() is key
-    assert key == (21, "ask", (0, "*"), ((4, (0, "s"), (1, 1)), (2, (0, "s"))))
+    assert seeds._canon_key_() == (21, "ask", (0, "*"),
+                                   ((4, (0, "s"), (1, 1)), (2, (0, "s"))))
 
 
 def test_rendering_expands_each_shared_layer_once(monkeypatch):
