@@ -86,6 +86,7 @@ def parse_bsp_text(text: str) -> BspSpec:
     widths = {}
     b_rows = {}
     j_rows = {}
+    header_lines = {}  # actions or states -> the line that gives it
     row_lines = {}     # (key, state) -> the line of that row
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -94,10 +95,16 @@ def parse_bsp_text(text: str) -> BspSpec:
         parts = line.split()
         key = parts[0]
         try:
-            if key == "actions":
-                actions = tuple(parts[1:])
-            elif key == "states":
-                states = int(parts[1])
+            if key in ("actions", "states"):
+                if key in header_lines:
+                    raise BspLoadError("line %d: a second %s line (the first is on "
+                                       "line %d)" % (lineno, key, header_lines[key]))
+                header_lines[key] = lineno
+                if key == "actions":
+                    actions = tuple(parts[1:])
+                else:
+                    (count,) = parts[1:]        # exactly one value
+                    states = int(count)
             elif key in ("width", "b", "j"):
                 i = int(parts[1])
                 if (key, i) in row_lines:
@@ -106,7 +113,8 @@ def parse_bsp_text(text: str) -> BspSpec:
                                        % (lineno, key, i, row_lines[key, i]))
                 row_lines[key, i] = lineno
                 if key == "width":
-                    widths[i] = int(parts[2])
+                    _state, width = parts[1:]   # exactly two values
+                    widths[i] = int(width)
                 elif key == "b":
                     b_rows[i] = tuple(parts[2:])
                 else:

@@ -298,12 +298,12 @@ class KleisliFn:
     """A total function from a finite carrier into monadic values.
 
     The table maps each point to its value, so repeated application is pure
-    by construction.  make_kleisli and compose_kleisli fill it up front; a
-    table may also be a dict that builds a point's value on its first
-    lookup (the while-language denotations).  cod is the carrier of result
-    elements inside the monadic value; it may be None for internal
-    morphisms whose elements are not drawn from a declared carrier (frozen
-    operation nodes, for instance).
+    by construction.  A table is either handed over whole (sampled values,
+    solved tables) or filled on first use: make_kleisli, and every
+    constructor built on it, builds a point's value on its first lookup.
+    cod is the carrier of result elements inside the monadic value; it may
+    be None for internal morphisms whose elements are not drawn from a
+    declared carrier (frozen operation nodes, for instance).
     """
 
     __slots__ = ("monad", "dom", "cod", "table")
@@ -328,16 +328,31 @@ class KleisliFn:
             self.dom.name, self.cod.name if self.cod else "?", self.monad.name)
 
 
+class _Points(dict):
+    """A table filled one point at a time: the first lookup of x in dom
+    builds fn(x), and later ones read it.  A point outside dom raises
+    KeyError, which KleisliFn reports as a carrier mismatch."""
+
+    __slots__ = ("dom", "fn")
+
+    def __init__(self, dom: Carrier, fn: Callable):
+        super().__init__()
+        self.dom = dom
+        self.fn = fn
+
+    def __missing__(self, x):
+        if x not in self.dom:
+            raise KeyError(x)
+        # setdefault keeps the first value if two builds race here
+        return self.setdefault(x, self.fn(x))
+
+
 def make_kleisli(monad, dom: Carrier, cod: Carrier | None, fn: Callable) -> KleisliFn:
-    return KleisliFn(monad, dom, cod, {x: fn(x) for x in dom.elements})
+    return KleisliFn(monad, dom, cod, _Points(dom, fn))
 
 
 def kleisli_unit(monad, car: Carrier) -> KleisliFn:
     return make_kleisli(monad, car, car, monad.unit)
-
-
-def bottom_kleisli(monad, dom: Carrier, cod: Carrier | None) -> KleisliFn:
-    return make_kleisli(monad, dom, cod, lambda _x: monad.bottom())
 
 
 def compose_kleisli(g: KleisliFn, f: KleisliFn) -> KleisliFn:
@@ -350,26 +365,21 @@ def compose_kleisli(g: KleisliFn, f: KleisliFn) -> KleisliFn:
             "codomain carrier %s of the first argument does not match domain "
             "carrier %s of the second" % (f.cod.name, g.dom.name))
     m = f.monad
-    return KleisliFn(m, f.dom, g.cod, {x: m.bind(f(x), g) for x in f.dom.elements})
+    return make_kleisli(m, f.dom, g.cod, lambda x: m.bind(f(x), g))
 
 
 def copair(f: KleisliFn, g: KleisliFn) -> KleisliFn:
     """[f, g] on the sum of the two domains."""
     if f.monad is not g.monad:
         raise CarrierMismatchError("copairing across different monads")
-    dom = sum_carrier(f.dom, g.dom)
-    table = {}
-    for x in f.dom.elements:
-        table[Inl(x)] = f(x)
-    for x in g.dom.elements:
-        table[Inr(x)] = g(x)
-    return KleisliFn(f.monad, dom, f.cod, table)
+    return make_kleisli(f.monad, sum_carrier(f.dom, g.dom), f.cod,
+                        lambda x: case_sum(x, f, g))
 
 
 def map_kleisli(f: KleisliFn, cod: Carrier | None, g: Callable) -> KleisliFn:
     """Postcompose f with T g for a pure g on elements."""
     m = f.monad
-    return KleisliFn(m, f.dom, cod, {x: m.map(f(x), g) for x in f.dom.elements})
+    return make_kleisli(m, f.dom, cod, lambda x: m.map(f(x), g))
 
 
 def strong_iterate(f: KleisliFn) -> KleisliFn:

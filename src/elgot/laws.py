@@ -24,15 +24,17 @@ from .handler import (EffectInterpretation, MonadMorphism,
 from .iteration import guard_transform, solve_guarded
 from .resumption import OpNode, ResumptionMonad, TCUT, TLeaf, TOp
 
+# the most elements a sampled finite set (or state's set) draws
+BRANCH = 2
+
 
 class GenConfig:
-    __slots__ = ("seed", "max_carrier", "branch", "node_budget", "depth", "samples")
+    __slots__ = ("seed", "max_carrier", "node_budget", "depth", "samples")
 
-    def __init__(self, seed: int = 42, max_carrier: int = 3, branch: int = 2,
-                 node_budget: int = 15, depth: int = 6, samples: int = 100):
+    def __init__(self, seed: int = 42, max_carrier: int = 3, node_budget: int = 15,
+                 depth: int = 6, samples: int = 100):
         self.seed = seed
         self.max_carrier = max_carrier
-        self.branch = branch
         self.node_budget = node_budget
         self.depth = depth
         self.samples = samples
@@ -82,7 +84,7 @@ class Gen:
         """A random value of inst over cod; a tree on a resumption monad."""
         if isinstance(inst, ResumptionMonad):
             return self.tree(inst, cod)
-        return inst.sample_value(self.rng, lambda: self.elem(cod), self.cfg.branch)
+        return inst.sample_value(self.rng, lambda: self.elem(cod), BRANCH)
 
     def kleisli(self, inst, dom: Carrier, cod: Carrier) -> KleisliFn:
         return KleisliFn(inst, dom, cod, {x: self.value(inst, cod) for x in dom.elements})
@@ -110,7 +112,7 @@ class Gen:
                 kids = tuple((a, gen()) for a in op.arity.elements)
                 return Inr(OpNode(op.name, self.elem(op.param), kids))
 
-            return rm.out_inv(rm.base.sample_value(self.rng, gen_elem, self.cfg.branch))
+            return rm.out_inv(rm.base.sample_value(self.rng, gen_elem, BRANCH))
 
         return gen(first=True)
 

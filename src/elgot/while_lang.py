@@ -6,9 +6,10 @@ the built-in input/output operations; predicates are true, false, and (for
 nondeterministic bases) coin, a visible binary choice operation.  Loops
 need no guardedness: the while rule iterates the loop step directly.
 
-A denotation's table fills one point at a time, on first application, so
-a run builds only the trees of the points it applies and of the points
-those trees reach.  Unknown actions and predicates are still reported by
+Every denotation is built by core.make_kleisli or core.compose_kleisli,
+whose tables fill one point at a time on first application, so a run
+builds only the trees of the points it applies and of the points those
+trees reach.  Unknown actions and predicates are still reported by
 interpret itself.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, sum_carrier,
-                   unit_carrier)
+from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, compose_kleisli,
+                   make_kleisli, sum_carrier, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
 from .resumption import OpDecl, ResumptionMonad, Signature
 
@@ -254,30 +255,6 @@ def _lookup_pred(env: Env, name: str) -> Callable:
     return fn
 
 
-class _Points(dict):
-    """A denotation's table, filled one point at a time: the first
-    application at x in dom builds fn(x), and later ones read it.  A point
-    outside dom raises KeyError, which KleisliFn reports as a carrier
-    mismatch."""
-
-    __slots__ = ("dom", "fn")
-
-    def __init__(self, dom: Carrier, fn: Callable):
-        super().__init__()
-        self.dom = dom
-        self.fn = fn
-
-    def __missing__(self, x):
-        if x not in self.dom:
-            raise KeyError(x)
-        # setdefault keeps the first value if two builds race here
-        return self.setdefault(x, self.fn(x))
-
-
-def _on_demand(env: Env, cod: Carrier, fn: Callable) -> KleisliFn:
-    return KleisliFn(env.rm, env.alphabet, cod, _Points(env.alphabet, fn))
-
-
 def _branch(env: Env, pred: str, on_true: Callable, on_false: Callable):
     """The predicate composite: lift the test's tree once, continuing at the
     value with the false branch on the left and the true branch on the right."""
@@ -290,20 +267,16 @@ def _branch(env: Env, pred: str, on_true: Callable, on_false: Callable):
     return at
 
 
-def _then(rm: ResumptionMonad, first: KleisliFn, rest: KleisliFn) -> Callable:
-    """The Kleisli composite rest* . first, at one point."""
-    return lambda x: rm.bind(first(x), rest)
-
-
 def interpret(stmt: Stmt, env: Env) -> KleisliFn:
-    """The denotation of stmt, alphabet -> trees, each table filled one
-    point at a time on first application."""
+    """The denotation of stmt, alphabet -> trees.  Every table is built by
+    make_kleisli or compose_kleisli, so it fills one point at a time on
+    first application; unknown actions and predicates raise here."""
     rm = env.rm
     alpha = env.alphabet
     if isinstance(stmt, Skip):
-        return _on_demand(env, alpha, rm.unit)
+        return make_kleisli(rm, alpha, alpha, rm.unit)
     if isinstance(stmt, Act):
-        return _on_demand(env, alpha, _lookup_action(env, stmt.name))
+        return make_kleisli(rm, alpha, alpha, _lookup_action(env, stmt.name))
     if isinstance(stmt, Seq):
         # walk the right-nested chain with a loop; composing from the last
         # statement backwards keeps the association of the nested reading
@@ -313,18 +286,18 @@ def interpret(stmt: Stmt, env: Env) -> KleisliFn:
             stmt = stmt.second
         sem = interpret(stmt, env)
         for first in reversed(firsts):
-            sem = _on_demand(env, alpha, _then(rm, interpret(first, env), sem))
+            sem = compose_kleisli(sem, interpret(first, env))
         return sem
     if isinstance(stmt, If):
         then_f = interpret(stmt.then, env)
         else_f = interpret(stmt.orelse, env)
-        return _on_demand(env, alpha, _branch(env, stmt.pred, then_f, else_f))
+        return make_kleisli(rm, alpha, alpha, _branch(env, stmt.pred, then_f, else_f))
     if isinstance(stmt, While):
         body_f = interpret(stmt.body, env)
         exit_ = lambda v: rm.unit(Inl(v))
         again = lambda v: rm.map(body_f(v), Inr)
-        step = _on_demand(env, sum_carrier(alpha, alpha),
-                          _branch(env, stmt.pred, again, exit_))
+        step = make_kleisli(rm, alpha, sum_carrier(alpha, alpha),
+                            _branch(env, stmt.pred, again, exit_))
         return rm.iterate(step)
     raise SemanticError("unknown statement %r" % (stmt,))
 

@@ -79,6 +79,22 @@ def test_load_errors(bad):
         load_bsp(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("actions a\nstates 2\nstates 1\n",
+     "line 3: a second states line (the first is on line 2)"),
+    ("actions a\n# the labels\nactions b\nstates 1\n",
+     "line 3: a second actions line (the first is on line 1)"),
+    ("actions a\nstates 1 2\n", "line 2: malformed entry 'states 1 2'"),
+    ("actions a\nstates\n", "line 2: malformed entry 'states'"),
+    ("actions a\nstates 1\nwidth 0 1 7\n", "line 3: malformed entry 'width 0 1 7'"),
+    ("actions a\nstates 1\nwidth 0\n", "line 3: malformed entry 'width 0'"),
+])
+def test_text_header_and_width_lines_are_read_once_and_exactly(text, message):
+    with pytest.raises(BspLoadError) as exc:
+        parse_bsp_text(text)
+    assert str(exc.value) == message
+
+
 def test_state_count_is_bounded():
     assert load_bsp("actions a\nstates %d\n" % MAX_STATES).states == MAX_STATES
     for spec in ("actions a\nstates %d\n" % (MAX_STATES + 1),

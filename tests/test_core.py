@@ -8,7 +8,7 @@ from elgot.core import (Carrier, CarrierMismatchError, ConfigError, Inl, Inr,
                         Pair, canon_key, carrier, compose_kleisli, kleisli_unit,
                         make_kleisli, prod_carrier, sum_carrier,
                         strong_iterate, dist_elem, KleisliFn,
-                        bottom_kleisli, case_sum, empty_carrier, render_elem,
+                        case_sum, copair, empty_carrier, map_kleisli, render_elem,
                         unit_carrier)
 from elgot.base_monads import (Just, NOTHING, NdState, elgot_instance, finset,
                                kleene_iterate)
@@ -260,9 +260,95 @@ def test_compose_unit_laws():
     x = carrier("x", ("a", "b"))
     y = carrier("y", ("c", "d"))
     f = make_kleisli(m, x, y, lambda v: Just("c") if v == "a" else NOTHING)
-    assert compose_kleisli(kleisli_unit(m, y), f).table == f.table
+    rhs = compose_kleisli(kleisli_unit(m, y), f)
+    assert all(rhs(v) == f(v) for v in x.elements)
     lhs = compose_kleisli(f, kleisli_unit(m, x))
     assert all(lhs(v) == f(v) for v in x.elements)
+
+
+class _ReadThrough(dict):
+    """A table that calls fn on every lookup and keeps nothing."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return self.fn(x)
+
+
+def _built_over(name, m, x, fn):
+    """The Kleisli function that constructor `name` builds so that fn(v)
+    runs each time it builds a point holding v, and its domain."""
+    through = KleisliFn(m, x, x, _ReadThrough(fn))
+    if name == "make_kleisli":
+        return make_kleisli(m, x, x, fn), x
+    if name == "compose_kleisli":
+        return compose_kleisli(kleisli_unit(m, x), through), x
+    if name == "map_kleisli":
+        return map_kleisli(through, x, lambda e: e), x
+    return copair(through, through), sum_carrier(x, x)
+
+
+KLEISLI_CONSTRUCTORS = ("make_kleisli", "compose_kleisli", "map_kleisli", "copair")
+
+
+def _point_value(p):
+    return p.value if isinstance(p, (Inl, Inr)) else p
+
+
+@pytest.mark.parametrize("name", KLEISLI_CONSTRUCTORS)
+def test_kleisli_tables_build_each_point_once_on_first_use(name):
+    m = elgot_instance("maybe")
+    x = carrier("x", ("a", "b", "c"))
+    calls = []
+
+    def fn(v):
+        calls.append(v)
+        return Just(v)
+
+    k, dom = _built_over(name, m, x, fn)
+    assert calls == []
+    first, last = dom.elements[0], dom.elements[-1]
+    assert k(first) == Just("a") and k(first) == Just("a")
+    assert calls == ["a"]
+    assert k(last) == Just("c") and k(first) == Just("a")
+    assert calls == ["a", "c"]
+    assert [k(p) for p in dom.elements] == [Just(_point_value(p)) for p in dom.elements]
+    assert sorted(calls) == sorted(_point_value(p) for p in dom.elements)
+
+
+@pytest.mark.parametrize("name", KLEISLI_CONSTRUCTORS)
+def test_kleisli_tables_refuse_a_point_outside_the_domain(name):
+    m = elgot_instance("maybe")
+    calls = []
+    k, _dom = _built_over(name, m, carrier("x", ("a",)), calls.append)
+    for outside in ("zz", Inl("zz"), Inr("zz")):
+        with pytest.raises(CarrierMismatchError, match="is not an element of carrier"):
+            k(outside)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", KLEISLI_CONSTRUCTORS)
+def test_kleisli_tables_pass_on_a_key_error_from_building_a_point(name):
+    m = elgot_instance("maybe")
+    missing = KeyError("missing")
+
+    def fn(v):
+        if v == "b":
+            raise missing
+        return Just(v)
+
+    k, dom = _built_over(name, m, carrier("x", ("a", "b")), fn)
+    for p in dom.elements:
+        if _point_value(p) == "b":
+            with pytest.raises(KeyError) as exc:
+                k(p)
+            assert exc.value is missing
+        else:
+            assert k(p) == Just("a")
 
 
 def test_compose_preserves_bottom():
@@ -271,7 +357,7 @@ def test_compose_preserves_bottom():
     x = carrier("x", ("a",))
     y = carrier("y", ("c",))
     z = carrier("z", ("e",))
-    bot = bottom_kleisli(m, x, y)
+    bot = make_kleisli(m, x, y, lambda _x: m.bottom())
     g = make_kleisli(m, y, z, lambda v: Just("e"))
     assert compose_kleisli(g, bot)("a") is NOTHING
 

@@ -154,10 +154,13 @@ def test_solving_a_guarded_definition_binds_nothing_up_front():
 
 def test_a_solution_builds_no_unit_tree_per_leaf(rm_finset):
     # each first layer holds three leaves, written directly as layers: the
-    # solution and its forcing draw one token per point, its own tree's
+    # solution and its forcing draw one token per point, its own tree's; f
+    # is applied everywhere first, so its own trees are not counted
     x, y, cod = _xy(rm_finset, ys=("y0", "y1", "y2"))
     f = make_kleisli(rm_finset, x, cod, lambda v: rm_finset.out_inv(
         finset([Inl(Inl(w)) for w in y.elements])))
+    for v in x.elements:
+        f(v)
 
     def solve_and_force():
         sol = solve_guarded(rm_finset, f)
