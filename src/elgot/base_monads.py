@@ -8,9 +8,11 @@ state) pairs on nondetstate).  One engine, propagate, computes the Kleene
 chain from bottom (approximants) in one pass over the recursion graph,
 through two hooks per instance, moves and pack: reach_iterate takes its
 stable table, and the handler its fuel-th table at a tree's root.  The
-chain is their specification: kleene_iterate takes it until it is stable,
-detected by exact equality on the finite hom-lattice, never by a step
-budget, and the law suites and the tests check both callers against it.
+chain is their specification, written as its definition: each round binds
+every point against the last table.  kleene_iterate takes it until it is
+stable, detected by exact equality on the finite hom-lattice, never by a
+step budget, and the law suites and the tests check both callers against
+it.
 
 A FinSet is a frozenset, so binds, maps, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -138,35 +140,27 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
     result at fuel k is the k-th table at the tree's root.
 
     step_at(p) is an m-value over Inl(result) + Inr(point).  Roots are expanded
-    before round 1; each round expands what the last expansion found, then
-    yields (table, stable), a fresh table that is never mutated afterwards.
-    Rounds are semi-naive: a round re-binds only the points expanded since
-    the last round, the points that moved in the last round and the points
-    that read one (p reads q when Inr(q) is an element of step_at(p)); every
-    other point carries its value, so the tables are those of re-binding
-    every point.  Re-binding a point that moved is redundant under a lawful
-    equal but keeps a broken one from passing for stable.  A point not in
-    the table is at bottom; stable = none found, no re-bound point moved.
+    before round 1; each round expands what the last expansion found, binds
+    every expanded point against the last table, in the order of expansion,
+    and yields (table, stable), a fresh table that is never mutated
+    afterwards.  A point not in the table is at bottom; stable = none found,
+    no point moved.
     """
     bot, unit = m.bottom(), m.unit
-    seen, steps, readers = set(roots), {}, {}
+    seen, steps = set(roots), {}
 
     def expand(batch):
         found = []
         for p in batch:
             v = steps[p] = step_at(p)
             for e in m.elements(v):
-                if isinstance(e, Inr):
-                    readers.setdefault(e.value, {})[p] = None
-                    if e.value not in seen:
-                        seen.add(e.value)
-                        found.append(e.value)
+                if isinstance(e, Inr) and e.value not in seen:
+                    seen.add(e.value)
+                    found.append(e.value)
         return found
 
-    dirty = dict.fromkeys(roots)
-    batch, prev = expand(dirty), {}
+    batch, prev = expand(roots), {}
     while True:
-        dirty.update(dict.fromkeys(batch))
         batch = expand(batch)
 
         def step(e, _prev=prev):
@@ -176,23 +170,19 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
                 return _prev.get(e.value, bot)
             raise TypeError("iteration over a non-sum element %r" % (e,))
 
-        table, moved = dict(prev), []
-        for p in dirty:
-            v = table[p] = m.bind(steps[p], step)
-            if not m.equal(v, prev.get(p, bot)):
-                moved.append(p)
-        yield table, not batch and not moved
-        prev, dirty = table, dict.fromkeys(moved)
-        for q in moved:
-            dirty.update(readers.get(q, ()))
+        table = {p: m.bind(v, step) for p, v in steps.items()}
+        yield table, not batch and all(m.equal(v, prev.get(p, bot))
+                                       for p, v in table.items())
+        prev = table
 
 
 def kleene_iterate(f: KleisliFn) -> KleisliFn:
     """Least solution of h = [unit, h]* . f for f : X -> T(Y+X).
 
-    Takes the Kleene chain until two successive iterates agree;
-    stabilization is guaranteed on the finite lattice and checked against a
-    generous structural bound rather than cut off by fuel.
+    Takes the Kleene chain `approximants` over the domain, each round one
+    bind per point, until two successive iterates agree; stabilization is
+    guaranteed on the finite lattice and checked against a generous
+    structural bound rather than cut off by fuel.
     """
     m = f.monad
     dom = f.dom

@@ -26,6 +26,11 @@ from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 # any length; one at the limit with no rows solves in seconds.
 MAX_STATES = 100_000
 
+# The most nodes an unfolding may hold.  Each level is counted from the
+# successor table before it is built, so a definition whose levels grow
+# without bound (two self-loops double each level) is refused, not built.
+MAX_NODES = 1_000_000
+
 
 class BspLoadError(ValueError):
     pass
@@ -236,6 +241,8 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     normalize to the least such index.  An occurrence of state i has root
     i's layer, so each root's layer is read once, in canonical order, into a
     table of (label, state) successors, and the unfolding walks that table.
+    It stops at the first empty level, and refuses, before building it, a
+    level that would take it past MAX_NODES nodes.
     """
     rm, g = build_equations(spec)
     sol = rm.iterate(g)
@@ -259,6 +266,11 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     frontier = [LtsNode("s%d" % i, i, 0) for i in range(spec.states)]
     lts.nodes.extend(frontier)
     for level in range(depth):
+        if not frontier:
+            break
+        if len(lts.nodes) + sum(len(succ[n.state]) for n in frontier) > MAX_NODES:
+            raise BspLoadError("depth %d unfolds more than the limit of %d nodes"
+                               % (depth, MAX_NODES))
         nxt = []
         for node in frontier:
             for label, state in succ[node.state]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .base_monads import _KleeneMonad, kleene_iterate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult, Pair, Carrier,
@@ -22,7 +22,7 @@ from .handler import (EffectInterpretation, MonadMorphism,
                       check_universal_triangles, handle, morphism_iteration,
                       morphism_kleisli, morphism_strength, morphism_unit)
 from .iteration import guard_transform, solve_guarded
-from .resumption import OpNode, ResumptionMonad, TCUT, TLeaf, TOp
+from .resumption import OpNode, ResumptionMonad, TCUT, TOp
 
 # the most elements a sampled finite set (or state's set) draws
 BRANCH = 2
@@ -391,8 +391,9 @@ def law_bind_join(gen: Gen, inst):
 
 # -- resumption-specific checks ---------------------------------------------
 
-def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
-    """Independent substitution oracle, computed directly on truncations."""
+def _eager_bind_trunc(rm: ResumptionMonad, t, f: Callable, depth: int):
+    """Independent substitution oracle, computed directly on truncations:
+    the truncation of bind(t, f) for f from leaves to trees."""
 
     def elem(e):
         if isinstance(e, Inl):
@@ -405,24 +406,6 @@ def _eager_bind_trunc(rm: ResumptionMonad, t, f: KleisliFn, depth: int):
         return rm.base.unit(TOp(node.op, node.param, kids))
 
     return rm.base.bind(rm.out(t), elem)
-
-
-def _eager_strength_trunc(rm: ResumptionMonad, c, t, depth: int):
-    # elem forces the children of t inside base.map, which walks a set in
-    # hash order.  That is safe only because Gen.tree builds eager trees,
-    # whose layers are stored at construction: forcing one builds no tree
-    # and draws no token, so the walk's order cannot be seen.
-    def elem(e):
-        if isinstance(e, Inl):
-            return TLeaf(Pair(c, e.value))
-        node = e.value
-        if depth == 0:
-            return TCUT
-        kids = tuple(_eager_strength_trunc(rm, c, child, depth - 1)
-                     for _a, child in node.children)
-        return TOp(node.op, node.param, kids)
-
-    return rm.base.map(rm.out(t), elem)
 
 
 def law_res_kleisli_eq(gen: Gen, rm):
@@ -443,7 +426,8 @@ def law_res_strength_eq(gen: Gen, rm):
     c = gen.elem(c_car)
     d = gen.cfg.depth
     lhs = rm.truncate(rm.strength(c, t), d)
-    rhs = _eager_strength_trunc(rm, c, t, d)
+    # strength is lifting by the pairing continuation
+    rhs = _eager_bind_trunc(rm, t, lambda x: rm.unit(Pair(c, x)), d)
     if lhs != rhs:
         return "strength characteristic equation: %s vs %s" % (
             rm.base.render(lhs), rm.base.render(rhs))
@@ -478,11 +462,11 @@ def law_res_guarded_unfolding(gen: Gen, rm):
     f = gen.guarded_kleisli(rm, x_car, sum_carrier(y_car, x_car))
     sol = solve_guarded(rm, f)
     glue = copair(kleisli_unit(rm, y_car), sol)
+    # the depth-d truncation determines every shallower one
+    d = gen.cfg.depth
     for x in x_car.elements:
-        unfolded = rm.bind(f(x), glue)
-        for d in range(1, gen.cfg.depth + 1):
-            if not rm.bisimilar(unfolded, sol(x), d):
-                return "solution not a fixpoint at %s, depth %d" % (render_elem(x), d)
+        if not rm.bisimilar(rm.bind(f(x), glue), sol(x), d):
+            return "solution not a fixpoint at %s, depth %d" % (render_elem(x), d)
 
 
 # ---------------------------------------------------------------------------

@@ -260,32 +260,6 @@ def test_kleene_bound_is_an_explicit_error():
         kleene_iterate(f)
 
 
-def _jacobi(m, roots, step_at):
-    """Reference chain: every expanded point re-bound every round."""
-    bot = m.bottom()
-    seen, steps = set(roots), {}
-
-    def expand(batch):
-        found = []
-        for p in batch:
-            steps[p] = step_at(p)
-            for e in m.elements(steps[p]):
-                if isinstance(e, Inr) and e.value not in seen:
-                    seen.add(e.value)
-                    found.append(e.value)
-        return found
-
-    batch, prev = expand(roots), {}
-    while True:
-        batch = expand(batch)
-        table = {p: m.bind(v, lambda e: m.unit(e.value) if isinstance(e, Inl)
-                           else prev.get(e.value, bot))
-                 for p, v in steps.items()}
-        yield table, not batch and all(m.equal(v, prev.get(p, bot))
-                                       for p, v in table.items())
-        prev = table
-
-
 def _random_value(data, m, kind, elems):
     pick = st.sampled_from(elems)
     if kind == "maybe":
@@ -295,29 +269,6 @@ def _random_value(data, m, kind, elems):
         return finset(data.draw(st.lists(pick, max_size=3)))
     pairs = st.lists(st.builds(Pair, pick, st.sampled_from(m.states)), max_size=2)
     return NdState(tuple((s, finset(data.draw(pairs))) for s in m.states))
-
-
-@pytest.mark.parametrize("kind,kw", KINDS)
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_semi_naive_chain_equals_jacobi(kind, kw, data):
-    m = elgot_instance(kind, **kw)
-    points = ["p%d" % i for i in range(data.draw(st.integers(1, 7)))]
-    elems = [Inl("y0"), Inl("y1")] + [Inr(p) for p in points]
-    # roots are a prefix, so the other points are first reached late, if at all
-    roots = points[:data.draw(st.integers(1, len(points)))]
-    system = {p: _random_value(data, m, kind, elems) for p in points}
-    got = approximants(m, roots, system.__getitem__)
-    want = _jacobi(m, roots, system.__getitem__)
-    after_stable = 0
-    for _ in range(60):
-        (table, stable), (ref, ref_stable) = next(got), next(want)
-        assert list(table.items()) == list(ref.items())
-        assert stable == ref_stable
-        after_stable += stable
-        if after_stable == 3:
-            break
-    assert after_stable == 3
 
 
 _NODE = OpNode("act", "a", (("*", _TREES[0]),))
@@ -412,8 +363,7 @@ def _reversed_chain(m, n):
                         lambda v: m.unit(Inr(nxt[v]) if v in nxt else Inl("y")))
 
 
-@pytest.mark.parametrize("base", [MaybeMonad, FinSetMonad])
-def test_reversed_chain_binds_linearly(base):
+def _counting(base):
     class Counting(base):
         binds = 0
 
@@ -421,11 +371,37 @@ def test_reversed_chain_binds_linearly(base):
             self.binds += 1
             return super().bind(v, f)
 
-    m, n = Counting(), 200
+    return Counting()
+
+
+@pytest.mark.parametrize("base", [MaybeMonad, FinSetMonad])
+@pytest.mark.parametrize("n", [1, 6, 50])
+def test_kleene_chain_binds_every_point_every_round(base, n):
+    m = _counting(base)
     fd = kleene_iterate(_reversed_chain(m, n))
     assert all(m.equal(fd(x), m.unit("y")) for x in fd.dom.elements)
-    # a Jacobi round re-binds all n points, n(n+1) = 40,200 binds in all
-    assert m.binds <= 3 * n
+    # the reversed chain fills one point per round and is stable in round
+    # n + 1; each round binds all n points
+    assert m.binds == n * (n + 1)
+
+
+@pytest.mark.parametrize("base", [MaybeMonad, FinSetMonad])
+def test_reach_iterate_steps_each_point_once_and_binds_nothing(base):
+    calls = []
+
+    class Counted(dict):
+        def __getitem__(self, x):
+            calls.append(x)
+            return super().__getitem__(x)
+
+    m, n = _counting(base), 200
+    f = _reversed_chain(m, n)
+    table = Counted({x: f(x) for x in f.dom.elements})
+    fd = reach_iterate(KleisliFn(m, f.dom, f.cod, table))
+    assert all(m.equal(fd(x), m.unit("y")) for x in fd.dom.elements)
+    # the linear cost is the engine's: one step per point, no bind at all
+    assert sorted(calls) == sorted(f.dom.elements)
+    assert m.binds == 0
 
 
 @pytest.mark.parametrize("kind,kw", KINDS)

@@ -1,10 +1,12 @@
 import json
 import random
+import signal
 
 import pytest
 
 from elgot.base_monads import FinSetMonad
 from elgot.core import Inl, Inr, Pair
+from elgot import bsp
 from elgot.bsp import (MAX_STATES, BspLoadError, BspSpec, build_equations, load_bsp,
                        lts_to_csv, lts_to_dot, lts_to_text, parse_bsp_json,
                        parse_bsp_text, solve_and_unfold)
@@ -177,6 +179,52 @@ def test_deadlock_state_has_no_edges():
     lts = solve_and_unfold(spec, 2)
     assert lts.edges == []
     assert [n.cut for n in lts.nodes] == [False]
+
+
+DOUBLING = "actions a\nstates 1\nb 0 a a\nj 0 0 0\n"
+
+
+def _too_slow(_signum, _frame):
+    raise AssertionError("the unfolding did not stop in 10 s")
+
+
+@pytest.mark.parametrize("text", [
+    "actions a\nstates 1\n",
+    "actions a\nstates 3\nb 0 a\nj 0 1\nb 1 a\nj 1 2\n"], ids=["no_edges", "path"])
+def test_unfolding_stops_at_the_first_empty_level(text):
+    # every path ends, so no level past the longest holds a node
+    spec = parse_bsp_text(text)
+    old = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(10)
+    try:
+        lts = solve_and_unfold(spec, 10 ** 18)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    want = solve_and_unfold(spec, spec.states)
+    assert (lts.edges, [(n.name, n.cut) for n in lts.nodes]) == \
+        (want.edges, [(n.name, n.cut) for n in want.nodes])
+
+
+def test_unfolding_refuses_a_level_past_the_node_limit(monkeypatch):
+    # two self-loops double each level: depth d holds 2^(d+1) - 1 nodes
+    monkeypatch.setattr(bsp, "MAX_NODES", 2 ** 5 - 1)
+    spec = parse_bsp_text(DOUBLING)
+    assert len(solve_and_unfold(spec, 4).nodes) == 2 ** 5 - 1
+    with pytest.raises(BspLoadError, match="^depth 5 unfolds more than the limit "
+                                           "of 31 nodes$"):
+        solve_and_unfold(spec, 5)
+
+
+def test_unfolding_counts_a_level_before_building_it(monkeypatch):
+    built = []
+    node = bsp.LtsNode
+    monkeypatch.setattr(bsp, "MAX_NODES", 100)
+    monkeypatch.setattr(bsp, "LtsNode", lambda *a: built.append(a) or node(*a))
+    with pytest.raises(BspLoadError):
+        solve_and_unfold(parse_bsp_text(DOUBLING), 60)
+    # levels 0 to 5 hold 63 nodes; level 6 would take 64 more
+    assert len(built) == 63
 
 
 def _random_spec(rng, max_states=3, max_width=3):

@@ -176,7 +176,20 @@ def test_handle_into_nondetstate(tmp_path):
     assert "(states (s0 {(pair heads s1)}) (s1 {(pair tails s1)}))" in r.stdout
 
 
+def cli_in_process(*args):
+    """cli(*args) run through main() in this process: the exit code, and
+    what it printed, in a CompletedProcess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:      # argparse refuses a flag or its value
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
 def test_usage_errors_exit_two(tmp_path):
+    # argparse's own refusals in a fresh process; the rest through main()
     assert cli("run").returncode == 2                      # missing args
     assert cli("frobnicate").returncode == 2               # unknown command
     assert cli("run", "x.whl", "--input", "0",
@@ -204,7 +217,7 @@ def test_usage_errors_exit_two(tmp_path):
         path.write_text(json.dumps(doc))
         bad_files.append(("handle", str(path)))
         if isinstance(value, str):          # a string is not read as its letters
-            r = cli("handle", str(path))
+            r = cli_in_process("handle", str(path))
             assert r.returncode == 2 and field in r.stderr, r.stderr
     for states in ({"s0": [["h", "s1"]], "s9": [["t", "s1"]]}, {"s0": [["t", "zz"]]}):
         doc = json.loads(json.dumps(ND_SPEC))
@@ -217,7 +230,7 @@ def test_usage_errors_exit_two(tmp_path):
     bool_leaf = tmp_path / "toss_bool_leaf.json"
     bool_leaf.write_text(json.dumps(doc))
     bad_files.append(("handle", str(bool_leaf)))
-    r = cli("handle", str(bool_leaf))
+    r = cli_in_process("handle", str(bool_leaf))
     assert r.stderr == "error: malformed handle file: malformed tree payload: " \
         "{'leaf': True}\n"
     no_child, no_effects, unknown_op = (json.loads(json.dumps(ND_SPEC)) for _ in "123")
@@ -229,7 +242,7 @@ def test_usage_errors_exit_two(tmp_path):
                                ("op", unknown_op, "unknown operation 'flip'")]:
         path = tmp_path / ("nd_missing_%s.json" % name)
         path.write_text(json.dumps(doc))
-        r = cli("handle", str(path))
+        r = cli_in_process("handle", str(path))
         assert r.returncode == 2
         assert r.stderr == "error: malformed handle file: %s\n" % message
     # a row for a state outside 0..states-1, or a second row for one state
@@ -241,7 +254,7 @@ def test_usage_errors_exit_two(tmp_path):
              "line 5: a second b row for state 0 (the first is on line 3)")]:
         path = tmp_path / ("rows_%s.bsp" % name)
         path.write_text("actions a b\nstates 2\n" + rows)
-        r = cli("bsp", str(path))
+        r = cli_in_process("bsp", str(path))
         assert r.returncode == 2 and r.stderr.startswith("error: " + message), r.stderr
         bad_files.append(("bsp", str(path)))
     # a spec with no actions, which reads the same in both formats, and a
@@ -257,7 +270,7 @@ def test_usage_errors_exit_two(tmp_path):
              "malformed spec object: the top level is a str, not an object")]:
         path = tmp_path / name
         path.write_text(text)
-        r = cli("bsp", str(path))
+        r = cli_in_process("bsp", str(path))
         assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
         bad_files.append(("bsp", str(path)))
     # one fault, the same line whatever the format
@@ -267,8 +280,8 @@ def test_usage_errors_exit_two(tmp_path):
              '{"actions": ["a", "b"], "states": 2, "b": [["zzz"], []], "j": [[1], []]}')]:
         (tmp_path / "same.bsp").write_text(text_spec)
         (tmp_path / "same.json").write_text(json_spec)
-        r_text = cli("bsp", str(tmp_path / "same.bsp"))
-        r_json = cli("bsp", str(tmp_path / "same.json"))
+        r_text = cli_in_process("bsp", str(tmp_path / "same.bsp"))
+        r_json = cli_in_process("bsp", str(tmp_path / "same.json"))
         assert r_text.returncode == r_json.returncode == 2
         assert r_text.stderr == r_json.stderr and "malformed" not in r_json.stderr
     # an empty or repeated entry in a comma separated flag
@@ -290,7 +303,7 @@ def test_usage_errors_exit_two(tmp_path):
             (("--base", "nondetstate", "--state-set", "s0,s(1)"),
              "--state-set 's0,s(1)': entry 's(1)' contains '('; an entry holds "
              "no whitespace and none of (){}")]:
-        r = cli("run", prog, "--input", "0", *args)
+        r = cli_in_process("run", prog, "--input", "0", *args)
         assert r.returncode == 2 and r.stderr == "error: %s\n" % message, r.stderr
         bad_files.append(("run", prog, "--input", "0") + args)
     undecodable = tmp_path / "undecodable"
@@ -306,7 +319,7 @@ def test_usage_errors_exit_two(tmp_path):
                  ("laws", "--samples", "0"),
                  ("handle", toss, "--fuel", "-1"),
                  ("handle", toss, "--fuel", "many")] + bad_files:
-        r = cli(*args)
+        r = cli_in_process(*args)
         assert r.returncode == 2 and "Traceback" not in r.stderr, args
         assert r.stdout == "", args         # bad input fails before any output
 
@@ -439,6 +452,24 @@ def test_bsp_refuses_a_huge_state_count(tmp_path, spec):
                        preexec_fn=_cap_address_space)
     assert r.returncode == 2, r.stderr[-300:]
     assert r.stderr == "error: states 1000000000 is above the limit of 100000\n"
+
+
+@pytest.mark.parametrize("spec,depth,code,stdout,stderr", [
+    # two self-loops double each level: refused before the limit is passed
+    ("actions a\nstates 1\nb 0 a a\nj 0 0 0\n", 60, 2, "",
+     "error: depth 60 unfolds more than the limit of 1000000 nodes\n"),
+    # no transitions: the first level is empty, and no deeper one is walked
+    ("actions a\nstates 1\n", 10 ** 9, 0, "initial s0\n", "")],
+    ids=["doubling", "no_edges"])
+def test_bsp_unfolding_is_bounded(tmp_path, spec, depth, code, stdout, stderr):
+    path = tmp_path / "spec.bsp"
+    path.write_text(spec)
+    r = subprocess.run([sys.executable, "-m", "elgot", "bsp", str(path),
+                        "--depth", str(depth)],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(PKG / "src")},
+                       preexec_fn=_cap_address_space)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr), r.stderr[-300:]
 
 
 def test_long_sequence_runs(tmp_path):

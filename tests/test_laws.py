@@ -4,7 +4,7 @@ import json
 
 from elgot import laws
 from elgot.cli import main
-from elgot.core import Inl, Inr, KleisliFn, carrier, compose_kleisli, \
+from elgot.core import Inl, Inr, KleisliFn, Pair, carrier, compose_kleisli, \
     copair, kleisli_unit, make_kleisli, sum_carrier
 from elgot.base_monads import FinSetMonad, elgot_instance, finset
 from elgot.resumption import ResumptionMonad
@@ -126,6 +126,32 @@ def test_tree_characteristic_equations_compare_at_a_cut():
         late = LateCut(elgot_instance(kind), two_op_signature(), depth=1)
         rep = run_axiom_suite(late, cfg, laws=laws)
         assert all(r.failures for r in rep.results), rep.text()
+
+
+def test_strength_law_catches_a_swapped_pair():
+    class Swapped(ResumptionMonad):
+        def strength(self, c, t):
+            return self.map(t, lambda x: Pair(x, c))
+
+    for kind in ("maybe", "finset"):
+        swapped = Swapped(elgot_instance(kind), two_op_signature())
+        rep = run_axiom_suite(swapped, GenConfig(seed=4, samples=30),
+                              laws=("resumption.strength_eq",))
+        assert rep.results[0].failures, rep.text()
+
+
+def test_guarded_unfolding_catches_a_bottom_solution_at_depth_zero(monkeypatch):
+    def bottom_solution(rm, f):
+        return KleisliFn(rm, f.dom, f.cod.parts[0],
+                         {x: rm.bottom() for x in f.dom.elements})
+
+    monkeypatch.setattr(laws, "solve_guarded", bottom_solution)
+    cfg = GenConfig(seed=4, samples=30, depth=0)
+    for kind in ("maybe", "finset"):
+        rep = run_axiom_suite(resumption(kind, depth=0), cfg,
+                              laws=("resumption.guarded_unfolding",))
+        failures = rep.results[0].failures
+        assert failures and all(w.endswith("depth 0") for w in failures), rep.text()
 
 
 def test_constant_bottom_iteration_is_caught():
