@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import Inl, Inr, KleisliFn, case_sum, render_elem
+from .core import Inl, Inr, KleisliFn, case_sum, make_kleisli, render_elem
 from .resumption import ResTree, ResumptionMonad, unfold_trees
 
 
@@ -45,8 +45,9 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     recursive leaf, so the result's layers hold only Inl(Inl y) and
     Inr(node).  The fixpoint runs over a finite effective lattice because
     the frozen nodes are never inspected, only carried along; it is computed
-    once, when the first layer of some point is observed.  Guarded inputs
-    come back bisimilar to themselves.
+    once, when the first layer of some point is observed.  A point's tree
+    is built on its first lookup.  Guarded inputs come back bisimilar to
+    themselves.
     """
     base = rm.base
 
@@ -66,29 +67,46 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
         return base.map(pre_iterated()(x),
                         lambda e: case_sum(e, lambda y: Inl(Inl(y)), Inr))
 
-    return KleisliFn(rm, f.dom, f.cod, {x: ResTree(fn=functools.partial(layer, x))
-                                        for x in f.dom.elements})
+    return make_kleisli(rm, f.dom, f.cod,
+                        lambda x: ResTree(fn=functools.partial(layer, x)))
+
+
+class _Solution(unfold_trees):
+    """The one lifting t -> bind(t, [unit, sol]) behind the solutions
+    sol = lift . g of a guarded g.  A leaf Inl(y) becomes the layer
+    base.unit(Inl(y)) directly, not the layer of a unit tree; a leaf Inr(x)
+    becomes the first layer of sol(x), which the lifting reaches through g
+    in its own slot.  No closure refers back to the lifting, so it sits on
+    no reference cycle of its own: a finished solve is freed as soon as its
+    last tree is, unless the trees themselves form a cycle."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, rm: ResumptionMonad, g: KleisliFn):
+        super().__init__(rm.base, rm.out, None)
+        self.g = g
+
+    def elem(self, e):
+        if isinstance(e, Inr):
+            return unfold_trees.elem(self, e)
+        v = e.value
+        if isinstance(v, Inl):
+            return self.base.unit(v)
+        if isinstance(v, Inr):
+            return self(self.g(v.value)).out()
+        raise TypeError("expected a sum value, got %r" % (v,))
 
 
 def _unfold(rm: ResumptionMonad, g: KleisliFn) -> KleisliFn:
     """sol(x) = bind(g(x), [unit, sol]) = lift(g(x)) for one shared lifting,
     so a subtree that several points reach lifts to one tree.  For a guarded
     g every recursive call sits under an operation node, so the first layer
-    of sol(x) never waits on the first layer of a solution.  A leaf Inl(y)
-    becomes the layer base.unit(Inl(y)) directly, not the layer of a unit
-    tree."""
+    of sol(x) never waits on the first layer of a solution.  A point's
+    solution is built on its first lookup, by the lifting _Solution, which
+    sits on no reference cycle."""
     y_car = g.cod.parts[0] if g.cod is not None and g.cod.kind == "sum" else None
-    base = rm.base
-
-    def leaf(e):
-        if isinstance(e, Inl):
-            return base.unit(e)
-        if isinstance(e, Inr):
-            return lift(g(e.value)).out()
-        raise TypeError("expected a sum value, got %r" % (e,))
-
-    lift = unfold_trees(base, rm.out, leaf)
-    return KleisliFn(rm, g.dom, y_car, {x: lift(g(x)) for x in g.dom.elements})
+    lift = _Solution(rm, g)
+    return make_kleisli(rm, g.dom, y_car, lambda x: lift(g(x)))
 
 
 def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
@@ -102,8 +120,11 @@ def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
 
 def iterate_res(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     """Iteration of an arbitrary f : X -> Trees(Y+X): the guarded unfolding
-    of guard_transform(f).  Nothing is bound until a first layer is
-    observed, and the base fixpoint is then shared by every point."""
+    of guard_transform(f).  A point's trees are built on its first lookup
+    and nothing is bound until a first layer is observed; the base fixpoint
+    is then shared by every point.  Neither table nor the lifting sits on a
+    reference cycle, so a finished solve whose trees form no loop is freed
+    by reference counting alone."""
     if f.cod is not None and f.cod.kind == "sum":
         rec = f.cod.parts[1]
         if rec is not f.dom and rec.elements != f.dom.elements:

@@ -13,7 +13,10 @@ call.  unfold_trees is the one lazy corecursion: one object per unfolding,
 whose trees' cells are partial applications of one step function to it
 and a seed.  map and the guarded solutions of the iteration module write a
 leaf's layer directly, rather than build a unit tree only to read its first
-layer.
+layer.  An unfolding's memo holds its trees and an unforced tree's cell
+holds the unfolding, so an unfolding is on a reference cycle while one of
+its trees is unforced or when its trees form a loop; otherwise reference
+counting frees it.
 
 Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-

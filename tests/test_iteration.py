@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
@@ -208,6 +211,45 @@ def test_points_that_reach_one_subtree_share_its_lifting(rm_maybe):
     sol = rm_maybe.iterate(KleisliFn(rm_maybe, x, cod, step))
     kids = [rm_maybe.out(sol(v)).value.value.child("*") for v in x.elements]
     assert kids[0] is kids[1]
+
+
+def test_iterate_builds_a_point_on_first_observation(rm_maybe):
+    # f is built everywhere first, so its own trees are not counted
+    x, y, cod = _xy(rm_maybe, xs=tuple("x%d" % i for i in range(8)))
+    f = KleisliFn(rm_maybe, x, cod, {
+        v: rm_maybe.op_call("act", "p0", {"*": rm_maybe.unit(Inr(v))})
+        for v in x.elements})
+    drawn, sol = tokens_drawn(lambda: rm_maybe.iterate(f))
+    assert drawn == 0
+    # x3's guarded tree, its solution, and the solution's one child
+    drawn, _layer = tokens_drawn(lambda: rm_maybe.out(sol("x3")))
+    assert drawn == 3
+
+
+def test_a_finished_solve_is_freed_without_the_cyclic_collector(rm_maybe):
+    class Leaf:
+        def _canon_key_(self):
+            return (0, "leaf")
+
+    def solve_and_observe():
+        leaf = Leaf()
+        x = carrier("x", ("a", "b"))
+        f = KleisliFn(rm_maybe, x, None, {
+            "a": rm_maybe.op_call("act", "p0", {"*": rm_maybe.unit(Inr("b"))}),
+            "b": rm_maybe.unit(Inl(leaf))})
+        sol = rm_maybe.iterate(f)
+        seen = rm_maybe.truncate(sol("a"), 3)
+        assert seen.value.children[0].value.value is leaf
+        return weakref.ref(leaf)
+
+    gc.collect()
+    gc.disable()
+    try:
+        # every tree, table and lifting of the solve is freed by reference
+        # counting alone once the last reference to it goes
+        assert solve_and_observe()() is None
+    finally:
+        gc.enable()
 
 
 def test_iterate_extends_base_iteration(rm_finset):
