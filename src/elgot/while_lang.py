@@ -6,11 +6,15 @@ the built-in input/output operations; predicates are true, false, and (for
 nondeterministic bases) coin, a visible binary choice operation.  Loops
 need no guardedness: the while rule iterates the loop step directly.
 
-Every denotation is built by core.make_kleisli or core.compose_kleisli,
-whose tables fill one point at a time on first application, so a run
-builds only the trees of the points it applies and of the points those
-trees reach.  Unknown actions and predicates are still reported by
-interpret itself.
+A program's denotation is a Kleisli composite, and Kleisli extension is
+associative, so interpret builds k* . [[s]] by handing the rest of the
+program k to s as its continuation (the codensity idea of Voigtlaender
+2008) rather than by lifting [[s]]'s finished trees by k: each statement
+is lifted once into the rest of the program, and a skip costs nothing.
+Every table is built by core.make_kleisli and fills one point at a time
+on first application, so a run builds only the trees of the points it
+applies and of the points those trees reach.  Unknown actions and
+predicates are still reported by interpret itself.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, compose_kleisli,
-                   make_kleisli, sum_carrier, unit_carrier)
+from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, make_kleisli,
+                   sum_carrier, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
 from .resumption import OpDecl, ResumptionMonad, Signature
 
@@ -226,11 +230,12 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:
 
     action_table = {"write": do_write, "read": do_read}
 
-    pred_table = {"true": lambda v: rm.unit(TRUE),
-                  "false": lambda v: rm.unit(FALSE)}
+    # a test's tree is only ever the seed of a lifting, so each is built once
+    true_tree, false_tree = rm.unit(TRUE), rm.unit(FALSE)
+    pred_table = {"true": lambda v: true_tree, "false": lambda v: false_tree}
     if not deterministic:
-        pred_table["coin"] = lambda v: rm.op_call(
-            "coin", "*", {"ff": rm.unit(FALSE), "tt": rm.unit(TRUE)})
+        coin_tree = rm.op_call("coin", "*", {"ff": false_tree, "tt": true_tree})
+        pred_table["coin"] = lambda v: coin_tree
     return Env(rm, alpha, action_table, pred_table)
 
 
@@ -267,38 +272,57 @@ def _branch(env: Env, pred: str, on_true: Callable, on_false: Callable):
     return at
 
 
-def interpret(stmt: Stmt, env: Env) -> KleisliFn:
-    """The denotation of stmt, alphabet -> trees.  Every table is built by
-    make_kleisli or compose_kleisli, so it fills one point at a time on
-    first application; unknown actions and predicates raise here."""
+def interpret(stmt: Stmt, env: Env, k: KleisliFn | None = None) -> KleisliFn:
+    """The composite k* . [[stmt]], alphabet -> trees; k=None stands for
+    unit, so interpret(stmt, env) is the denotation of stmt itself.
+
+    The rest of the program is handed to each statement as its
+    continuation k, so no statement's trees are built only to be copied
+    by a lifting: skip is k itself, an action's tree is lifted by k, a ';'
+    chain passes each composite back as the continuation of the statement
+    before it, and both branches of an if share k.  A loop body continues
+    with Inr, the loop step's recursive summand, and the loop's solution
+    is lifted by k through one lifting shared by every point.  Every table
+    is built by make_kleisli, so it fills one point at a time on first
+    application; unknown actions and predicates raise here.
+    """
     rm = env.rm
     alpha = env.alphabet
+    cod = alpha if k is None else k.cod
     if isinstance(stmt, Skip):
-        return make_kleisli(rm, alpha, alpha, rm.unit)
+        return make_kleisli(rm, alpha, alpha, rm.unit) if k is None else k
     if isinstance(stmt, Act):
-        return make_kleisli(rm, alpha, alpha, _lookup_action(env, stmt.name))
+        act = _lookup_action(env, stmt.name)
+        if k is None:
+            return make_kleisli(rm, alpha, alpha, act)
+        return make_kleisli(rm, alpha, cod, lambda v: rm.bind(act(v), k))
     if isinstance(stmt, Seq):
-        # walk the right-nested chain with a loop; composing from the last
-        # statement backwards keeps the association of the nested reading
-        firsts = []
+        # walk the right-nested chain with a loop, then interpret it from
+        # the last statement backwards
+        chain = []
         while isinstance(stmt, Seq):
-            firsts.append(stmt.first)
+            chain.append(stmt.first)
             stmt = stmt.second
-        sem = interpret(stmt, env)
-        for first in reversed(firsts):
-            sem = compose_kleisli(sem, interpret(first, env))
-        return sem
+        k = interpret(stmt, env, k)
+        for first in reversed(chain):
+            k = interpret(first, env, k)
+        return k
     if isinstance(stmt, If):
-        then_f = interpret(stmt.then, env)
-        else_f = interpret(stmt.orelse, env)
-        return make_kleisli(rm, alpha, alpha, _branch(env, stmt.pred, then_f, else_f))
+        then_f = interpret(stmt.then, env, k)
+        else_f = interpret(stmt.orelse, env, k)
+        return make_kleisli(rm, alpha, cod, _branch(env, stmt.pred, then_f, else_f))
     if isinstance(stmt, While):
-        body_f = interpret(stmt.body, env)
+        loop_car = sum_carrier(alpha, alpha)
+        again = make_kleisli(rm, alpha, loop_car, lambda v: rm.unit(Inr(v)))
+        body_f = interpret(stmt.body, env, again)
         exit_ = lambda v: rm.unit(Inl(v))
-        again = lambda v: rm.map(body_f(v), Inr)
-        step = make_kleisli(rm, alpha, sum_carrier(alpha, alpha),
-                            _branch(env, stmt.pred, again, exit_))
-        return rm.iterate(step)
+        step = make_kleisli(rm, alpha, loop_car,
+                            _branch(env, stmt.pred, body_f, exit_))
+        sol = rm.iterate(step)
+        if k is None:
+            return sol
+        lift = rm.lifting(k)
+        return make_kleisli(rm, alpha, cod, lambda v: lift(sol(v)))
     raise SemanticError("unknown statement %r" % (stmt,))
 
 

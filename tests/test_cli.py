@@ -530,11 +530,14 @@ def test_deep_handle_files_exit_cleanly(tmp_path):
                                     "while true do " * 300 + "skip"],
                          ids=["skip-chain", "nested-while"])
 def test_deep_programs_never_print_a_traceback(tmp_path, source):
-    # while forcing recurses, these pass Python's recursion limit and exit 2
+    # while forcing recurses, the nested loops pass Python's recursion limit
+    # and exit 2; a skip chain is its continuation and runs
     prog = tmp_path / "deep.whl"
     prog.write_text(source)
     r = cli("run", str(prog), "--input", "0", "--depth", "1")
     assert r.returncode in (0, 2) and "Traceback" not in r.stderr, r.stderr[-300:]
+    if source.startswith("skip"):
+        assert r.returncode == 0, r.stderr[-300:]
     if r.returncode == 2:
         assert r.stderr.startswith("error: ")
 
@@ -570,6 +573,8 @@ def test_run_fuzzed_program_never_crashes(tmp_path_factory, data):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", str(file), *args])
+    if set(source.split("; ")) == {"skip"}:
+        assert code == 0, err.getvalue()    # skip is its continuation, at any length
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,3 +208,46 @@ def test_a_point_outside_the_alphabet_is_a_carrier_mismatch():
         sem = interpret(parse(source), env)
         with pytest.raises(CarrierMismatchError, match="^2 is not an element of carrier n$"):
             sem("2")
+
+
+def _program(rng, size, coin):
+    """A random statement of at most `size` nodes over the built-in names."""
+    if size <= 1 or rng.random() < 0.25:
+        return rng.choice((Skip(), Act("read"), Act("write")))
+    pred = rng.choice(("true", "false", "coin") if coin else ("true", "false"))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Seq(_program(rng, size // 2, coin), _program(rng, size // 2, coin))
+    if kind == 1:
+        return If(pred, _program(rng, size // 2, coin), _program(rng, size // 2, coin))
+    return While(pred, _program(rng, size - 1, coin))
+
+
+@pytest.mark.parametrize("base", ("maybe", "finset", "nondetstate"))
+def test_interpreting_with_a_continuation_is_lifting_by_it(base):
+    # interpret(s, env, k) = k* . [[s]], the Kleisli composite
+    rng = random.Random("continuation:%s" % base)
+    for _ in range(40):
+        env = make_env(base, alphabet=("0", "1"),
+                       state_set=("s0", "s1") if base == "nondetstate" else None)
+        coin = base != "maybe"
+        stmt, rest = _program(rng, 8, coin), _program(rng, 4, coin)
+        k = interpret(rest, env)
+        lhs, sem = interpret(stmt, env, k), interpret(stmt, env)
+        for v in env.alphabet.elements:
+            assert env.rm.bisimilar(lhs(v), env.rm.bind(sem(v), k), 6), (stmt, rest, v)
+
+
+def test_a_statement_is_lifted_once_into_the_rest_of_the_program():
+    # neither the first statement's trees nor the loop body's are built only
+    # to be copied: 103 tokens when `;` composed by lifting and each body
+    # was mapped into the loop's sum
+    env = make_env("finset", alphabet=("0", "1"))
+    stmt = parse("while true do {read; while coin do write}; write")
+    drawn, _ = tokens_drawn(lambda: env.rm.truncate(interpret(stmt, env)("0"), 4))
+    assert drawn == 77
+
+
+def test_a_skip_chain_costs_nothing():
+    env = make_env("finset", alphabet=("0", "1"))
+    assert run("; ".join(["skip"] * 2000), env, "0", 1) == "{(leaf 0)}"
