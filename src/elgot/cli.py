@@ -75,9 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsp.add_argument("--format", choices=("text", "dot", "csv"), default="text")
 
     p_laws = sub.add_parser("laws", help="run law suites")
-    p_laws.add_argument("--suite", choices=("all", "base", "resumption",
-                                            "morphism", "handler"),
-                        default="all")
+    p_laws.add_argument("--suite", choices=("all", *_LAW_SUITES), default="all")
     p_laws.add_argument("--seed", type=int, default=None,
                         help="random seed (default: ELGOT_SEED or 42)")
     p_laws.add_argument("--samples", type=_int_at_least(1), default=50)
@@ -178,31 +176,34 @@ def cmd_laws(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _handler_reports(config: GenConfig) -> list:
+    rm = _standard_resumption("maybe", config.depth)
+    target = elgot_instance("finset")
+    upsilon = Gen(config.replace(seed=config.seed + 1)).effect_interpretation(rm.sig,
+                                                                             target)
+    return [run_handler_suite(rm, maybe_to_finset(rm.base, target), upsilon, config)]
+
+
+# suite name -> the reports it builds from a config; "all" runs every entry
+# in order
+_LAW_SUITES = {
+    "base": lambda config: [
+        run_axiom_suite(elgot_instance(kind, state_set=("s0", "s1")), config)
+        for kind in ("maybe", "finset", "nondetstate")],
+    "resumption": lambda config: [
+        run_axiom_suite(_standard_resumption(kind, config.depth), config)
+        for kind in ("maybe", "finset")],
+    "morphism": lambda config: [
+        run_morphism_suite(MonadMorphism("ext", rm.base, rm, rm.ext), config)
+        for rm in (_standard_resumption(kind, config.depth)
+                   for kind in ("maybe", "finset"))],
+    "handler": _handler_reports,
+}
+
+
 def _law_reports(suite: str, config: GenConfig) -> list:
-    reports = []
-    if suite in ("all", "base"):
-        for kind in ("maybe", "finset"):
-            reports.append(run_axiom_suite(elgot_instance(kind), config))
-        reports.append(run_axiom_suite(
-            elgot_instance("nondetstate", state_set=("s0", "s1")), config))
-    if suite in ("all", "resumption"):
-        for kind in ("maybe", "finset"):
-            reports.append(run_axiom_suite(_standard_resumption(kind, config.depth),
-                                           config))
-    if suite in ("all", "morphism"):
-        for kind in ("maybe", "finset"):
-            rm = _standard_resumption(kind, config.depth)
-            mor = MonadMorphism("ext", rm.base, rm, rm.ext)
-            reports.append(run_morphism_suite(mor, config))
-    if suite in ("all", "handler"):
-        rm = _standard_resumption("maybe", config.depth)
-        target = elgot_instance("finset")
-        sigma = maybe_to_finset(rm.base, target)
-        gen_cfg = GenConfig(seed=config.seed + 1, samples=config.samples,
-                            depth=config.depth)
-        upsilon = Gen(gen_cfg).effect_interpretation(rm.sig, target)
-        reports.append(run_handler_suite(rm, sigma, upsilon, config))
-    return reports
+    builds = _LAW_SUITES.values() if suite == "all" else [_LAW_SUITES[suite]]
+    return [report for build in builds for report in build(config)]
 
 
 # ---------------------------------------------------------------------------

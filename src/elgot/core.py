@@ -430,8 +430,13 @@ class LawResult:
     def ok(self):
         return not self.failures
 
-    def note(self, outcome):
-        """Count one sample with its check's outcome."""
+    def note(self, check: Callable, *args):
+        """Count one sample with the outcome of check(*args).  A check that
+        raises fails, with the exception as its witness, and the run goes on."""
+        try:
+            outcome = check(*args)
+        except Exception as exc:
+            outcome = "raised %s: %s" % (type(exc).__name__, exc)
         self.samples += 1
         if outcome is SKIP:
             self.skipped += 1

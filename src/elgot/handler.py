@@ -278,6 +278,6 @@ def check_universal_triangles(rm: ResumptionMonad, sigma: MonadMorphism,
             ("handle.iteration", lambda g: morphism_iteration(xi, g), iter_samples)):
         res = LawResult(law)
         for sample in samples:
-            res.note(check(sample))
+            res.note(check, sample)
         report.results.append(res)
     return report

@@ -469,88 +469,67 @@ def law_res_guarded_unfolding(gen: Gen, rm):
             return "solution not a fixpoint at %s, depth %d" % (render_elem(x), d)
 
 
+# -- morphism checks: a sample for the one definition in handler -----------
+
+def law_morphism_unit(gen: Gen, mor):
+    return morphism_unit(mor, gen.elem(gen.carrier("x")))
+
+
+def law_morphism_kleisli(gen: Gen, mor):
+    x_car, y_car = gen.carrier("x"), gen.carrier("y")
+    f = gen.kleisli(mor.source, x_car, y_car)
+    return morphism_kleisli(mor, gen.value(mor.source, x_car), f)
+
+
+def law_morphism_strength(gen: Gen, mor):
+    x_car, c_car = gen.carrier("x"), gen.carrier("c")
+    return morphism_strength(mor, gen.elem(c_car), gen.value(mor.source, x_car))
+
+
+def law_morphism_iteration(gen: Gen, mor):
+    x_car, y_car = gen.carrier("x"), gen.carrier("y")
+    return morphism_iteration(
+        mor, gen.kleisli(mor.source, x_car, sum_carrier(y_car, x_car)))
+
+
 # ---------------------------------------------------------------------------
 # Registry and suites
 # ---------------------------------------------------------------------------
 
-LAW_CHECKS = {
-    "monad.left_unit": (law_monad_left_unit, "all"),
-    "monad.right_unit": (law_monad_right_unit, "all"),
-    "monad.assoc": (law_monad_assoc, "all"),
-    "strength.str1": (law_str1, "all"),
-    "strength.str2": (law_str2, "all"),
-    "strength.str3": (law_str3, "all"),
-    "strength.str4": (law_str4, "all"),
-    "elgot.unfolding": (law_unfolding, "all"),
-    "elgot.naturality": (law_naturality, "all"),
-    "elgot.dinaturality": (law_dinaturality, "all"),
-    "elgot.codiagonal": (law_codiagonal, "all"),
-    "elgot.uniformity": (law_uniformity, "all"),
-    "elgot.strength": (law_strength_compat, "all"),
-    "elgot.bekic": (law_bekic, "base"),
-    "elgot.divergence": (law_divergence_constant, "all"),
-    "omega.bottom_postcomp": (law_bottom_postcomp, "all"),
-    "omega.bottom_strength": (law_bottom_strength, "all"),
-    "omega.bind_monotone": (law_bind_monotone, "base"),
-    "omega.bind_join": (law_bind_join, "base"),
-    "resumption.kleisli_eq": (law_res_kleisli_eq, "resumption"),
-    "resumption.strength_eq": (law_res_strength_eq, "resumption"),
-    "resumption.extension": (law_res_extension, "resumption"),
-    "resumption.guard_fix": (law_res_guard_fixes_guarded, "resumption"),
-    "resumption.guarded_unfolding": (law_res_guarded_unfolding, "resumption"),
+# name -> (check(gen, subject), the type of subject it applies to)
+LAWS = {
+    "monad.left_unit": (law_monad_left_unit, ElgotMonad),
+    "monad.right_unit": (law_monad_right_unit, ElgotMonad),
+    "monad.assoc": (law_monad_assoc, ElgotMonad),
+    "strength.str1": (law_str1, ElgotMonad),
+    "strength.str2": (law_str2, ElgotMonad),
+    "strength.str3": (law_str3, ElgotMonad),
+    "strength.str4": (law_str4, ElgotMonad),
+    "elgot.unfolding": (law_unfolding, ElgotMonad),
+    "elgot.naturality": (law_naturality, ElgotMonad),
+    "elgot.dinaturality": (law_dinaturality, ElgotMonad),
+    "elgot.codiagonal": (law_codiagonal, ElgotMonad),
+    "elgot.uniformity": (law_uniformity, ElgotMonad),
+    "elgot.strength": (law_strength_compat, ElgotMonad),
+    "elgot.bekic": (law_bekic, _KleeneMonad),
+    "elgot.divergence": (law_divergence_constant, ElgotMonad),
+    "omega.bottom_postcomp": (law_bottom_postcomp, ElgotMonad),
+    "omega.bottom_strength": (law_bottom_strength, ElgotMonad),
+    "omega.bind_monotone": (law_bind_monotone, _KleeneMonad),
+    "omega.bind_join": (law_bind_join, _KleeneMonad),
+    "resumption.kleisli_eq": (law_res_kleisli_eq, ResumptionMonad),
+    "resumption.strength_eq": (law_res_strength_eq, ResumptionMonad),
+    "resumption.extension": (law_res_extension, ResumptionMonad),
+    "resumption.guard_fix": (law_res_guard_fixes_guarded, ResumptionMonad),
+    "resumption.guarded_unfolding": (law_res_guarded_unfolding, ResumptionMonad),
+    "morphism.unit": (law_morphism_unit, MonadMorphism),
+    "morphism.kleisli": (law_morphism_kleisli, MonadMorphism),
+    "morphism.strength": (law_morphism_strength, MonadMorphism),
+    "morphism.iteration": (law_morphism_iteration, MonadMorphism),
 }
-
-MORPHISM_LAWS = ("morphism.unit", "morphism.kleisli", "morphism.strength",
-                 "morphism.iteration")
-HANDLER_LAWS = ("handle.ext", "handle.iota", "handle.kleisli",
-                "handle.iteration", "handle.fuel_monotone")
-
-# every identity in scope must be reachable from some suite
-REQUIRED_IDENTITIES = frozenset({
-    "monad.left_unit", "monad.right_unit", "monad.assoc",
-    "strength.str1", "strength.str2", "strength.str3", "strength.str4",
-    "elgot.unfolding", "elgot.naturality", "elgot.dinaturality",
-    "elgot.codiagonal", "elgot.uniformity", "elgot.strength", "elgot.bekic",
-    "elgot.divergence",
-    "omega.bottom_postcomp", "omega.bottom_strength", "omega.bind_monotone",
-    "omega.bind_join",
-    "resumption.kleisli_eq", "resumption.strength_eq", "resumption.extension",
-    "resumption.guard_fix", "resumption.guarded_unfolding",
-}) | frozenset(MORPHISM_LAWS) | frozenset(HANDLER_LAWS)
-
-_covered = set(LAW_CHECKS) | set(MORPHISM_LAWS) | set(HANDLER_LAWS)
-missing = REQUIRED_IDENTITIES - _covered
-assert not missing, "identities without a registered check: %s" % sorted(missing)
-del missing, _covered
 
 ELGOT_AXIOMS = ("elgot.unfolding", "elgot.naturality", "elgot.dinaturality",
                 "elgot.codiagonal", "elgot.uniformity", "elgot.strength")
-
-
-def _applicable(kind: str, inst) -> bool:
-    if kind == "all":
-        return True
-    if kind == "resumption":
-        return isinstance(inst, ResumptionMonad)
-    return not isinstance(inst, ResumptionMonad)
-
-
-def run_axiom_suite(inst, config: GenConfig,
-                    laws: Iterable[str] | None = None) -> SuiteReport:
-    """Per-law pass/fail counts on fresh random samples for one instance."""
-    names = list(laws) if laws is not None else [
-        name for name, (_fn, kind) in LAW_CHECKS.items() if _applicable(kind, inst)]
-    report = SuiteReport(inst.name, config.seed)
-    for name in names:
-        fn, kind = LAW_CHECKS[name]
-        if not _applicable(kind, inst):
-            continue
-        gen = Gen(config.replace(seed=_subseed(config.seed, name)))
-        res = LawResult(name)
-        for _ in range(config.samples):
-            res.note(fn(gen, inst))
-        report.results.append(res)
-    return report
 
 
 def _subseed(seed: int, name: str) -> int:
@@ -560,31 +539,40 @@ def _subseed(seed: int, name: str) -> int:
     return (seed * 2654435761 + h) % (2 ** 63)
 
 
+def _run(subject, title: str, config: GenConfig, names: Iterable[str]) -> SuiteReport:
+    """The named laws that apply to subject, each on its own sample stream."""
+    report = SuiteReport(title, config.seed)
+    for name in names:
+        check, kind = LAWS[name]
+        if not isinstance(subject, kind):
+            continue
+        gen = Gen(config.replace(seed=_subseed(config.seed, name)))
+        res = LawResult(name)
+        for _ in range(config.samples):
+            res.note(check, gen, subject)
+        report.results.append(res)
+    return report
+
+
+def run_axiom_suite(inst, config: GenConfig,
+                    laws: Iterable[str] | None = None) -> SuiteReport:
+    """Per-law pass/fail counts on fresh random samples for one instance."""
+    return _run(inst, inst.name, config, LAWS if laws is None else laws)
+
+
 def run_morphism_suite(mor: MonadMorphism, config: GenConfig) -> SuiteReport:
     """The four morphism laws on random samples.  A sample on which the
     component gives no value (None) is counted as skipped."""
-    src = mor.source
-    gen = Gen(config)
-    results = [LawResult(law) for law in MORPHISM_LAWS]
-    unit_res, kleisli_res, strength_res, iter_res = results
-    for _ in range(config.samples):
-        x_car, y_car, c_car = gen.carrier("x"), gen.carrier("y"), gen.carrier("c")
-        x, c = gen.elem(x_car), gen.elem(c_car)
-        unit_res.note(morphism_unit(mor, x))
-        f = gen.kleisli(src, x_car, y_car)
-        v = gen.value(src, x_car)
-        kleisli_res.note(morphism_kleisli(mor, v, f))
-        strength_res.note(morphism_strength(mor, c, v))
-        g = gen.kleisli(src, x_car, sum_carrier(y_car, x_car))
-        iter_res.note(morphism_iteration(mor, g))
-    return SuiteReport("morphism %s: %s -> %s" % (mor.name, src.name, mor.target.name),
-                       config.seed, results)
+    return _run(mor, "morphism %s: %s -> %s" % (mor.name, mor.source.name,
+                                                mor.target.name), config, LAWS)
 
 
 def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
                       upsilon: EffectInterpretation, config: GenConfig,
                       fuel: int = 10) -> SuiteReport:
-    """Universal-property triangles plus fuel monotonicity."""
+    """Universal-property triangles plus fuel monotonicity.  Unlike the
+    registry's laws, these five draw from one shared sample stream, and the
+    triangles are checked by handler.check_universal_triangles."""
     gen = Gen(config)
     S = sigma.target
     x_car = gen.carrier("x", config.max_carrier)
@@ -621,5 +609,5 @@ def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,
 
     mono = LawResult("handle.fuel_monotone")
     for _ in range(config.samples):
-        mono.note(fuel_monotone())
+        mono.note(fuel_monotone)
     return SuiteReport(tri.instance, config.seed, tri.results + [mono])

@@ -393,7 +393,9 @@ def test_handle_fuzzed_file_never_crashes(tmp_path_factory, data):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = data.draw(_JSON_VALUES)
-    file = tmp_path_factory.getbasetemp() / "fuzzed_handle.json"
+    # a fresh file per example: on some file systems rewriting one file
+    # takes tens of milliseconds
+    file = tmp_path_factory.mktemp("fuzzed") / "handle.json"
     file.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -423,7 +425,7 @@ def test_bsp_fuzzed_spec_never_crashes(tmp_path_factory, data):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = data.draw(_BSP_VALUES)
-    file = tmp_path_factory.getbasetemp() / "fuzzed_spec.json"
+    file = tmp_path_factory.mktemp("fuzzed") / "spec.json"
     file.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -568,7 +570,7 @@ def test_run_fuzzed_program_never_crashes(tmp_path_factory, data):
             "--depth", str(data.draw(st.integers(0, 5)))]
     if base == "nondetstate":
         args += ["--state-set", data.draw(st.sampled_from(["s0", "s0,s1"]))]
-    file = tmp_path_factory.getbasetemp() / "fuzzed.whl"
+    file = tmp_path_factory.mktemp("fuzzed") / "program.whl"
     file.write_text(source)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -683,6 +685,11 @@ def _in_process(*args):
     with contextlib.redirect_stdout(out):
         code = main(list(args))
     return code, out.getvalue()
+
+
+def test_law_listing_matches_its_golden():
+    assert _in_process("laws", "--suite", "all", "--seed", "42", "--samples", "5") \
+        == (0, (GOLDEN / "laws_all_seed42.txt").read_text())
 
 
 def test_shared_parser_keeps_no_state_between_calls(monkeypatch):

@@ -372,6 +372,21 @@ def test_handler_suite_reports_skips_per_law():
     assert {law: entry["skipped"] for law, entry in laws.items()} == skipped
 
 
+def test_handler_suite_reports_a_raising_check():
+    from elgot.laws import GenConfig, run_handler_suite
+    rm, S, sigma, ups = _setup_finset_target()
+
+    def no_component(v):
+        raise ValueError("no component")
+
+    broken = MonadMorphism("broken", rm.base, S, no_component)
+    rep = run_handler_suite(rm, broken, ups, GenConfig(samples=4, seed=61))
+    # every law handles a tree, so every sample fails, and the run goes on
+    assert [len(r.failures) for r in rep.results] == [4] * 5, rep.text()
+    assert {w for r in rep.results for w in r.failures} == {
+        "raised ValueError: no component"}
+
+
 def test_morphism_suite_detects_mutated_evaluator():
     from elgot.laws import GenConfig, run_morphism_suite
     rm, S, sigma, ups = _setup_finset_target()

@@ -8,17 +8,42 @@ from elgot.core import Inl, Inr, KleisliFn, Pair, carrier, compose_kleisli, \
     copair, kleisli_unit, make_kleisli, sum_carrier
 from elgot.base_monads import FinSetMonad, elgot_instance, finset
 from elgot.resumption import ResumptionMonad
-from elgot.laws import (ELGOT_AXIOMS, HANDLER_LAWS, MORPHISM_LAWS, Gen,
-                        GenConfig, LAW_CHECKS, REQUIRED_IDENTITIES,
-                        run_axiom_suite, run_morphism_suite)
+from elgot.laws import (ELGOT_AXIOMS, LAWS, Gen, GenConfig, run_axiom_suite,
+                        run_morphism_suite)
 
 from conftest import resumption, two_op_signature
 
+# every identity in scope
+CHECKLIST = frozenset({
+    "monad.left_unit", "monad.right_unit", "monad.assoc",
+    "strength.str1", "strength.str2", "strength.str3", "strength.str4",
+    "elgot.unfolding", "elgot.naturality", "elgot.dinaturality",
+    "elgot.codiagonal", "elgot.uniformity", "elgot.strength", "elgot.bekic",
+    "elgot.divergence",
+    "omega.bottom_postcomp", "omega.bottom_strength", "omega.bind_monotone",
+    "omega.bind_join",
+    "resumption.kleisli_eq", "resumption.strength_eq", "resumption.extension",
+    "resumption.guard_fix", "resumption.guarded_unfolding",
+    "morphism.unit", "morphism.kleisli", "morphism.strength", "morphism.iteration",
+    "handle.ext", "handle.iota", "handle.kleisli", "handle.iteration",
+    "handle.fuel_monotone",
+})
+# the laws of run_handler_suite, which is not on the registry
+HANDLER_SUITE = ("handle.ext", "handle.iota", "handle.kleisli",
+                 "handle.iteration", "handle.fuel_monotone")
 
-def test_registry_covers_the_checklist():
-    covered = set(LAW_CHECKS) | set(MORPHISM_LAWS) | set(HANDLER_LAWS)
-    assert REQUIRED_IDENTITIES <= covered
-    assert set(ELGOT_AXIOMS) <= REQUIRED_IDENTITIES
+
+def test_registry_covers_the_checklist(tmp_path):
+    assert len(CHECKLIST) == 33
+    assert set(LAWS) | set(HANDLER_SUITE) == CHECKLIST
+    assert set(ELGOT_AXIOMS) <= set(LAWS)
+    # and `laws --suite all` runs every one of them
+    report = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["laws", "--suite", "all", "--samples", "1",
+                     "--report", str(report)]) == 0
+    ran = {law for entry in json.loads(report.read_text()) for law in entry["laws"]}
+    assert ran == CHECKLIST
 
 
 def test_generation_is_deterministic():
@@ -128,16 +153,28 @@ def test_tree_characteristic_equations_compare_at_a_cut():
         assert all(r.failures for r in rep.results), rep.text()
 
 
-def test_strength_law_catches_a_swapped_pair():
-    class Swapped(ResumptionMonad):
-        def strength(self, c, t):
-            return self.map(t, lambda x: Pair(x, c))
+class _Swapped(ResumptionMonad):
+    def strength(self, c, t):
+        return self.map(t, lambda x: Pair(x, c))
 
+
+def test_strength_law_catches_a_swapped_pair():
     for kind in ("maybe", "finset"):
-        swapped = Swapped(elgot_instance(kind), two_op_signature())
+        swapped = _Swapped(elgot_instance(kind), two_op_signature())
         rep = run_axiom_suite(swapped, GenConfig(seed=4, samples=30),
                               laws=("resumption.strength_eq",))
         assert rep.results[0].failures, rep.text()
+
+
+def test_a_check_that_raises_is_a_failure():
+    # the swapped pair makes strength.str2 read .fst off a leaf's element
+    swapped = _Swapped(elgot_instance("finset"), two_op_signature())
+    rep = run_axiom_suite(swapped, GenConfig(seed=4, samples=10))
+    by_law = {r.law: r for r in rep.results}
+    assert len(rep.results) == 21 and all(r.samples == 10 for r in rep.results)
+    assert by_law["resumption.strength_eq"].failures, rep.text()
+    raised = [w for r in rep.results for w in r.failures if w.startswith("raised ")]
+    assert "raised AttributeError: 'str' object has no attribute 'fst'" in raised
 
 
 def test_guarded_unfolding_catches_a_bottom_solution_at_depth_zero(monkeypatch):
