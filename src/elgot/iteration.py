@@ -72,41 +72,42 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
 
 
 class _Solution(unfold_trees):
-    """The one lifting t -> bind(t, [unit, sol]) behind the solutions
-    sol = lift . g of a guarded g.  A leaf Inl(y) becomes the layer
-    base.unit(Inl(y)) directly, not the layer of a unit tree; a leaf Inr(x)
+    """The one lifting t -> bind(t, [k, sol]) behind the solutions k* . sol,
+    sol = lift . g of a guarded g.  A leaf Inl(y) becomes k(y)'s first layer,
+    or for k None the layer base.unit(Inl(y)) directly; a leaf Inr(x)
     becomes the first layer of sol(x), which the lifting reaches through g
     in its own slot.  No closure refers back to the lifting, so it sits on
     no reference cycle of its own: a finished solve is freed as soon as its
     last tree is, unless the trees themselves form a cycle."""
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "k")
 
-    def __init__(self, rm: ResumptionMonad, g: KleisliFn):
+    def __init__(self, rm: ResumptionMonad, g: KleisliFn, k: KleisliFn | None):
         super().__init__(rm.base, rm.out, None)
         self.g = g
+        self.k = k
 
     def elem(self, e):
         if isinstance(e, Inr):
             return unfold_trees.elem(self, e)
         v = e.value
         if isinstance(v, Inl):
-            return self.base.unit(v)
+            return self.base.unit(v) if self.k is None else self.k(v.value).out()
         if isinstance(v, Inr):
             return self(self.g(v.value)).out()
         raise TypeError("expected a sum value, got %r" % (v,))
 
 
-def _unfold(rm: ResumptionMonad, g: KleisliFn) -> KleisliFn:
-    """sol(x) = bind(g(x), [unit, sol]) = lift(g(x)) for one shared lifting,
-    so a subtree that several points reach lifts to one tree.  For a guarded
-    g every recursive call sits under an operation node, so the first layer
-    of sol(x) never waits on the first layer of a solution.  A point's
-    solution is built on its first lookup, by the lifting _Solution, which
-    sits on no reference cycle."""
+def _unfold(rm: ResumptionMonad, g: KleisliFn, k: KleisliFn | None = None) -> KleisliFn:
+    """k* . sol for sol(x) = bind(g(x), [unit, sol]), as lift(g(x)) for one
+    shared lifting, so a subtree that several points reach lifts to one tree.
+    For a guarded g every recursive call sits under an operation node, so
+    the first layer of sol(x) never waits on the first layer of a solution.
+    A point's solution is built on its first lookup, by the lifting
+    _Solution, which sits on no reference cycle."""
     y_car = g.cod.parts[0] if g.cod is not None and g.cod.kind == "sum" else None
-    lift = _Solution(rm, g)
-    return make_kleisli(rm, g.dom, y_car, lambda x: lift(g(x)))
+    lift = _Solution(rm, g, k)
+    return make_kleisli(rm, g.dom, y_car if k is None else k.cod, lambda x: lift(g(x)))
 
 
 def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
@@ -118,17 +119,18 @@ def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     return _unfold(rm, f)
 
 
-def iterate_res(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
-    """Iteration of an arbitrary f : X -> Trees(Y+X): the guarded unfolding
-    of guard_transform(f).  A point's trees are built on its first lookup
-    and nothing is bound until a first layer is observed; the base fixpoint
-    is then shared by every point.  Neither table nor the lifting sits on a
-    reference cycle, so a finished solve whose trees form no loop is freed
-    by reference counting alone."""
+def iterate_res(rm: ResumptionMonad, f: KleisliFn,
+                k: KleisliFn | None = None) -> KleisliFn:
+    """Iteration of an arbitrary f : X -> Trees(Y+X), the guarded unfolding of
+    guard_transform(f), and k* . f-dagger in its one lifting if k is given.
+    A point's trees are built on its first lookup and nothing is bound until
+    a first layer is observed; the base fixpoint is then shared by every
+    point.  Neither table nor the lifting sits on a reference cycle, so a
+    finished solve whose trees form no loop is freed by reference counting."""
     if f.cod is not None and f.cod.kind == "sum":
         rec = f.cod.parts[1]
         if rec is not f.dom and rec.elements != f.dom.elements:
             raise ValueError(
                 "recursive summand %s does not match the domain %s"
                 % (rec.name, f.dom.name))
-    return _unfold(rm, guard_transform(rm, f))
+    return _unfold(rm, guard_transform(rm, f), k)

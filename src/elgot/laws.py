@@ -539,12 +539,15 @@ def _subseed(seed: int, name: str) -> int:
     return (seed * 2654435761 + h) % (2 ** 63)
 
 
-def _run(subject, title: str, config: GenConfig, names: Iterable[str]) -> SuiteReport:
-    """The named laws that apply to subject, each on its own sample stream."""
+def _run(subject, title: str, config: GenConfig, names=None) -> SuiteReport:
+    """The named laws, each on its own sample stream, or with names None every
+    law that applies to subject; a named law that does not apply raises."""
     report = SuiteReport(title, config.seed)
-    for name in names:
+    for name in LAWS if names is None else names:
         check, kind = LAWS[name]
         if not isinstance(subject, kind):
+            if names is not None:
+                raise ValueError("law %s does not apply to %s" % (name, title))
             continue
         gen = Gen(config.replace(seed=_subseed(config.seed, name)))
         res = LawResult(name)
@@ -557,14 +560,14 @@ def _run(subject, title: str, config: GenConfig, names: Iterable[str]) -> SuiteR
 def run_axiom_suite(inst, config: GenConfig,
                     laws: Iterable[str] | None = None) -> SuiteReport:
     """Per-law pass/fail counts on fresh random samples for one instance."""
-    return _run(inst, inst.name, config, LAWS if laws is None else laws)
+    return _run(inst, inst.name, config, laws)
 
 
 def run_morphism_suite(mor: MonadMorphism, config: GenConfig) -> SuiteReport:
     """The four morphism laws on random samples.  A sample on which the
     component gives no value (None) is counted as skipped."""
     return _run(mor, "morphism %s: %s -> %s" % (mor.name, mor.source.name,
-                                                mor.target.name), config, LAWS)
+                                                mor.target.name), config)
 
 
 def run_handler_suite(rm: ResumptionMonad, sigma: MonadMorphism,

@@ -197,6 +197,10 @@ def _unfold_step(unfolding: unfold_trees, seed):
     return unfolding.base.bind(unfolding.layer(seed), unfolding.elem)
 
 
+def _first_layer(k: Callable, x):
+    return k(x).out()
+
+
 # ---------------------------------------------------------------------------
 # Truncations
 # ---------------------------------------------------------------------------
@@ -339,6 +343,17 @@ class ResumptionMonad(ElgotMonad):
     def bind(self, t: ResTree, f: Callable) -> ResTree:
         """Lift t by f."""
         return self.lifting(f)(t)
+
+    def perform(self, effect, k: Callable) -> ResTree:
+        """bind(t, k) for the tree t of one effect given as data: a pure result
+        Inl(x) is k(x), and an operation Inr(sig_val(decl, p, r)) is one node by
+        bind(op(p, unit . r), k) = op(p, k . r), whose child at a is a lazy
+        cell with k(r(a))'s first layer.  Any other effect is a tree, lifted."""
+        if not isinstance(effect, Inr):
+            return k(effect.value) if isinstance(effect, Inl) else self.bind(effect, k)
+        node = effect.value
+        return self.out_inv(self.base.unit(Inr(OpNode(node.op, node.param, tuple(
+            (a, ResTree(fn=partial(_first_layer, k, s))) for a, s in node.children)))))
 
     def map(self, t: ResTree, g: Callable) -> ResTree:
         """bind(t, unit . g), with each leaf's layer base.unit(Inl(g(v)))

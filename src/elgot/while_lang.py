@@ -9,8 +9,10 @@ need no guardedness: the while rule iterates the loop step directly.
 A program's denotation is a Kleisli composite, and Kleisli extension is
 associative, so interpret builds k* . [[s]] by handing the rest of the
 program k to s as its continuation (the codensity idea of Voigtlaender
-2008) rather than by lifting [[s]]'s finished trees by k: each statement
-is lifted once into the rest of the program, and a skip costs nothing.
+2008), and a skip costs nothing.  Operations are algebraic, so an action or
+a test is one effect sequenced into k by bind(op(p, unit . r), k) =
+op(p, k . r), and iteration is natural, so a loop is solved into k in one
+lifting, its exits continuing with k.
 Every table is built by core.make_kleisli and fills one point at a time
 on first application, so a run builds only the trees of the points it
 applies and of the points those trees reach.  Unknown actions and
@@ -22,10 +24,11 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, make_kleisli,
-                   sum_carrier, unit_carrier)
+from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, kleisli_unit,
+                   make_kleisli, sum_carrier, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
-from .resumption import OpDecl, ResumptionMonad, Signature
+from .iteration import iterate_res
+from .resumption import OpDecl, ResumptionMonad, Signature, sig_val
 
 FALSE = Inl("*")
 TRUE = Inr("*")
@@ -222,20 +225,14 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:
         ops.append(OpDecl("coin", unit_carrier(), BOOL2))
     rm = ResumptionMonad(base, Signature(tuple(ops)))
 
-    def do_write(v):
-        return rm.op_call("write", v, {"*": rm.unit(v)})
-
-    def do_read(_v):
-        return rm.op_call("read", "*", {a: rm.unit(a) for a in alpha.elements})
-
-    action_table = {"write": do_write, "read": do_read}
-
-    # a test's tree is only ever the seed of a lifting, so each is built once
-    true_tree, false_tree = rm.unit(TRUE), rm.unit(FALSE)
-    pred_table = {"true": lambda v: true_tree, "false": lambda v: false_tree}
+    # each action and test maps a point to one effect, as rm.perform reads it
+    read = Inr(sig_val(ops[1], "*", {a: a for a in alpha.elements}))
+    action_table = {"write": lambda v: Inr(sig_val(ops[0], v, {"*": v})),
+                    "read": lambda v: read}
+    pred_table = {"true": lambda v: Inl(TRUE), "false": lambda v: Inl(FALSE)}
     if not deterministic:
-        coin_tree = rm.op_call("coin", "*", {"ff": false_tree, "tt": true_tree})
-        pred_table["coin"] = lambda v: coin_tree
+        coin = Inr(sig_val(ops[2], "*", {"ff": FALSE, "tt": TRUE}))
+        pred_table["coin"] = lambda v: coin
     return Env(rm, alpha, action_table, pred_table)
 
 
@@ -260,14 +257,18 @@ def _lookup_pred(env: Env, name: str) -> Callable:
     return fn
 
 
-def _branch(env: Env, pred: str, on_true: Callable, on_false: Callable):
-    """The predicate composite: lift the test's tree once, continuing at the
-    value with the false branch on the left and the true branch on the right."""
+def _branch(env: Env, pred: str, on_true: KleisliFn, on_false: KleisliFn):
+    """The predicate composite: the test's effect at the value, continued with
+    the false branch on the left and the true branch on the right.  A pure
+    test indexes its branch's table, one frame fewer per nested if than a call."""
     rm = env.rm
     test = _lookup_pred(env, pred)
 
     def at(v):
-        return rm.bind(test(v), lambda b: on_true(v) if isinstance(b, Inr) else on_false(v))
+        e = test(v)
+        if isinstance(e, Inl):
+            return (on_true if isinstance(e.value, Inr) else on_false).table[v]
+        return rm.perform(e, lambda b: on_true(v) if isinstance(b, Inr) else on_false(v))
 
     return at
 
@@ -278,24 +279,23 @@ def interpret(stmt: Stmt, env: Env, k: KleisliFn | None = None) -> KleisliFn:
 
     The rest of the program is handed to each statement as its
     continuation k, so no statement's trees are built only to be copied
-    by a lifting: skip is k itself, an action's tree is lifted by k, a ';'
-    chain passes each composite back as the continuation of the statement
-    before it, and both branches of an if share k.  A loop body continues
-    with Inr, the loop step's recursive summand, and the loop's solution
-    is lifted by k through one lifting shared by every point.  Every table
-    is built by make_kleisli, so it fills one point at a time on first
-    application; unknown actions and predicates raise here.
+    by a lifting: skip is k itself, an action's effect is performed into
+    k, a ';' chain passes each composite back as the continuation of the
+    statement before it, and both branches of an if share k.  A loop body
+    continues with Inr, the loop step's recursive summand, and the loop
+    is solved into k, its exits continuing with k in its one lifting.
+    Every table is built by make_kleisli, so it fills one point at a time
+    on first application; unknown actions and predicates raise here.
     """
     rm = env.rm
     alpha = env.alphabet
-    cod = alpha if k is None else k.cod
+    if k is None:
+        k = kleisli_unit(rm, alpha)
     if isinstance(stmt, Skip):
-        return make_kleisli(rm, alpha, alpha, rm.unit) if k is None else k
+        return k
     if isinstance(stmt, Act):
         act = _lookup_action(env, stmt.name)
-        if k is None:
-            return make_kleisli(rm, alpha, alpha, act)
-        return make_kleisli(rm, alpha, cod, lambda v: rm.bind(act(v), k))
+        return make_kleisli(rm, alpha, k.cod, lambda v: rm.perform(act(v), k))
     if isinstance(stmt, Seq):
         # walk the right-nested chain with a loop, then interpret it from
         # the last statement backwards
@@ -310,19 +310,14 @@ def interpret(stmt: Stmt, env: Env, k: KleisliFn | None = None) -> KleisliFn:
     if isinstance(stmt, If):
         then_f = interpret(stmt.then, env, k)
         else_f = interpret(stmt.orelse, env, k)
-        return make_kleisli(rm, alpha, cod, _branch(env, stmt.pred, then_f, else_f))
+        return make_kleisli(rm, alpha, k.cod, _branch(env, stmt.pred, then_f, else_f))
     if isinstance(stmt, While):
         loop_car = sum_carrier(alpha, alpha)
         again = make_kleisli(rm, alpha, loop_car, lambda v: rm.unit(Inr(v)))
+        leave = make_kleisli(rm, alpha, loop_car, lambda v: rm.unit(Inl(v)))
         body_f = interpret(stmt.body, env, again)
-        exit_ = lambda v: rm.unit(Inl(v))
-        step = make_kleisli(rm, alpha, loop_car,
-                            _branch(env, stmt.pred, body_f, exit_))
-        sol = rm.iterate(step)
-        if k is None:
-            return sol
-        lift = rm.lifting(k)
-        return make_kleisli(rm, alpha, cod, lambda v: lift(sol(v)))
+        step = make_kleisli(rm, alpha, loop_car, _branch(env, stmt.pred, body_f, leave))
+        return iterate_res(rm, step, k)
     raise SemanticError("unknown statement %r" % (stmt,))
 
 

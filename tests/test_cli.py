@@ -544,6 +544,21 @@ def test_deep_programs_never_print_a_traceback(tmp_path, source):
         assert r.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("source,expected",
+                         [("; ".join(["if true then skip else skip"] * 200), "{(leaf 0)}\n"),
+                          ("while true do " * 80 + "skip", "{}\n")],
+                         ids=["if-chain", "nested-while"])
+def test_deep_programs_within_the_nesting_ceilings_run(tmp_path, source, expected):
+    # a true test goes straight to its branch, and a loop is solved into
+    # its continuation: 163 ifs and 54 nested loops ran when each test and
+    # each loop's solution was lifted by the continuation
+    prog = tmp_path / "deep.whl"
+    prog.write_text(source)
+    r = cli("run", str(prog), "--input", "0", "--depth", "1")
+    assert r.returncode == 0, r.stderr[-300:]
+    assert r.stdout == expected
+
+
 # programs of the README grammar over the built-in actions and predicates
 # and one unknown name of each kind, which the environment rejects
 _IDENTS = st.sampled_from(["read", "write", "jump"])

@@ -404,3 +404,29 @@ def test_guard_transform_idempotent_up_to_bisimulation(rm_finset):
         twice = guard_transform(rm_finset, once)
         for v in x.elements:
             assert rm_finset.bisimilar(once(v), twice(v), 6)
+
+
+def _three_bases():
+    from elgot.base_monads import elgot_instance
+    return [ResumptionMonad(elgot_instance(kind, state_set=("s0", "s1")), two_op_signature())
+            for kind in ("maybe", "finset", "nondetstate")]
+
+
+@pytest.mark.parametrize("rm", _three_bases(), ids=("maybe", "finset", "nondetstate"))
+def test_a_loop_is_solved_into_its_continuation(rm):
+    # iterate_res(rm, f, k) = k* . f-dagger, its exits continued by k inside
+    # the solution's one lifting; unguarded steps included
+    from elgot.iteration import iterate_res
+    from elgot.laws import Gen, GenConfig
+    gen = Gen(GenConfig(seed=29, node_budget=10))
+    unguarded = 0
+    for _ in range(25):
+        x, y, z = gen.carrier("x"), gen.carrier("y"), gen.carrier("z")
+        f = gen.kleisli(rm, x, sum_carrier(y, x))
+        k = gen.kleisli(rm, y, z)
+        unguarded += bare_recursive_leaf(rm, f) is not None
+        continued, sol = iterate_res(rm, f, k), rm.iterate(f)
+        assert continued.cod is z
+        for v in x.elements:
+            assert rm.bisimilar(continued(v), rm.bind(sol(v), k), 6)
+    assert unguarded >= 5

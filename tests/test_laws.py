@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import re
+
+import pytest
 
 from elgot import laws
 from elgot.cli import main
@@ -298,3 +301,13 @@ def test_bekic_law_catches_broken_iteration():
     rep = run_axiom_suite(OneStep(), GenConfig(seed=5, samples=50),
                           laws=("elgot.bekic",))
     assert not rep.ok
+
+
+def test_a_named_law_that_does_not_apply_is_refused():
+    # a suite asked only for laws its subject has no part in must not pass
+    # with no results
+    inst = resumption("finset")
+    with pytest.raises(ValueError, match="law elgot.bekic does not apply to "
+                                         + re.escape(inst.name)):
+        run_axiom_suite(inst, GenConfig(samples=5),
+                        laws=("elgot.bekic", "omega.bind_join"))

@@ -551,3 +551,37 @@ def test_rendering_expands_each_shared_layer_once(monkeypatch):
     assert len(text) == 8126394
     assert len(expanded) == 16
     assert max(n for _v, n in expanded.values()) == 1
+
+
+@pytest.mark.parametrize("kind", ("maybe", "finset", "nondetstate"))
+def test_performing_an_effect_is_binding_its_generic_tree(kind):
+    # perform(effect, k) = bind(t, k) for the effect's generic tree t: unit
+    # for a pure result, iota for an operation over seeds
+    from elgot.laws import Gen, GenConfig
+    rm = ResumptionMonad(elgot_instance(kind, state_set=("s0", "s1")), two_op_signature())
+    gen = Gen(GenConfig(seed=31, node_budget=8))
+    for _ in range(10):
+        x, z = gen.carrier("x"), gen.carrier("z")
+        k = gen.kleisli(rm, x, z)
+        effects = [(Inl(v), rm.unit(v)) for v in x.elements]
+        for op in rm.sig.ops:
+            p, r = gen.elem(op.param), gen.pure_fn(op.arity, x)
+            effects.append((Inr(sig_val(op, p, r)), rm.iota(op.name, p, r)))
+        for effect, generic in effects:
+            assert rm.bisimilar(rm.perform(effect, k), rm.bind(generic, k), 6)
+
+
+def test_an_operation_is_performed_over_lazy_cells(rm_finset):
+    # the continuation runs only when a child's first layer is forced
+    calls = []
+
+    def k(v):
+        calls.append(v)
+        return rm_finset.unit(v)
+
+    ask = rm_finset.sig.op("ask")
+    t = rm_finset.perform(Inr(sig_val(ask, "*", {"l": "a", "r": "b"})), k)
+    assert calls == []
+    (node,) = [e.value for e in rm_finset.base.elements(t.out())]
+    assert rm_finset.out(node.child("r")) == rm_finset.out(rm_finset.unit("b"))
+    assert calls == ["b"]
