@@ -6,8 +6,8 @@ Atoms are plain strings; every composite value (sum tags, pairs, operation
 nodes, truncated tree layers) has a canonical sort key so that finite sets
 over mixed element types have a stable, deterministic order.  Sums, pairs,
 operation nodes and base-monad values build their key from their parts on
-each call; truncated tree layers are hash-consed and store theirs once (see
-the resumption module).  Composite values render through one explicit
+each call; truncated tree layers are hash-consed and build theirs on first
+use (see the resumption module).  Composite values render through one explicit
 stack, so neither keys nor text are bounded by Python's recursion depth.
 
 Every immutable value of the package is a tagged tuple, its class followed
@@ -24,6 +24,7 @@ records are plain classes with __slots__.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 from operator import itemgetter
 
@@ -230,6 +231,12 @@ def prod_carrier(left: Carrier, right: Carrier) -> Carrier:
     return Carrier("(%sx%s)" % (left.name, right.name), elems, "prod", (left, right))
 
 
+# Carriers never change, and copair and the law checks build the same few
+# often: these bounded memos share each, so compositions find it by identity.
+shared_sum_carrier = functools.lru_cache(maxsize=256)(sum_carrier)
+shared_prod_carrier = functools.lru_cache(maxsize=64)(prod_carrier)
+
+
 def unit_carrier() -> Carrier:
     return carrier("1", ("*",))
 
@@ -372,7 +379,7 @@ def copair(f: KleisliFn, g: KleisliFn) -> KleisliFn:
     """[f, g] on the sum of the two domains."""
     if f.monad is not g.monad:
         raise CarrierMismatchError("copairing across different monads")
-    return make_kleisli(f.monad, sum_carrier(f.dom, g.dom), f.cod,
+    return make_kleisli(f.monad, shared_sum_carrier(f.dom, g.dom), f.cod,
                         lambda x: case_sum(x, f, g))
 
 

@@ -15,9 +15,10 @@ from collections.abc import Callable, Iterable
 
 from .base_monads import _KleeneMonad, kleene_iterate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult, Pair, Carrier,
-                   SuiteReport, carrier, sum_carrier, prod_carrier, case_sum,
-                   dist_elem, compose_kleisli, copair, kleisli_unit,
-                   make_kleisli, map_kleisli, render_elem)
+                   SuiteReport, carrier, case_sum, dist_elem, compose_kleisli,
+                   copair, kleisli_unit, make_kleisli, map_kleisli, render_elem,
+                   shared_prod_carrier as prod_carrier,
+                   shared_sum_carrier as sum_carrier)
 from .handler import (EffectInterpretation, MonadMorphism,
                       check_universal_triangles, handle, morphism_iteration,
                       morphism_kleisli, morphism_strength, morphism_unit)
@@ -44,19 +45,12 @@ class GenConfig:
         return GenConfig(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
 
-# Carriers never change, and the law checks draw theirs from a small family:
-# one atom carrier per (prefix, size), and sums and products of those.  Each
-# is built once and shared by every sample, so compositions over one
-# carrier find it by identity.  The memos live here, not in core, so they
-# are bounded and hold only what the law checks build, never a user's input.
+# The law checks draw their carriers from a small family, each built once:
+# atom carriers here, and their sums and products by core's shared memos.
 
 @functools.lru_cache(maxsize=64)
 def _atoms(prefix: str, size: int) -> Carrier:
     return carrier(prefix, tuple("%s%d" % (prefix, i) for i in range(size)))
-
-
-sum_carrier = functools.lru_cache(maxsize=256)(sum_carrier)
-prod_carrier = functools.lru_cache(maxsize=64)(prod_carrier)
 
 
 class Gen:

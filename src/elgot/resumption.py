@@ -22,8 +22,8 @@ Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-
 monad value over hash-consed layers (TLeaf, TCUT, TOp): equal layers are one
 object, so truncations compare and hash by identity below the top layer, and
-each layer stores its canonical key.  truncate reads each (tree, depth) pair
-once, so the observation of a shared or cyclic tree is a DAG built once.
+a layer builds its key only when a set holding it is ordered.  truncate
+reads each (tree, depth) pair once: a shared or cyclic tree's is a DAG.
 """
 
 from __future__ import annotations
@@ -197,8 +197,10 @@ def _unfold_step(unfolding: unfold_trees, seed):
     return unfolding.base.bind(unfolding.layer(seed), unfolding.elem)
 
 
-def _first_layer(k: Callable, x):
-    return k(x).out()
+def _perform_layer(base: ElgotMonad, node: OpNode, k: Callable):
+    """The first layer of a performed operation: node over k's trees."""
+    return base.unit(Inr(OpNode(node.op, node.param,
+                                tuple((a, k(s)) for a, s in node.children))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +213,10 @@ class _Interned:
     Each class's intern table is a weakref.WeakValueDictionary keyed
     shallowly, by the fields themselves: children are interned already, or
     base-monad values over interned elements, so the lookup never walks
-    below one layer.  Equality and hashing are therefore identity, and each
-    value stores its canonical key, built in _set from its children's stored
-    keys.  A miss inserts under the module's lock, so two equal values never
-    coexist.
+    below one layer.  Equality and hashing are therefore identity.  A key
+    is read only to order a set of two or more, so _fill_keys builds it on
+    the first _canon_key_ call and stores it.  A miss inserts under the
+    module's lock, so two equal values never coexist.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -226,15 +228,40 @@ class _Interned:
                 v = cls._table.get(fields)
                 if v is None:
                     v = object.__new__(cls)
+                    v._key = None
                     v._set(*fields)     # publish only a filled value
                     cls._table[fields] = v
         return v
 
     def _canon_key_(self):
+        if self._key is None:
+            _fill_keys(self)
         return self._key
 
     def __repr__(self):
         return render_elem(self)
+
+
+def _fill_keys(top: _Interned):
+    """Key top and every unkeyed layer below it, children first, from an
+    explicit stack: a key reads only stored keys, at any depth.  Children
+    are base-monad values, tuples or sets holding the layers below."""
+    stack = [top]
+    while stack:
+        v = stack[-1]
+        if v._key is None:
+            below, todo = [], list(getattr(v, "children", ()))
+            while todo:
+                x = todo.pop()
+                if isinstance(x, (tuple, frozenset)):
+                    todo.extend(x)
+                elif isinstance(x, _Interned) and x._key is None:
+                    below.append(x)
+            if below:
+                stack += below
+                continue
+            v._key = v._make_key()
+        stack.pop()
 
 
 class TLeaf(_Interned):
@@ -243,7 +270,9 @@ class TLeaf(_Interned):
 
     def _set(self, value):
         self.value = value
-        self._key = (30, canon_key(value))
+
+    def _make_key(self):
+        return (30, canon_key(self.value))
 
     def _render_(self):
         return ("(leaf ", self.value, ")")
@@ -269,8 +298,10 @@ class TOp(_Interned):
     def _set(self, op: str, param, children: tuple):
         self.op, self.param = op, param
         self.children = children   # truncated values in arity order
-        self._key = (32, op, canon_key(param),
-                     tuple(canon_key(c) for c in children))
+
+    def _make_key(self):
+        return (32, self.op, canon_key(self.param),
+                tuple(canon_key(c) for c in self.children))
 
     def _render_(self):
         return ["(op ", self.op, " ", self.param, " "] + spaced(self.children) + [")"]
@@ -346,14 +377,12 @@ class ResumptionMonad(ElgotMonad):
 
     def perform(self, effect, k: Callable) -> ResTree:
         """bind(t, k) for the tree t of one effect given as data: a pure result
-        Inl(x) is k(x), and an operation Inr(sig_val(decl, p, r)) is one node by
-        bind(op(p, unit . r), k) = op(p, k . r), whose child at a is a lazy
-        cell with k(r(a))'s first layer.  Any other effect is a tree, lifted."""
+        Inl(x) is k(x); an operation Inr(sig_val(decl, p, r)) is the lazy tree
+        op(p, k . r) = bind(op(p, unit . r), k), whose child at a is k(r(a)),
+        k's own tree, looked up when its first layer is read.  Else t, lifted."""
         if not isinstance(effect, Inr):
             return k(effect.value) if isinstance(effect, Inl) else self.bind(effect, k)
-        node = effect.value
-        return self.out_inv(self.base.unit(Inr(OpNode(node.op, node.param, tuple(
-            (a, ResTree(fn=partial(_first_layer, k, s))) for a, s in node.children)))))
+        return ResTree(fn=partial(_perform_layer, self.base, effect.value, k))
 
     def map(self, t: ResTree, g: Callable) -> ResTree:
         """bind(t, unit . g), with each leaf's layer base.unit(Inl(g(v)))

@@ -225,7 +225,7 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:
         ops.append(OpDecl("coin", unit_carrier(), BOOL2))
     rm = ResumptionMonad(base, Signature(tuple(ops)))
 
-    # each action and test maps a point to one effect, as rm.perform reads it
+    # each action and test maps a point to one effect, which rm.perform sequences
     read = Inr(sig_val(ops[1], "*", {a: a for a in alpha.elements}))
     action_table = {"write": lambda v: Inr(sig_val(ops[0], v, {"*": v})),
                     "read": lambda v: read}

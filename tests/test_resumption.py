@@ -534,6 +534,32 @@ def test_node_keys_are_structural(rm_maybe):
                                    ((4, (0, "s"), (1, 1)), (2, (0, "s"))))
 
 
+def test_a_deep_truncation_is_keyed_and_rendered_without_recursion(rm_finset):
+    # every layer is a two-member set, so rendering sorts each one and keys
+    # the truncation below it, 5,000 layers deep
+    act, n = rm_finset.sig.op("act"), 5000
+    seeds = carrier("s", tuple(range(n)))
+    g = make_kleisli(rm_finset.base, seeds, None, lambda s: finset(
+        [Inl("x%d" % s), Inr(sig_val(act, "p0", {"*": min(s + 1, n - 1)}))]))
+    text = rm_finset.render(rm_finset.coit(g)(0), n)
+    assert len(text) == 133910
+    assert text.startswith("{(leaf x0) (op act p0 {(leaf x1) (op act p0 {(leaf x2)")
+
+
+def test_a_run_keys_no_truncation_layer(monkeypatch):
+    # a while-program truncation orders no set of two or more layers, so no
+    # layer's key is ever built
+    from elgot import base_monads, core, resumption as res_module
+    from elgot.while_lang import make_env, run
+    calls = []
+    key = core.canon_key
+    for module in (core, base_monads, res_module):
+        monkeypatch.setattr(module, "canon_key", lambda v: calls.append(v) or key(v))
+    env = make_env("finset", alphabet=("0", "1"))
+    text = run("while true do {read; while coin do write}; write", env, "0", 6)
+    assert text.startswith("{(op read * ") and calls == []
+
+
 def test_rendering_expands_each_shared_layer_once(monkeypatch):
     from elgot.while_lang import make_env, run
     expanded = {}
@@ -572,16 +598,29 @@ def test_performing_an_effect_is_binding_its_generic_tree(kind):
 
 
 def test_an_operation_is_performed_over_lazy_cells(rm_finset):
-    # the continuation runs only when a child's first layer is forced
-    calls = []
+    # perform calls nothing; reading the node's layer calls k once per child,
+    # in arity order, and each child is the very tree k returned
+    calls, made = [], {}
 
     def k(v):
         calls.append(v)
-        return rm_finset.unit(v)
+        return made.setdefault(v, rm_finset.unit(v))
 
     ask = rm_finset.sig.op("ask")
-    t = rm_finset.perform(Inr(sig_val(ask, "*", {"l": "a", "r": "b"})), k)
+    t = rm_finset.perform(Inr(sig_val(ask, "*", {"l": "b", "r": "a"})), k)
     assert calls == []
     (node,) = [e.value for e in rm_finset.base.elements(t.out())]
-    assert rm_finset.out(node.child("r")) == rm_finset.out(rm_finset.unit("b"))
-    assert calls == ["b"]
+    assert calls == ["b", "a"]
+    assert node.child("l") is made["b"] and node.child("r") is made["a"]
+    t.out()
+    assert calls == ["b", "a"]
+
+
+def test_a_performed_child_is_the_continuations_own_tree(rm_finset):
+    x = carrier("x", ("a", "b"))
+    k = make_kleisli(rm_finset, x, x, rm_finset.unit)
+    r = {"l": "b", "r": "a"}
+    t = rm_finset.perform(Inr(sig_val(rm_finset.sig.op("ask"), "*", r)), k)
+    (node,) = [e.value for e in rm_finset.base.elements(t.out())]
+    for a in ("l", "r"):
+        assert node.child(a) is k(r[a])

@@ -242,13 +242,15 @@ def test_a_statement_is_lifted_once_into_the_rest_of_the_program():
     # neither the first statement's trees nor the loop body's are built only
     # to be copied: 103 tokens when `;` composed by lifting and each body
     # was mapped into the loop's sum, 77 when an action's tree and a test's
-    # were lifted by the continuation and a loop's solution lifted again.
-    # Now an action or coin is one node over lazy cells, true goes straight
+    # were lifted by the continuation and a loop's solution lifted again, 46
+    # when an action or coin was one node over lazy cells that copied the
+    # continuation's first layers.  Now an action or coin is one lazy tree
+    # whose children are the continuation's own trees, true goes straight
     # to its branch, and the inner loop is solved into the rest of the body
     env = make_env("finset", alphabet=("0", "1"))
     stmt = parse("while true do {read; while coin do write}; write")
     drawn, _ = tokens_drawn(lambda: env.rm.truncate(interpret(stmt, env)("0"), 4))
-    assert drawn == 46
+    assert drawn == 34
 
 
 def test_a_skip_chain_costs_nothing():
