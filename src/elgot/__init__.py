@@ -10,7 +10,7 @@ from .base_monads import (FinSetMonad, MaybeMonad, NondetStateMonad, NOTHING,
                           kleene_iterate, partition_iterate_maybe, reach_iterate)
 from .resumption import (OpDecl, ResTree, ResumptionMonad, Signature, Thunk)
 from .iteration import (UnguardedError, bare_recursive_leaf, guard_transform,
-                        iterate_res, solve_guarded)
+                        iterate_res, pre_iterate, solve_guarded, solve_system)
 from .handler import (EffectInterpretation, HandleResult, InterpretationError,
                       MonadMorphism, handle, identity_morphism,
                       maybe_to_finset, zeta)

@@ -4,20 +4,22 @@ labelled transition systems.
 
 A definition gives each state i a chain of variables (i,0), ..., (i,w)
 for its width w; variable (i,k) with k < w either takes the k-th transition
-(action b[i][k] to state j[i][k]) or falls through to (i,k+1), without any
-guard, and (i,w) is the empty choice.  Solving collapses each chain so state
-i's outgoing edges are exactly its table rows.  Unfolding reads each root's
-solved layer once into a successor table of (label, state) pairs and walks
-that table level by level.
+(action b[i][k] over the row's own seed, which jumps to state j[i][k]) or
+falls through to (i,k+1), without any guard, and (i,w) is the empty choice.
+That is a flat system, and iteration.pre_iterate solves its bare jumps in
+the base monad, so state i's solved layer holds exactly one node per table
+row.  The export reads each root's solved layer once into a successor
+table of (label, state) pairs, from the rows and not from any tree, and
+walks that table level by level.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import Inl, Inr, KleisliFn, Pair, _Tagged, carrier, empty_carrier, \
-    sum_carrier, unit_carrier
+from .core import Inl, Inr, KleisliFn, Pair, _Tagged, carrier, unit_carrier
 from .base_monads import FinSetMonad, finset
+from .iteration import pre_iterate
 from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 
 
@@ -178,34 +180,32 @@ def load_bsp(text: str) -> BspSpec:
 # ---------------------------------------------------------------------------
 
 def build_equations(spec: BspSpec):
-    """The recursive definition over variables (state, transition index).
-
-    The variables are the (i,k) with k <= width(i), in (state, k) order,
-    exactly those a root (i,0) reaches.  Variable (i,k) with k < width(i)
-    is the choice of the k-th prefixed transition and the bare fall-through
-    variable (i,k+1); (i,width(i)) ends the chain in the empty choice.  The
-    fall-through summand is unguarded by construction.
+    """The definition as a flat system (rm, step), step a base-monad
+    Kleisli function on seeds.  Variable Inl((i,k)), k <= width(i), is what
+    the root Inl((i,0)) reaches: for k < width(i) the choice of the node
+    b[i][k] over the row's own seed Inr((i,k)) and the unguarded
+    fall-through jump to Inl((i,k+1)), and for k = width(i) the empty
+    choice.  The row seed jumps to its target's root Inl((j[i][k],0)), so
+    two equal rows are two nodes.
     """
     base = FinSetMonad()
     act_car = carrier("a", spec.actions)
-    sig = Signature((OpDecl("act", act_car, unit_carrier()),))
-    rm = ResumptionMonad(base, sig)
+    rm = ResumptionMonad(base, Signature((OpDecl("act", act_car, unit_carrier()),)))
 
-    var_car = carrier("(st,k)", tuple(Pair(str(i), str(k))
-                                      for i in range(spec.states)
-                                      for k in range(spec.widths[i] + 1)))
-    cod = sum_carrier(empty_carrier(), var_car)
-
-    def equation(v: Pair):
-        i, k = int(v.fst), int(v.snd)
+    def step(seed):
+        i, k = seed.value.fst, seed.value.snd
+        if isinstance(seed, Inr):
+            return finset((Inl(Inr(Inl(Pair(spec.j[i][k], 0)))),))
         if k == spec.widths[i]:
-            return rm.out_inv(base.bottom())
-        cont = rm.unit(Inr(Pair(str(spec.j[i][k]), "0")))
-        node = OpNode("act", spec.b[i][k], (("*", cont),))
-        return rm.out_inv(finset((Inl(Inr(Pair(str(i), str(k + 1)))), Inr(node))))
+            return base.bottom()
+        node = OpNode("act", spec.b[i][k], (("*", Inr(seed.value)),))
+        return finset((Inl(Inr(Inl(Pair(i, k + 1)))), Inr(node)))
 
-    table = {v: equation(v) for v in var_car.elements}
-    return rm, KleisliFn(rm, var_car, cod, table)
+    seeds = carrier("seeds", [Inl(Pair(i, k)) for i in range(spec.states)
+                              for k in range(spec.widths[i] + 1)]
+                    + [Inr(Pair(i, k)) for i in range(spec.states)
+                       for k in range(spec.widths[i])])
+    return rm, KleisliFn(base, seeds, None, {s: step(s) for s in seeds.elements})
 
 
 class LtsNode:
@@ -236,29 +236,24 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     """Solve the definition and unfold every state's root to the given depth.
 
     Roots are named s<i>; deeper occurrences get fresh numeric suffixes.
-    Occurrences are identified with states by first-layer value identity
-    against the root layers; deadlocked states all share the empty layer and
-    normalize to the least such index.  An occurrence of state i has root
-    i's layer, so each root's layer is read once, in canonical order, into a
-    table of (label, state) successors, and the unfolding walks that table.
-    It stops at the first empty level, and refuses, before building it, a
+    State i's edges are the nodes of its root's pre-iterated layer, read
+    once in canonical order, by label and then by row index.  The edge of
+    row (i,k) leads to state j[i][k], except that every deadlocked
+    (width-0) target is exported as the lowest-numbered deadlocked state.
+    No tree is built: the unfolding walks that table level by level.  It
+    stops at the first empty level, and refuses, before building it, a
     level that would take it past MAX_NODES nodes.
     """
-    rm, g = build_equations(spec)
-    sol = rm.iterate(g)
-    layers = [rm.out(sol(Pair(str(i), "0"))) for i in range(spec.states)]
-
-    identify = {}
-    for i, layer in enumerate(layers):
-        identify.setdefault(layer, i)
+    rm, step = build_equations(spec)
+    solved = pre_iterate(rm.base, step)
+    deadlocked = next((i for i, w in enumerate(spec.widths) if w == 0), None)
     succ = []
-    for layer in layers:
+    for i in range(spec.states):
         row = []
-        for e in rm.base.elements(layer):
-            assert isinstance(e, Inr), "solved system still has bare leaves"
-            state = identify.get(rm.out(e.value.child("*")))
-            assert state is not None, "child layer does not match any state"
-            row.append((e.value.param, state))
+        for e in rm.base.elements(solved(Inl(Pair(i, 0)))):
+            (_a, row_seed), = e.value.children      # Inr((i, k)) of row k
+            j = spec.j[i][row_seed.value.snd]
+            row.append((e.value.param, deadlocked if spec.widths[j] == 0 else j))
         succ.append(row)
 
     lts = Lts("s0")

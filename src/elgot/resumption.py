@@ -11,12 +11,12 @@ memoized forcing observable in tests.  Every tree also carries a unique
 token, its canonical key; a node builds its key from its parts on each
 call.  unfold_trees is the one lazy corecursion: one object per unfolding,
 whose trees' cells are partial applications of one step function to it
-and a seed.  map and the guarded solutions of the iteration module write a
-leaf's layer directly, rather than build a unit tree only to read its first
-layer.  An unfolding's memo holds its trees and an unforced tree's cell
-holds the unfolding, so an unfolding is on a reference cycle while one of
-its trees is unforced or when its trees form a loop; otherwise reference
-counting frees it.
+and a seed.  map and the flat-system solutions of the iteration module
+write a leaf's layer directly, rather than build a unit tree only to read
+its first layer.  An unfolding's memo holds its trees and an unforced
+tree's cell holds the unfolding, so an unfolding is on a reference cycle
+while one of its trees is unforced or when its trees form a loop;
+otherwise reference counting frees it.
 
 Equality of trees is undecidable in general; the package works with
 depth-indexed bisimilarity via finite truncations.  A truncation is a base-
@@ -197,12 +197,6 @@ def _unfold_step(unfolding: unfold_trees, seed):
     return unfolding.base.bind(unfolding.layer(seed), unfolding.elem)
 
 
-def _perform_layer(base: ElgotMonad, node: OpNode, k: Callable):
-    """The first layer of a performed operation: node over k's trees."""
-    return base.unit(Inr(OpNode(node.op, node.param,
-                                tuple((a, k(s)) for a, s in node.children))))
-
-
 # ---------------------------------------------------------------------------
 # Truncations
 # ---------------------------------------------------------------------------
@@ -315,8 +309,8 @@ class ResumptionMonad(ElgotMonad):
     """Trees over a base monad with free operations from a signature.
 
     Values are ResTree objects; equal() is bisimilarity at the configured
-    depth.  Iteration is the guarding-transform construction from the
-    companion iteration module.
+    depth.  Iteration is the flat-system solver of the companion iteration
+    module: bare recursive calls iterated in the base, the rest unfolded.
     """
 
     def __init__(self, base: ElgotMonad, sig: Signature, depth: int = 6):
@@ -374,15 +368,6 @@ class ResumptionMonad(ElgotMonad):
     def bind(self, t: ResTree, f: Callable) -> ResTree:
         """Lift t by f."""
         return self.lifting(f)(t)
-
-    def perform(self, effect, k: Callable) -> ResTree:
-        """bind(t, k) for the tree t of one effect given as data: a pure result
-        Inl(x) is k(x); an operation Inr(sig_val(decl, p, r)) is the lazy tree
-        op(p, k . r) = bind(op(p, unit . r), k), whose child at a is k(r(a)),
-        k's own tree, looked up when its first layer is read.  Else t, lifted."""
-        if not isinstance(effect, Inr):
-            return k(effect.value) if isinstance(effect, Inl) else self.bind(effect, k)
-        return ResTree(fn=partial(_perform_layer, self.base, effect.value, k))
 
     def map(self, t: ResTree, g: Callable) -> ResTree:
         """bind(t, unit . g), with each leaf's layer base.unit(Inl(g(v)))

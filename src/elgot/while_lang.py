@@ -3,20 +3,15 @@ over a configurable base monad.
 
 The single channel value ranges over a finite alphabet.  read and write are
 the built-in input/output operations; predicates are true, false, and (for
-nondeterministic bases) coin, a visible binary choice operation.  Loops
-need no guardedness: the while rule iterates the loop step directly.
+nondeterministic bases) coin, a visible binary choice operation.
 
-A program's denotation is a Kleisli composite, and Kleisli extension is
-associative, so interpret builds k* . [[s]] by handing the rest of the
-program k to s as its continuation (the codensity idea of Voigtlaender
-2008), and a skip costs nothing.  Operations are algebraic, so an action or
-a test is one effect sequenced into k by bind(op(p, unit . r), k) =
-op(p, k . r), and iteration is natural, so a loop is solved into k in one
-lifting, its exits continuing with k.
-Every table is built by core.make_kleisli and fills one point at a time
-on first application, so a run builds only the trees of the points it
-applies and of the points those trees reach.  Unknown actions and
-predicates are still reported by interpret itself.
+A program compiles to labels, one per action, test and loop head (Elgot's
+flowchart scheme), and denotes the solution of the flat system over the
+seeds (label, value) (iteration.solve_system).  Pure tests and loop heads
+are bare jumps, so loops need no guardedness, and nested loops are one
+system by Bekic's identity.  The table fills one point at a time on first
+application, so a run builds only the trees of the seeds its input
+reaches.  Unknown actions and predicates are reported by interpret itself.
 """
 
 from __future__ import annotations
@@ -24,11 +19,11 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from .core import (Carrier, Inl, Inr, KleisliFn, _Tagged, carrier, kleisli_unit,
-                   make_kleisli, sum_carrier, unit_carrier)
+from .core import (Carrier, Inl, Inr, KleisliFn, Pair, _Tagged, carrier,
+                   kleisli_unit, make_kleisli, unit_carrier)
 from .base_monads import MaybeMonad, elgot_instance
-from .iteration import iterate_res
-from .resumption import OpDecl, ResumptionMonad, Signature, sig_val
+from .iteration import solve_system
+from .resumption import OpDecl, OpNode, ResTree, ResumptionMonad, Signature, sig_val
 
 FALSE = Inl("*")
 TRUE = Inr("*")
@@ -225,7 +220,8 @@ def make_env(base_kind: str = "finset", alphabet=None, state_set=None) -> Env:
         ops.append(OpDecl("coin", unit_carrier(), BOOL2))
     rm = ResumptionMonad(base, Signature(tuple(ops)))
 
-    # each action and test maps a point to one effect, which rm.perform sequences
+    # each action and test maps a point to one effect as data, which
+    # interpret steps into the seeds that follow it
     read = Inr(sig_val(ops[1], "*", {a: a for a in alpha.elements}))
     action_table = {"write": lambda v: Inr(sig_val(ops[0], v, {"*": v})),
                     "read": lambda v: read}
@@ -257,68 +253,89 @@ def _lookup_pred(env: Env, name: str) -> Callable:
     return fn
 
 
-def _branch(env: Env, pred: str, on_true: KleisliFn, on_false: KleisliFn):
-    """The predicate composite: the test's effect at the value, continued with
-    the false branch on the left and the true branch on the right.  A pure
-    test indexes its branch's table, one frame fewer per nested if than a call."""
-    rm = env.rm
-    test = _lookup_pred(env, pred)
+# The label after the whole program, whose table exits with the value.
+END = 0
+
+
+def _compile(stmt: Stmt, env: Env, labels: list, nxt: int) -> int:
+    """The label at which stmt starts when label nxt follows it.  An action,
+    test or loop head appends one label: its table, the label after it (a
+    test's false branch) and a test's true branch.  skip is no label.  A
+    ';' chain is compiled from its last statement backwards in a loop, so
+    only nesting recurses.  Unknown names raise here, innermost first."""
+    chain = []
+    while isinstance(stmt, Seq):
+        chain.append(stmt.first)
+        stmt = stmt.second
+    for s in reversed(chain + [stmt]):
+        if isinstance(s, Act):
+            labels.append((_lookup_action(env, s.name), nxt, None))
+            nxt = len(labels) - 1
+        elif isinstance(s, If):
+            on_true = _compile(s.then, env, labels, nxt)
+            on_false = _compile(s.orelse, env, labels, nxt)
+            labels.append((_lookup_pred(env, s.pred), on_false, on_true))
+            nxt = len(labels) - 1
+        elif isinstance(s, While):
+            head = len(labels)
+            labels.append(None)
+            body = _compile(s.body, env, labels, head)
+            labels[head] = (_lookup_pred(env, s.pred), nxt, body)
+            nxt = head
+        elif isinstance(s, Seq):        # a braced chain that a ';' follows
+            nxt = _compile(s, env, labels, nxt)
+        elif not isinstance(s, Skip):
+            raise SemanticError("unknown statement %r" % (s,))
+    return nxt
+
+
+def interpret(stmt: Stmt, env: Env) -> KleisliFn:
+    """[[stmt]] : alphabet -> trees, the solution of the program's flat
+    system.  The seed (label, v) steps by its label's table at v: a pure
+    result w is a bare jump to the seed after it, (next, w) after an
+    action and (branch, v) after a test, or the exit after the last label;
+    an operation is one node over the seeds after its results; a tree t is
+    read one layer at a time by the seeds (t, (label, v)).  The entry's
+    tables run at application."""
+    rm, alpha, base = env.rm, env.alphabet, env.rm.base
+    labels = [(Inl, END, None)]
+    entry = _compile(stmt, env, labels, END)
+    if entry == END:
+        return kleisli_unit(rm, alpha)
+
+    def step(seed):
+        tree, at = (seed.fst, seed.snd) if isinstance(seed.fst, ResTree) else (None, seed)
+        table, on_false, on_true = labels[at.fst]
+        v = at.snd
+
+        def after(w):
+            if on_true is None:
+                return Pair(on_false, w)
+            return Pair(on_true if isinstance(w, Inr) else on_false, v)
+
+        def elem(e):
+            if isinstance(e, Inl):
+                s = after(e.value)
+                return Inl(Inl(s.snd)) if s.fst == END else Inl(Inr(s))
+            node = e.value
+            return Inr(OpNode(node.op, node.param, tuple(
+                (a, after(c) if tree is None else Pair(c, at)) for a, c in node.children)))
+
+        if tree is None:
+            e = table(v)
+            if not isinstance(e, ResTree):
+                return base.unit(elem(e))
+            tree = e
+        return base.map(tree.out(), elem)
+
+    solution = solve_system(rm, step)
 
     def at(v):
-        e = test(v)
-        if isinstance(e, Inl):
-            return (on_true if isinstance(e.value, Inr) else on_false).table[v]
-        return rm.perform(e, lambda b: on_true(v) if isinstance(b, Inr) else on_false(v))
+        seed = Pair(entry, v)
+        solution.layer(seed)
+        return solution(seed)
 
-    return at
-
-
-def interpret(stmt: Stmt, env: Env, k: KleisliFn | None = None) -> KleisliFn:
-    """The composite k* . [[stmt]], alphabet -> trees; k=None stands for
-    unit, so interpret(stmt, env) is the denotation of stmt itself.
-
-    The rest of the program is handed to each statement as its
-    continuation k, so no statement's trees are built only to be copied
-    by a lifting: skip is k itself, an action's effect is performed into
-    k, a ';' chain passes each composite back as the continuation of the
-    statement before it, and both branches of an if share k.  A loop body
-    continues with Inr, the loop step's recursive summand, and the loop
-    is solved into k, its exits continuing with k in its one lifting.
-    Every table is built by make_kleisli, so it fills one point at a time
-    on first application; unknown actions and predicates raise here.
-    """
-    rm = env.rm
-    alpha = env.alphabet
-    if k is None:
-        k = kleisli_unit(rm, alpha)
-    if isinstance(stmt, Skip):
-        return k
-    if isinstance(stmt, Act):
-        act = _lookup_action(env, stmt.name)
-        return make_kleisli(rm, alpha, k.cod, lambda v: rm.perform(act(v), k))
-    if isinstance(stmt, Seq):
-        # walk the right-nested chain with a loop, then interpret it from
-        # the last statement backwards
-        chain = []
-        while isinstance(stmt, Seq):
-            chain.append(stmt.first)
-            stmt = stmt.second
-        k = interpret(stmt, env, k)
-        for first in reversed(chain):
-            k = interpret(first, env, k)
-        return k
-    if isinstance(stmt, If):
-        then_f = interpret(stmt.then, env, k)
-        else_f = interpret(stmt.orelse, env, k)
-        return make_kleisli(rm, alpha, k.cod, _branch(env, stmt.pred, then_f, else_f))
-    if isinstance(stmt, While):
-        loop_car = sum_carrier(alpha, alpha)
-        again = make_kleisli(rm, alpha, loop_car, lambda v: rm.unit(Inr(v)))
-        leave = make_kleisli(rm, alpha, loop_car, lambda v: rm.unit(Inl(v)))
-        body_f = interpret(stmt.body, env, again)
-        step = make_kleisli(rm, alpha, loop_car, _branch(env, stmt.pred, body_f, leave))
-        return iterate_res(rm, step, k)
-    raise SemanticError("unknown statement %r" % (stmt,))
+    return make_kleisli(rm, alpha, alpha, at)
 
 
 def run(program: str | Stmt, env: Env, value: str, depth: int) -> str:

@@ -19,9 +19,10 @@ from elgot.base_monads import Just, NOTHING, elgot_instance, finset, \
 from elgot.handler import handle, maybe_to_finset
 from elgot.iteration import guard_transform, solve_guarded
 from elgot.laws import ELGOT_AXIOMS, Gen, GenConfig, run_axiom_suite
+from elgot.resumption import ResumptionMonad
 from elgot.while_lang import interpret, make_env, parse, run
 
-from conftest import resumption
+from conftest import resumption, two_op_signature
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +63,23 @@ def test_criterion_2_resumption_elgot_suite():
             "five axioms + strength on trees over maybe and finset, "
             "100 samples/law at depth 6, %.1fs (< 120s)%s"
             % (elapsed, "" if not bad else "; " + "; ".join(bad)))
+
+
+def test_resumption_elgot_suite_over_nondeterministic_state():
+    # criterion 2's six axioms on trees over the one base that is not
+    # commutative, where pre_iterate threads the state through the bare
+    # jumps it iterates
+    started = time.monotonic()
+    config = GenConfig(samples=100, seed=42, depth=6)
+    rm = ResumptionMonad(elgot_instance("nondetstate", state_set=("s0", "s1")),
+                         two_op_signature(), depth=6)
+    rep = run_axiom_suite(rm, config, laws=ELGOT_AXIOMS)
+    elapsed = time.monotonic() - started
+    ok = rep.ok and rep.skipped == 0 and elapsed < 120.0
+    print("%s five axioms + strength on trees over nondetstate[s0,s1], 100 "
+          "samples/law at depth 6, %.1fs (< 120s)" % ("PASS" if ok else "FAIL", elapsed))
+    assert ok, rep.text()
+    assert [r.samples for r in rep.results] == [100] * len(ELGOT_AXIOMS)
 
 
 def test_criterion_3_extension_property():

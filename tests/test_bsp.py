@@ -106,44 +106,79 @@ def test_state_count_is_bounded():
 
 
 def test_build_equations_declares_only_reachable_variables():
-    # state 1 deadlocks; the chain of state i ends at (i, width(i))
+    # state 1 deadlocks; the chain of state i ends at (i, width(i)), and
+    # each row (i, k) has a seed of its own
     spec = parse_bsp_text("actions a b\nstates 3\nwidth 0 2\nwidth 1 0\n"
                           "width 2 1\nb 0 a b\nj 0 1 2\nb 2 a\nj 2 0\n")
-    _rm, g = build_equations(spec)
-    assert g.dom.elements == (Pair("0", "0"), Pair("0", "1"), Pair("0", "2"),
-                              Pair("1", "0"),
-                              Pair("2", "0"), Pair("2", "1"))
-    assert len(g.dom.elements) == sum(w + 1 for w in spec.widths)
+    _rm, step = build_equations(spec)
+    variables = [s.value for s in step.dom.elements if isinstance(s, Inl)]
+    rows = [s.value for s in step.dom.elements if isinstance(s, Inr)]
+    assert variables == [Pair(0, 0), Pair(0, 1), Pair(0, 2), Pair(1, 0),
+                         Pair(2, 0), Pair(2, 1)]
+    assert rows == [Pair(0, 0), Pair(0, 1), Pair(2, 0)]
+    assert len(variables) == sum(w + 1 for w in spec.widths)
 
 
 def test_build_equations_deadlock_state():
     spec = parse_bsp_text("actions a\nstates 1\nwidth 0 0\n")
-    rm, g = build_equations(spec)
-    assert rm.out(g(Pair("0", "0"))) == rm.base.bottom()
+    rm, step = build_equations(spec)
+    assert step(Inl(Pair(0, 0))) == rm.base.bottom()
 
 
 def test_build_equations_matches_the_equation_shape():
     spec = parse_bsp_text(TWO_STATE)
-    rm, g = build_equations(spec)
-    step = rm.out(g(Pair("0", "0")))
-    els = rm.base.elements(step)
+    rm, step = build_equations(spec)
+    els = rm.base.elements(step(Inl(Pair(0, 0))))
     assert len(els) == 2
     bare = [e for e in els if isinstance(e, Inl)]
     ops = [e for e in els if isinstance(e, Inr)]
-    assert len(bare) == 1 and bare[0].value == Inr(Pair("0", "1"))
+    assert len(bare) == 1 and bare[0].value == Inr(Inl(Pair(0, 1)))
     assert len(ops) == 1 and ops[0].value.op == "act" and ops[0].value.param == "a"
-    child = ops[0].value.child("*")
-    assert rm.out(child) == rm.base.unit(Inl(Inr(Pair("1", "0"))))
+    # the node is over the row's own seed, a bare jump to its target's root
+    row = ops[0].value.child("*")
+    assert row == Inr(Pair(0, 0))
+    assert step(row) == rm.base.unit(Inl(Inr(Inl(Pair(1, 0)))))
 
 
 def test_every_first_layer_has_at_most_one_bare_leaf():
     rng = random.Random(4)
     for _ in range(20):
         spec = _random_spec(rng)
-        rm, g = build_equations(spec)
-        for v in g.dom.elements:
-            bare = [e for e in rm.base.elements(rm.out(g(v))) if isinstance(e, Inl)]
+        rm, step = build_equations(spec)
+        for v in step.dom.elements:
+            bare = [e for e in rm.base.elements(step(v)) if isinstance(e, Inl)]
             assert len(bare) <= 1
+
+
+def test_duplicate_rows_are_two_edges():
+    # two equal rows (c -> 4 twice, as in bench item bsp-9) are two nodes,
+    # each over its own row seed, so both edges are exported, by label and
+    # then by row index
+    spec = parse_bsp_text("actions a c\nstates 5\nb 0 c a c\nj 0 4 1 4\n"
+                          "b 4 a\nj 4 0\nb 1 a\nj 1 1\nb 2 a\nj 2 2\nb 3 a\nj 3 3\n")
+    lts = solve_and_unfold(spec, 1)
+    assert [e for e in lts.edges if e[0] == "s0"] == [
+        ("s0", "a", "s1_1"), ("s0", "c", "s4_1"), ("s0", "c", "s4_2")]
+
+
+def test_states_with_equal_rows_stay_distinct():
+    # states 1 and 2 have the same row, a -> 0; each keeps its own name
+    spec = parse_bsp_text("actions a\nstates 3\nb 0 a a\nj 0 1 2\n"
+                          "b 1 a\nj 1 0\nb 2 a\nj 2 0\n")
+    lts = solve_and_unfold(spec, 1)
+    assert lts.edge_states() == [(0, "a", 1), (0, "a", 2), (1, "a", 0), (2, "a", 0)]
+    assert [e for e in lts.edges if e[0] == "s0"] == [
+        ("s0", "a", "s1_1"), ("s0", "a", "s2_1")]
+
+
+def test_deadlocked_targets_are_exported_as_the_lowest_deadlocked_state():
+    # states 1 and 3 have no rows; an edge into either leads to s1
+    spec = parse_bsp_text("actions a b\nstates 4\nb 0 a b\nj 0 3 1\n"
+                          "b 2 a\nj 2 3\n")
+    lts = solve_and_unfold(spec, 1)
+    assert lts.edges == [("s0", "a", "s1_1"), ("s0", "b", "s1_2"),
+                         ("s2", "a", "s1_3")]
+    assert lts.edge_states() == [(0, "a", 1), (0, "b", 1), (2, "a", 1)]
 
 
 def test_two_state_depth_one_edges():

@@ -1,13 +1,19 @@
 import gc
+import os
+import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+from elgot import iteration
 from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
     sum_carrier, KleisliFn
-from elgot.base_monads import FinSetMonad, Just, NOTHING, finset
+from elgot.base_monads import FinSetMonad, Just, NOTHING, finset, propagate
 from elgot.iteration import (UnguardedError, bare_recursive_leaf,
-                             guard_transform, solve_guarded)
+                             guard_transform, solve_guarded, solve_system)
 from elgot.resumption import ResumptionMonad, TOp, TCUT, TLeaf
 
 from conftest import resumption, tokens_drawn, two_op_signature
@@ -174,31 +180,37 @@ def test_a_solution_builds_no_unit_tree_per_leaf(rm_finset):
     assert layers == [finset([Inl(w) for w in y.elements])] * len(x.elements)
 
 
-def test_iterate_binds_on_demand_and_shares_the_base_fixpoint():
+def test_iterate_binds_on_demand_and_shares_the_base_fixpoint(monkeypatch):
     class Counting(FinSetMonad):
         binds = 0
-        fixpoints = 0
 
         def bind(self, v, f):
             self.binds += 1
             return super().bind(v, f)
 
-        def iterate(self, f):
-            self.fixpoints += 1
-            return super().iterate(f)
+    runs = []
 
+    def counted(m, roots, step_at):
+        runs.append(tuple(roots))
+        return propagate(m, roots, step_at)
+
+    monkeypatch.setattr(iteration, "propagate", counted)
     rm = ResumptionMonad(Counting(), two_op_signature(), depth=6)
     x, y, cod = _xy(rm, xs=("a", "b", "c"))
+    below_b = rm.unit(Inr("c"))
     step = {"a": rm.unit(Inr("b")),
-            "b": rm.op_call("act", "p0", {"*": rm.unit(Inr("c"))}),
+            "b": rm.op_call("act", "p0", {"*": below_b}),
             "c": rm.out_inv(finset([Inl(Inl("y0")), Inl(Inr("a"))]))}
     fd = rm.iterate(KleisliFn(rm, x, cod, step))
-    assert rm.base.binds == 0 and rm.base.fixpoints == 0
+    assert rm.base.binds == 0 and runs == []
     rm.out(fd("a"))
-    assert rm.base.fixpoints == 1
+    assert runs == [("a",)]
     for v in x.elements:
         rm.truncate(fd(v), 4)
-    assert rm.base.fixpoints == 1
+    # one base fixpoint per bare-jump component: a's jump to b is solved in
+    # a's run, and c in the run of the subtree below b's node that jumps to
+    # it; every point either run expands is kept
+    assert runs == [("a",), (below_b,)]
     # a's bare call to b was iterated away inside the base monad
     assert rm.bisimilar(fd("a"), fd("b"), 4)
 
@@ -221,9 +233,10 @@ def test_iterate_builds_a_point_on_first_observation(rm_maybe):
         for v in x.elements})
     drawn, sol = tokens_drawn(lambda: rm_maybe.iterate(f))
     assert drawn == 0
-    # x3's guarded tree, its solution, and the solution's one child
+    # x3's solution and the solution's one child: the subtree below f's
+    # node is a seed of the system, so no guarded tree is drawn in between
     drawn, _layer = tokens_drawn(lambda: rm_maybe.out(sol("x3")))
-    assert drawn == 3
+    assert drawn == 2
 
 
 def test_a_finished_solve_is_freed_without_the_cyclic_collector(rm_maybe):
@@ -382,15 +395,46 @@ def test_iterate_matches_truncated_lfp_oracle(kind):
                 assert rm.truncate(fd(v), d) == want[v]
 
 
+def _flat_lfp_oracle(base, step, seeds, depth):
+    """The depth-bounded truncations of a flat system's solution, solved
+    directly on the finite lattice of truncations: depth by depth, only the
+    bare jumps of one depth are iterated, and a node's children read the
+    final truncations one depth below.  Independent of pre_iterate and
+    propagate."""
+    final = {}
+    for d in range(depth + 1):
+
+        def elem(e, cur):
+            if isinstance(e, Inr):
+                node = e.value
+                if d == 0:
+                    return base.unit(TCUT)
+                return base.unit(TOp(node.op, node.param,
+                                     tuple(final[c, d - 1] for _a, c in node.children)))
+            if isinstance(e.value, Inl):
+                return base.unit(TLeaf(e.value.value))
+            return cur[e.value.value]
+
+        cur = {s: base.bottom() for s in seeds}
+        while True:
+            new = {s: base.bind(step(s), lambda e, _cur=cur: elem(e, _cur)) for s in seeds}
+            if new == cur:
+                break
+            cur = new
+        for s in seeds:
+            final[s, d] = cur[s]
+    return {s: final[s, depth] for s in seeds}
+
+
 def test_bsp_solution_matches_truncated_lfp_oracle():
     from elgot.bsp import build_equations, parse_bsp_text
     from test_bsp import TWO_STATE
     spec = parse_bsp_text(TWO_STATE)
-    rm, g = build_equations(spec)
-    sol = rm.iterate(g)
-    want = _truncated_lfp_oracle(rm, g, 3)
-    for v in g.dom.elements:
-        assert rm.truncate(sol(v), 3) == want[v]
+    rm, step = build_equations(spec)
+    sol = solve_system(rm, step)
+    want = _flat_lfp_oracle(rm.base, step, step.dom.elements, 3)
+    for s in step.dom.elements:
+        assert rm.truncate(sol(s), 3) == want[s]
 
 
 def test_guard_transform_idempotent_up_to_bisimulation(rm_finset):
@@ -406,27 +450,100 @@ def test_guard_transform_idempotent_up_to_bisimulation(rm_finset):
             assert rm_finset.bisimilar(once(v), twice(v), 6)
 
 
-def _three_bases():
-    from elgot.base_monads import elgot_instance
-    return [ResumptionMonad(elgot_instance(kind, state_set=("s0", "s1")), two_op_signature())
-            for kind in ("maybe", "finset", "nondetstate")]
-
-
-@pytest.mark.parametrize("rm", _three_bases(), ids=("maybe", "finset", "nondetstate"))
-def test_a_loop_is_solved_into_its_continuation(rm):
-    # iterate_res(rm, f, k) = k* . f-dagger, its exits continued by k inside
-    # the solution's one lifting; unguarded steps included
-    from elgot.iteration import iterate_res
-    from elgot.laws import Gen, GenConfig
-    gen = Gen(GenConfig(seed=29, node_budget=10))
-    unguarded = 0
+@pytest.mark.parametrize("base", ("maybe", "finset", "nondetstate"))
+def test_a_loop_is_solved_into_its_continuation(base):
+    # a loop and the rest of the program are one flat system, the loop's
+    # exits jumps into the rest: the whole is the Kleisli composite of the
+    # two, and it renders as the configuration graph of bench/reference.py
+    from elgot.while_lang import interpret, parse
+    from test_while_lang import assert_matches_reference, make_test_env, random_program
+    from test_differential import reference
+    rng = random.Random("loop:%s" % base)
+    coin = base != "maybe"
     for _ in range(25):
-        x, y, z = gen.carrier("x"), gen.carrier("y"), gen.carrier("z")
-        f = gen.kleisli(rm, x, sum_carrier(y, x))
-        k = gen.kleisli(rm, y, z)
-        unguarded += bare_recursive_leaf(rm, f) is not None
-        continued, sol = iterate_res(rm, f, k), rm.iterate(f)
-        assert continued.cod is z
-        for v in x.elements:
-            assert rm.bisimilar(continued(v), rm.bind(sol(v), k), 6)
-    assert unguarded >= 5
+        env = make_test_env(base)
+        loop = ("while", rng.choice(("true", "false", "coin") if coin else ("true", "false")),
+                random_program(rng, 6, coin))
+        rest = random_program(rng, 4, coin)
+        assert_matches_reference(env, base, ("seq", loop, rest))
+        whole, sol, k = (interpret(parse(reference.source(s)), env)
+                         for s in (("seq", loop, rest), loop, rest))
+        for v in env.alphabet.elements:
+            assert env.rm.bisimilar(whole(v), env.rm.bind(sol(v), k), 6)
+
+
+# One iterate_res solve and one interpretation whose tables return trees,
+# each observed by handle, which walks the trees in the sets' own hash
+# order: that order follows object addresses, which change from one
+# process to the next even at one PYTHONHASHSEED.
+_COUNT_BINDS = """
+from elgot import base_monads, handler
+from elgot.base_monads import FinSetMonad
+from elgot.core import Inl, Inr, KleisliFn, carrier, make_kleisli, sum_carrier, unit_carrier
+from elgot.handler import EffectInterpretation, identity_morphism
+from elgot.laws import Gen, GenConfig
+from elgot.resumption import ResumptionMonad
+from elgot.while_lang import interpret, make_env, parse
+from conftest import two_op_signature
+
+binds, sets = 0, 0
+bind, finset = FinSetMonad.bind, base_monads.finset
+
+
+def counted_bind(self, v, f):
+    global binds
+    binds += 1
+    return bind(self, v, f)
+
+
+def counted_finset(elems):
+    global sets
+    sets += 1
+    return finset(elems)
+
+
+FinSetMonad.bind, base_monads.finset = counted_bind, counted_finset
+rm = ResumptionMonad(FinSetMonad(), two_op_signature())
+gen = Gen(GenConfig(seed=5, node_budget=16))
+ups = gen.effect_interpretation(rm.sig, rm.base)
+for _ in range(40):
+    x, y = gen.carrier("x"), gen.carrier("y")
+    fd = rm.iterate(gen.kleisli(rm, x, sum_carrier(y, x)))
+    for v in x.elements:
+        handler.handle(rm, fd(v), identity_morphism(rm.base), ups, 12)
+# the two subtrees below r's node jump to a and to b, and b jumps to a as
+# well: which of them is solved first depends on the order handle walks them
+x, y = carrier("x", ("a", "b", "c", "r")), carrier("y", ("y0",))
+f = {"a": rm.unit(Inr("c")), "b": rm.out_inv(finset([Inl(Inr("a")), Inl(Inr("c"))])),
+     "c": rm.unit(Inl("y0")),
+     "r": rm.op_call("ask", "*", {"l": rm.unit(Inr("a")), "r": rm.unit(Inr("b"))})}
+ups = EffectInterpretation(rm.sig, rm.base, {
+    "act": make_kleisli(rm.base, rm.sig.op("act").param, None, lambda p: finset(["*"])),
+    "ask": make_kleisli(rm.base, unit_carrier(), None, lambda p: finset(["l", "r"]))})
+for _ in range(20):
+    fd = rm.iterate(KleisliFn(rm, x, sum_carrier(y, x), f))
+    handler.handle(rm, fd("r"), identity_morphism(rm.base), ups, 12)
+solved = binds, sets
+
+env = make_env("finset", alphabet=("0", "1", "2"))
+succ = {"0": "1", "1": "2", "2": "0"}
+env.actions["next"] = lambda v: env.rm.op_call("write", v, {"*": env.rm.unit(succ[v])})
+env.predicates["zero"] = lambda v: env.rm.unit(Inr("*") if v == "0" else Inl("*"))
+sem = interpret(parse("while coin do {next; if zero then write else next}; next"), env)
+ups = Gen(GenConfig(seed=6)).effect_interpretation(env.rm.sig, env.rm.base)
+for v in env.alphabet.elements:
+    handler.handle(env.rm, sem(v), identity_morphism(env.rm.base), ups, 12)
+print(*solved, binds, sets)
+"""
+
+
+def test_solving_binds_the_same_in_every_process():
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    counts = [subprocess.run([sys.executable, "-c", _COUNT_BINDS], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+              for _ in range(2)]
+    # base binds and sets built after the solve, and after the interpretation
+    assert counts[0] == counts[1]
+    assert all(int(n) > 0 for n in counts[0].split())

@@ -581,46 +581,61 @@ def test_rendering_expands_each_shared_layer_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ("maybe", "finset", "nondetstate"))
 def test_performing_an_effect_is_binding_its_generic_tree(kind):
-    # perform(effect, k) = bind(t, k) for the effect's generic tree t: unit
-    # for a pure result, iota for an operation over seeds
-    from elgot.laws import Gen, GenConfig
-    rm = ResumptionMonad(elgot_instance(kind, state_set=("s0", "s1")), two_op_signature())
-    gen = Gen(GenConfig(seed=31, node_budget=8))
-    for _ in range(10):
-        x, z = gen.carrier("x"), gen.carrier("z")
-        k = gen.kleisli(rm, x, z)
-        effects = [(Inl(v), rm.unit(v)) for v in x.elements]
-        for op in rm.sig.ops:
-            p, r = gen.elem(op.param), gen.pure_fn(op.arity, x)
-            effects.append((Inr(sig_val(op, p, r)), rm.iota(op.name, p, r)))
-        for effect, generic in effects:
-            assert rm.bisimilar(rm.perform(effect, k), rm.bind(generic, k), 6)
+    # an effect followed by a program is bind(t, [[rest]]) for the effect's
+    # generic tree t (operations are algebraic), and it renders as the
+    # configuration graph of bench/reference.py does
+    import random
+    from elgot.while_lang import FALSE, TRUE, interpret, parse
+    from test_differential import reference
+    from test_while_lang import assert_matches_reference, make_test_env, random_program
+    rng = random.Random("perform:%s" % kind)
+    coin = kind != "maybe"
+    env = make_test_env(kind)
+    rm = env.rm
+    generic = {"read": lambda v: rm.iota("read", "*", {a: a for a in env.alphabet.elements}),
+               "write": lambda v: rm.iota("write", v, {"*": v})}
+    for _ in range(15):
+        rest = random_program(rng, 6, coin)
+        k = interpret(parse(reference.source(rest)), env)
+        for name, tree in generic.items():
+            assert_matches_reference(env, kind, ("seq", ("act", name), rest))
+            sem = interpret(parse("%s; %s" % (name, reference.source(rest))), env)
+            for v in env.alphabet.elements:
+                assert rm.bisimilar(sem(v), rm.bind(tree(v), k), 6)
+        if coin:
+            other = random_program(rng, 4, coin)
+            test = ("if", "coin", rest, other)
+            assert_matches_reference(env, kind, test)
+            sem = interpret(parse(reference.source(test)), env)
+            branch = {TRUE: k, FALSE: interpret(parse(reference.source(other)), env)}
+            toss = rm.iota("coin", "*", {"ff": FALSE, "tt": TRUE})
+            for v in env.alphabet.elements:
+                assert rm.bisimilar(sem(v), rm.bind(toss, lambda b: branch[b](v)), 6)
 
 
-def test_an_operation_is_performed_over_lazy_cells(rm_finset):
-    # perform calls nothing; reading the node's layer calls k once per child,
-    # in arity order, and each child is the very tree k returned
-    calls, made = [], {}
-
-    def k(v):
-        calls.append(v)
-        return made.setdefault(v, rm_finset.unit(v))
-
-    ask = rm_finset.sig.op("ask")
-    t = rm_finset.perform(Inr(sig_val(ask, "*", {"l": "b", "r": "a"})), k)
-    assert calls == []
-    (node,) = [e.value for e in rm_finset.base.elements(t.out())]
-    assert calls == ["b", "a"]
-    assert node.child("l") is made["b"] and node.child("r") is made["a"]
-    t.out()
-    assert calls == ["b", "a"]
+def test_an_operation_is_performed_over_lazy_cells():
+    # an action is one node over seeds: its children are trees whose
+    # tables run only when their first layers are read, once each
+    from elgot.while_lang import interpret, make_env, parse
+    env = make_env("finset", alphabet=("a", "b"))
+    calls, write = [], env.actions["write"]
+    env.actions["write"] = lambda v: calls.append(v) or write(v)
+    t = interpret(parse("read; write"), env)("a")
+    (node,) = [e.value for e in env.rm.base.elements(t.out())]
+    assert node.op == "read" and calls == []
+    assert env.rm.render(node.child("b"), 1) == "{(op write b {(leaf b)})}"
+    assert calls == ["b"]
+    node.child("b").out()
+    assert calls == ["b"]
 
 
-def test_a_performed_child_is_the_continuations_own_tree(rm_finset):
-    x = carrier("x", ("a", "b"))
-    k = make_kleisli(rm_finset, x, x, rm_finset.unit)
-    r = {"l": "b", "r": "a"}
-    t = rm_finset.perform(Inr(sig_val(rm_finset.sig.op("ask"), "*", r)), k)
-    (node,) = [e.value for e in rm_finset.base.elements(t.out())]
-    for a in ("l", "r"):
-        assert node.child(a) is k(r[a])
+def test_a_performed_child_is_the_continuations_own_tree():
+    # one tree per seed: the true child of the coin in `while coin do skip`
+    # is the loop's own tree, and its false child is the exit
+    from elgot.while_lang import interpret, make_env, parse
+    env = make_env("finset", alphabet=("a", "b"))
+    sem = interpret(parse("while coin do skip"), env)
+    for v in ("a", "b"):
+        (node,) = [e.value for e in env.rm.base.elements(sem(v).out())]
+        assert node.child("tt") is sem(v)
+        assert node.child("ff").out() == finset([Inl(v)])

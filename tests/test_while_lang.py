@@ -8,6 +8,7 @@ from elgot.while_lang import (Act, If, Seq, Skip, While, SemanticError,
                               WhileSyntaxError, interpret, make_env, parse, run)
 
 from conftest import tokens_drawn
+from test_differential import reference
 
 
 def test_parse_skip():
@@ -210,47 +211,65 @@ def test_a_point_outside_the_alphabet_is_a_carrier_mismatch():
             sem("2")
 
 
-def _program(rng, size, coin):
-    """A random statement of at most `size` nodes over the built-in names."""
+STATES = ("s0", "s1")
+
+
+def make_test_env(base, alphabet=("0", "1")):
+    return make_env(base, alphabet=alphabet,
+                    state_set=STATES if base == "nondetstate" else None)
+
+
+def random_program(rng, size, coin):
+    """A random statement of at most `size` nodes over the built-in names,
+    as the tuple that bench/reference.py reads."""
     if size <= 1 or rng.random() < 0.25:
-        return rng.choice((Skip(), Act("read"), Act("write")))
+        return rng.choice((("skip",), ("act", "read"), ("act", "write")))
     pred = rng.choice(("true", "false", "coin") if coin else ("true", "false"))
     kind = rng.randrange(3)
     if kind == 0:
-        return Seq(_program(rng, size // 2, coin), _program(rng, size // 2, coin))
+        return ("seq", random_program(rng, size // 2, coin),
+                random_program(rng, size // 2, coin))
     if kind == 1:
-        return If(pred, _program(rng, size // 2, coin), _program(rng, size // 2, coin))
-    return While(pred, _program(rng, size - 1, coin))
+        return ("if", pred, random_program(rng, size // 2, coin),
+                random_program(rng, size // 2, coin))
+    return ("while", pred, random_program(rng, size - 1, coin))
+
+
+def assert_matches_reference(env, base, stmt, depth=4):
+    """stmt interpreted at every input renders as the configuration graph
+    of bench/reference.py does."""
+    sem = interpret(parse(reference.source(stmt)), env)
+    alphabet = env.alphabet.elements
+    for v in alphabet:
+        want = reference.render(stmt, base, alphabet, STATES, v, depth)
+        assert env.rm.render(sem(v), depth) == want, (reference.source(stmt), v)
 
 
 @pytest.mark.parametrize("base", ("maybe", "finset", "nondetstate"))
 def test_interpreting_with_a_continuation_is_lifting_by_it(base):
-    # interpret(s, env, k) = k* . [[s]], the Kleisli composite
+    # [[s; rest]] = [[rest]]* . [[s]], the Kleisli composite, and it renders
+    # as the configuration graph of bench/reference.py does
     rng = random.Random("continuation:%s" % base)
+    coin = base != "maybe"
     for _ in range(40):
-        env = make_env(base, alphabet=("0", "1"),
-                       state_set=("s0", "s1") if base == "nondetstate" else None)
-        coin = base != "maybe"
-        stmt, rest = _program(rng, 8, coin), _program(rng, 4, coin)
-        k = interpret(rest, env)
-        lhs, sem = interpret(stmt, env, k), interpret(stmt, env)
+        env = make_test_env(base)
+        stmt, rest = random_program(rng, 8, coin), random_program(rng, 4, coin)
+        assert_matches_reference(env, base, ("seq", stmt, rest))
+        whole, sem, k = (interpret(parse(reference.source(s)), env)
+                         for s in (("seq", stmt, rest), stmt, rest))
         for v in env.alphabet.elements:
-            assert env.rm.bisimilar(lhs(v), env.rm.bind(sem(v), k), 6), (stmt, rest, v)
+            assert env.rm.bisimilar(whole(v), env.rm.bind(sem(v), k), 6), (stmt, rest, v)
 
 
 def test_a_statement_is_lifted_once_into_the_rest_of_the_program():
-    # neither the first statement's trees nor the loop body's are built only
-    # to be copied: 103 tokens when `;` composed by lifting and each body
-    # was mapped into the loop's sum, 77 when an action's tree and a test's
-    # were lifted by the continuation and a loop's solution lifted again, 46
-    # when an action or coin was one node over lazy cells that copied the
-    # continuation's first layers.  Now an action or coin is one lazy tree
-    # whose children are the continuation's own trees, true goes straight
-    # to its branch, and the inner loop is solved into the rest of the body
+    # the program is one flat system and each seed reached is one tree:
+    # the root (the outer loop at 0, which the inner loop's exit at 0 reaches
+    # again), the inner loop at 0 and 1 below the read, each write, and the
+    # outer loop at 1; no statement's trees are built only to be copied
     env = make_env("finset", alphabet=("0", "1"))
     stmt = parse("while true do {read; while coin do write}; write")
     drawn, _ = tokens_drawn(lambda: env.rm.truncate(interpret(stmt, env)("0"), 4))
-    assert drawn == 34
+    assert drawn == 6
 
 
 def test_a_skip_chain_costs_nothing():
