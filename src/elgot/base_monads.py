@@ -26,9 +26,7 @@ nor force a tree.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Iterable
-from itertools import count
 
 from .core import (Carrier, ConfigError, ElgotMonad, Inl, Inr, KleisliFn, Pair,
                    _Tagged, canon_key, carrier, spaced)
@@ -227,21 +225,23 @@ def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
     past fuel + 1; expanded lists the points in the order of expansion.  A
     non-sum element raises TypeError.
     """
-    first, readers, bucket = defaultdict(dict), defaultdict(list), defaultdict(list)
+    first, readers, bucket = {}, {}, {}
     seen, level, expanded = set(roots), list(roots), []
-    for d in count() if fuel is None else range(fuel + 2):
-        found, vp = [], max(d, 1)
+    d, last = 0, None if fuel is None else fuel + 1
+    while True:
+        found, vp = [], d or 1
+        add = bucket.setdefault(vp, []).append
         for p in level:
             for s, e, s2 in m.moves(step_at(p)):
                 pos = p, s
                 if isinstance(e, Inl):
-                    got, r = first[pos], (e.value, s2)
+                    got, r = first.setdefault(pos, {}), (e.value, s2)
                     if r not in got:
                         got[r] = vp
-                        bucket[vp].append((pos, r))
+                        add((pos, r))
                 elif isinstance(e, Inr):
                     # a point never expanded has no results to pass on
-                    readers[e.value, s2].append((pos, vp))
+                    readers.setdefault((e.value, s2), []).append((pos, vp))
                     if e.value not in seen:
                         seen.add(e.value)
                         found.append(e.value)
@@ -249,19 +249,22 @@ def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
                     raise TypeError("iteration over a non-sum element %r" % (e,))
         expanded += level
         level = found
-        if not level:
+        if not level or d == last:
             break
+        d += 1
 
-    for k in count(1) if fuel is None else range(1, fuel + 2):
+    k = 1
+    while last is None or k <= last:
         now = bucket.pop(k, ())
         if not now and k >= d and not level:
             return first, k, expanded
         for pos, r in now:
             for p, vp in readers.get(pos, ()):
-                got = first[p]
+                got = first.setdefault(p, {})
                 if r not in got:
-                    got[r] = later = max(vp, k + 1)
-                    bucket[later].append((p, r))
+                    got[r] = later = vp if vp > k else k + 1
+                    bucket.setdefault(later, []).append((p, r))
+        k += 1
     return first, None, expanded
 
 

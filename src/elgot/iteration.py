@@ -4,12 +4,13 @@ A flat system is a step from seeds to first layers over exits Inl(Inl(y)),
 bare jumps Inl(Inr(s)) to a seed s, and operation nodes Inr(node) whose
 children are seeds.  It is solved as the paper builds unguarded iteration
 on trees: pre_iterate takes the least fixpoint of the bare jumps inside the
-base monad, with the nodes frozen as opaque results, and solve_system
-unfolds the guarded result by coit, one tree per seed.  A while program
-compiled to labels (Elgot's flowchart schemes), a bsp definition, and
-iterate_res, whose seeds are f's points and the subtrees below f's nodes,
-are all such systems.  The operator extends base-monad iteration exactly
-on trees that never use operations.
+base monad, with the nodes frozen as opaque results (a first layer with no
+bare jump is guarded already, its own solution), and solve_system unfolds
+the guarded result by coit, one tree per seed.  A while program compiled to
+labels (Elgot's flowchart schemes), a bsp definition, and iterate_res,
+whose seeds are f's points and the subtrees below f's nodes, are all such
+systems.  The operator extends base-monad iteration exactly on trees that
+never use operations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 
 from .base_monads import propagate
 from .core import Inl, Inr, KleisliFn, make_kleisli, render_elem
-from .resumption import ResTree, ResumptionMonad, unfold_trees
+from .resumption import OpNode, ResTree, ResumptionMonad, unfold_trees
 
 
 class UnguardedError(ValueError):
@@ -30,38 +31,62 @@ class UnguardedError(ValueError):
             "leaf %s in its first layer" % (render_elem(variable), render_elem(leaf)))
 
 
+def _jumps(base, v) -> bool:
+    """Whether the step value v holds a bare jump.  Each step element is
+    classified here, once, when its step is taken: one that is no exit
+    Inl(Inl y), jump Inl(Inr s) or node Inr(OpNode) raises TypeError."""
+    jumps = False
+    for _s, e, _s2 in base.moves(v):
+        if isinstance(e, Inl) and isinstance(e.value, Inr):
+            jumps = True
+        elif not (isinstance(e, Inl) and isinstance(e.value, Inl)
+                  or isinstance(e, Inr) and isinstance(e.value, OpNode)):
+            raise TypeError("not an exit, a bare jump or a node: %r" % (e,))
+    return jumps
+
+
 def _as_move(e):
-    """A step element as propagate reads it: the jump Inl(Inr s) is the
-    point Inr(s), and an exit Inl(Inl y) or a node Inr(n) is its result."""
-    if not isinstance(e, Inl):
-        return Inl(e)
-    if isinstance(e.value, Inr):
-        return e.value
-    if isinstance(e.value, Inl):
-        return e
-    raise TypeError("expected a sum value, got %r" % (e.value,))
+    """A classified step element as propagate reads it: the jump Inl(Inr s)
+    is the point Inr(s), and an exit or a node is the result e itself."""
+    return e.value if isinstance(e, Inl) and isinstance(e.value, Inr) else Inl(e)
 
 
 def pre_iterate(base, step):
     """The call seed -> the least fixpoint of step's bare jumps at seed, a
-    base-monad value over exits Inl(y) and frozen nodes Inr(node).
+    base-monad value of the step's own shape: exits Inl(Inl y) and frozen
+    nodes Inr(node).
 
-    The first seed observed that is not yet solved runs propagate from
-    itself, and every point the run expands is kept, solved.  Each seed's
-    step is taken once and kept, and a later run walks a solved point's
-    kept step again, so what is computed does not depend on the order in
-    which seeds are observed."""
-    steps, solved = {}, {}
+    Each seed's step is taken once, and its elements are classified then.
+    A step with no bare jump is kept as its seed's solution, as it is.  The
+    first seed observed that jumps and is not yet solved runs propagate
+    from itself, and every point the run expands is kept, solved.  A run
+    walks the _as_move map of each step, built when a run first walks it
+    and kept, so a later run walks a solved point again and what is
+    computed does not depend on the order in which seeds are observed."""
+    moved, solved = {}, {}
+
+    def taken(seed):
+        v = step(seed)
+        if not _jumps(base, v):
+            solved[seed] = v
+        return v
 
     def moves(seed):
-        v = steps.get(seed)
+        v = moved.get(seed)
         if v is None:
-            v = steps[seed] = base.map(step(seed), _as_move)
+            # a solved point that no run has walked is its own jump-free step
+            v = solved.get(seed)
+            v = moved[seed] = base.map(taken(seed) if v is None else v, _as_move)
         return v
 
     def at(seed):
         v = solved.get(seed)
         if v is None:
+            if seed not in moved:
+                v = taken(seed)
+                if seed in solved:
+                    return v
+                moved[seed] = base.map(v, _as_move)
             first, _stable, points = propagate(base, (seed,), moves)
             for p in points:
                 if p not in solved:
@@ -74,9 +99,10 @@ def pre_iterate(base, step):
 
 def solve_system(rm: ResumptionMonad, step) -> unfold_trees:
     """The call seed -> its tree in the solution of the flat system step,
-    built on its first lookup; its layer is the pre_iterate table."""
+    built on its first lookup; its layer is the pre_iterate table, whose
+    exit Inl(Inl y) is the leaf base.unit(Inl y)."""
     base = rm.base
-    return unfold_trees(base, pre_iterate(base, step), lambda y: base.unit(Inl(y)))
+    return unfold_trees(base, pre_iterate(base, step), base.unit)
 
 
 def bare_recursive_leaf(rm: ResumptionMonad, f: KleisliFn):
@@ -93,16 +119,11 @@ def guard_transform(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:
     """Make f : X -> Trees(Y+X) guarded without changing its solutions:
     pre_iterate over f's points alone, with f's own nodes frozen, so the
     layers hold only Inl(Inl y) and Inr(node).  A point's tree is built on
-    its first lookup and pre-iterated when its layer is first observed.
-    Guarded inputs come back bisimilar to themselves."""
-    base = rm.base
-    pre = pre_iterate(base, lambda x: f(x).out())
-
-    def layer(x):
-        return base.map(pre(x), lambda e: Inl(e) if isinstance(e, Inl) else e)
-
+    its first lookup, and its layer is its pre_iterate entry, taken when
+    first observed.  Guarded inputs come back with their own layers."""
+    pre = pre_iterate(rm.base, lambda x: f(x).out())
     return make_kleisli(rm, f.dom, f.cod,
-                        lambda x: ResTree(fn=functools.partial(layer, x)))
+                        lambda x: ResTree(fn=functools.partial(pre, x)))
 
 
 def solve_guarded(rm: ResumptionMonad, f: KleisliFn) -> KleisliFn:

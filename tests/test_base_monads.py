@@ -316,18 +316,23 @@ def test_propagation_equals_the_kleene_chain(kind, kw, data):
     if isinstance(want, tuple):         # an error: the chain has no tables
         return
     # with fuel k, the results that arrive by round k make the chain's k-th
-    # table, every position of every point included
-    tables = []
+    # table, every position of every point included; the 0-th is bottom
+    tables = [{}]
     for table, stable in approximants(m, dom.elements, f):
         tables.append(table)
         if stable:
             break
-    for k, table in enumerate(tables, 1):
+    for k, table in enumerate(tables):
         first, _stable, expanded = propagate(m, dom.elements, f, k)
         by_k = {pos: [r for r, n in got.items() if n <= k] for pos, got in first.items()}
         assert set(table) <= set(expanded)
         assert {x: m.pack(by_k, x) for x in expanded} == \
             {x: table.get(x, m.bottom()) for x in expanded}
+    # without fuel, every result arrives, in the round the chain stabilizes
+    first, stable, expanded = propagate(m, dom.elements, f)
+    assert stable == len(tables) - 1
+    assert {x: m.pack(first, x) for x in expanded} == \
+        {x: tables[-1].get(x, m.bottom()) for x in expanded}
 
 
 _OFF_TABLE = """

@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -13,8 +14,8 @@ from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
     sum_carrier, KleisliFn
 from elgot.base_monads import FinSetMonad, Just, NOTHING, finset, propagate
 from elgot.iteration import (UnguardedError, bare_recursive_leaf,
-                             guard_transform, solve_guarded, solve_system)
-from elgot.resumption import ResumptionMonad, TOp, TCUT, TLeaf
+                             guard_transform, pre_iterate, solve_guarded, solve_system)
+from elgot.resumption import OpNode, ResTree, ResumptionMonad, TOp, TCUT, TLeaf
 
 from conftest import resumption, tokens_drawn, two_op_signature
 
@@ -213,6 +214,55 @@ def test_iterate_binds_on_demand_and_shares_the_base_fixpoint(monkeypatch):
     assert runs == [("a",), (below_b,)]
     # a's bare call to b was iterated away inside the base monad
     assert rm.bisimilar(fd("a"), fd("b"), 4)
+
+
+def test_a_guarded_definition_runs_no_base_fixpoint(monkeypatch):
+    # no first layer of f, nor of any subtree below its nodes, holds a bare
+    # leaf: each is its own solution, and nothing is iterated
+    runs = []
+
+    def counted(m, roots, step_at):
+        runs.append(tuple(roots))
+        return propagate(m, roots, step_at)
+
+    monkeypatch.setattr(iteration, "propagate", counted)
+    rm = resumption("finset")
+    x, y, cod = _xy(rm)
+    spin = ResTree(fn=lambda: finset([Inr(OpNode("act", "p1", (("*", spin),)))]))
+    step = {"a": rm.op_call("ask", "*", {"l": rm.unit(Inl("y0")), "r": spin}),
+            "b": rm.out_inv(finset([Inl(Inl("y0")),
+                                    Inr(OpNode("act", "p0", (("*", spin),)))]))}
+    fd = rm.iterate(KleisliFn(rm, x, cod, step))
+    assert rm.render(fd("a"), 3) == \
+        "{(op ask * {(leaf y0)} {(op act p1 {(op act p1 {(cut)})})})}"
+    assert rm.render(fd("b"), 2) == "{(leaf y0) (op act p0 {(op act p1 {(cut)})})}"
+    assert runs == []
+
+
+def test_a_jump_free_step_is_its_own_solution():
+    node = OpNode("act", "p0", (("*", "b"),))
+    steps = {"a": finset([Inl(Inl("y0")), Inr(node)]), "b": finset([Inl(Inr("a"))])}
+    # in either order of observation, a's entry is a's step itself, and b,
+    # which jumps to a, holds a's layer
+    for order in ("ab", "ba"):
+        pre = pre_iterate(FinSetMonad(), steps.__getitem__)
+        got = {seed: pre(seed) for seed in order}
+        assert got["a"] is steps["a"]
+        assert got["b"] == steps["a"]
+
+
+@pytest.mark.parametrize("bad", ["junk", Inr("notanode"), Inl("y")],
+                         ids=["non-sum", "non-node", "non-sum-inl"])
+def test_a_malformed_step_element_is_refused_when_first_observed(rm_finset, bad):
+    # on its own seed's step, and on a step a bare jump reaches
+    steps = {"alone": finset([Inl(Inl("y0")), bad]),
+             "jumps": finset([Inl(Inl("y0")), Inl(Inr("bad"))]),
+             "bad": finset([bad])}
+    for seed in ("alone", "jumps"):
+        sol = solve_system(rm_finset, steps.__getitem__)
+        for _ in range(2):
+            with pytest.raises(TypeError, match=re.escape(repr(bad))):
+                rm_finset.out(sol(seed))
 
 
 def test_points_that_reach_one_subtree_share_its_lifting(rm_maybe):
