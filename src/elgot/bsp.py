@@ -6,11 +6,13 @@ A definition gives each state i a chain of variables (i,0), ..., (i,w)
 for its width w; variable (i,k) with k < w either takes the k-th transition
 (action b[i][k] over the row's own seed, which jumps to state j[i][k]) or
 falls through to (i,k+1), without any guard, and (i,w) is the empty choice.
-That is a flat system, and iteration.pre_iterate solves its bare jumps in
-the base monad, so state i's solved layer holds exactly one node per table
-row.  The export reads each root's solved layer once into a successor
-table of (label, state) pairs, from the rows and not from any tree, and
-walks that table level by level.
+That is a flat system, whose steps are taken on first lookup, and
+iteration.pre_iterate solves its bare jumps in the base monad, so state
+i's solved layer holds exactly one node per table row.  The export reads
+each root's solved layer once into a successor table of (label, state)
+pairs, sorted by label and then by row, from the rows and not from any
+tree, and walks that table level by level.  Only the roots' layers are
+packed, and no row seed's step is taken.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .core import Inl, Inr, KleisliFn, Pair, _Tagged, carrier, unit_carrier
-from .base_monads import FinSetMonad, finset
+from .base_monads import EMPTY_SET, FinSetMonad, finset
 from .iteration import pre_iterate
 from .resumption import OpDecl, OpNode, ResumptionMonad, Signature
 
@@ -47,6 +49,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_label(lbl: str) -> bool:
+    """Whether lbl reads back from every export: it is nonempty and holds
+    no whitespace, no comma (CSV), no double quote or backslash (DOT) and no
+    non-printable character."""
+    return lbl != "" and lbl.isprintable() \
+        and not any(c.isspace() or c in ',"\\' for c in lbl)
+
+
 def _list(x, what: str) -> list:
     if not isinstance(x, list):
         raise BspLoadError("%s must be a list, not %r" % (what, x))
@@ -66,6 +76,11 @@ class BspSpec(_Tagged):
             raise BspLoadError("actions must be distinct strings")
         if not actions:
             raise BspLoadError("a spec needs at least one action")
+        for lbl in actions:
+            if not _is_label(lbl):
+                raise BspLoadError(
+                    "action label %r is empty or holds whitespace, a comma, a double "
+                    "quote, a backslash or a non-printable character" % (lbl,))
         if not _is_int(states) or not all(map(_is_int, widths)) \
                 or not all(_is_int(t) for row in j for t in row):
             raise BspLoadError("states, widths and targets must be integers")
@@ -179,33 +194,54 @@ def load_bsp(text: str) -> BspSpec:
 # Equations and solving
 # ---------------------------------------------------------------------------
 
+class _Steps(dict):
+    """A definition's step table, each seed's step taken on its first
+    lookup.  Whether a seed is Inl((i,k)) with k <= width(i) or Inr((i,k))
+    with k < width(i) is read from the widths; any other seed raises
+    KeyError, which KleisliFn reports as a carrier mismatch."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: BspSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, seed):
+        spec = self.spec
+        pair = seed.value if isinstance(seed, (Inl, Inr)) else None
+        if not (isinstance(pair, Pair) and pair.fst in range(spec.states)
+                and pair.snd in range(spec.widths[pair.fst] + isinstance(seed, Inl))):
+            raise KeyError(seed)
+        i, k = pair.fst, pair.snd
+        if isinstance(seed, Inr):
+            v = finset((Inl(Inr(Inl(Pair(spec.j[i][k], 0)))),))
+        elif k == spec.widths[i]:
+            v = EMPTY_SET
+        else:
+            node = OpNode("act", spec.b[i][k], (("*", Inr(pair)),))
+            v = finset((Inl(Inr(Inl(Pair(i, k + 1)))), Inr(node)))
+        self[seed] = v
+        return v
+
+
 def build_equations(spec: BspSpec):
     """The definition as a flat system (rm, step), step a base-monad
-    Kleisli function on seeds.  Variable Inl((i,k)), k <= width(i), is what
-    the root Inl((i,0)) reaches: for k < width(i) the choice of the node
-    b[i][k] over the row's own seed Inr((i,k)) and the unguarded
-    fall-through jump to Inl((i,k+1)), and for k = width(i) the empty
-    choice.  The row seed jumps to its target's root Inl((j[i][k],0)), so
-    two equal rows are two nodes.
+    Kleisli function on seeds, whose table takes a seed's step on its first
+    lookup.  Variable Inl((i,k)), k <= width(i), is what the root
+    Inl((i,0)) reaches: for k < width(i) the choice of the node b[i][k]
+    over the row's own seed Inr((i,k)) and the unguarded fall-through jump
+    to Inl((i,k+1)), and for k = width(i) the empty choice.  The row seed
+    jumps to its target's root Inl((j[i][k],0)), so two equal rows are two
+    nodes.
     """
     base = FinSetMonad()
     act_car = carrier("a", spec.actions)
     rm = ResumptionMonad(base, Signature((OpDecl("act", act_car, unit_carrier()),)))
-
-    def step(seed):
-        i, k = seed.value.fst, seed.value.snd
-        if isinstance(seed, Inr):
-            return finset((Inl(Inr(Inl(Pair(spec.j[i][k], 0)))),))
-        if k == spec.widths[i]:
-            return base.bottom()
-        node = OpNode("act", spec.b[i][k], (("*", Inr(seed.value)),))
-        return finset((Inl(Inr(Inl(Pair(i, k + 1)))), Inr(node)))
-
     seeds = carrier("seeds", [Inl(Pair(i, k)) for i in range(spec.states)
                               for k in range(spec.widths[i] + 1)]
                     + [Inr(Pair(i, k)) for i in range(spec.states)
                        for k in range(spec.widths[i])])
-    return rm, KleisliFn(base, seeds, None, {s: step(s) for s in seeds.elements})
+    return rm, KleisliFn(base, seeds, None, _Steps(spec))
 
 
 class LtsNode:
@@ -237,7 +273,8 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
 
     Roots are named s<i>; deeper occurrences get fresh numeric suffixes.
     State i's edges are the nodes of its root's pre-iterated layer, read
-    once in canonical order, by label and then by row index.  The edge of
+    once, in canonical order: by label and then by row index, which is
+    got by sorting those (label, row) pairs, not the nodes.  The edge of
     row (i,k) leads to state j[i][k], except that every deadlocked
     (width-0) target is exported as the lowest-numbered deadlocked state.
     No tree is built: the unfolding walks that table level by level.  It
@@ -250,10 +287,11 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
     succ = []
     for i in range(spec.states):
         row = []
-        for e in rm.base.elements(solved(Inl(Pair(i, 0)))):
-            (_a, row_seed), = e.value.children      # Inr((i, k)) of row k
-            j = spec.j[i][row_seed.value.snd]
-            row.append((e.value.param, deadlocked if spec.widths[j] == 0 else j))
+        # a node's label, and the row k of its child Inr((i, k))
+        for label, k in sorted((e.value.param, e.value.children[0][1].value.snd)
+                               for e in solved(Inl(Pair(i, 0)))):
+            j = spec.j[i][k]
+            row.append((label, deadlocked if spec.widths[j] == 0 else j))
         succ.append(row)
 
     lts = Lts("s0")

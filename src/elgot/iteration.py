@@ -5,8 +5,9 @@ bare jumps Inl(Inr(s)) to a seed s, and operation nodes Inr(node) whose
 children are seeds.  It is solved as the paper builds unguarded iteration
 on trees: pre_iterate takes the least fixpoint of the bare jumps inside the
 base monad, with the nodes frozen as opaque results (a first layer with no
-bare jump is guarded already, its own solution), and solve_system unfolds
-the guarded result by coit, one tree per seed.  A while program compiled to
+bare jump is guarded already, its own solution), and packs a seed's
+solution only when that seed is looked up; solve_system unfolds the
+guarded result by coit, one tree per seed.  A while program compiled to
 labels (Elgot's flowchart schemes), a bsp definition, and iterate_res,
 whose seeds are f's points and the subtrees below f's nodes, are all such
 systems.  The operator extends base-monad iteration exactly on trees that
@@ -31,24 +32,33 @@ class UnguardedError(ValueError):
             "leaf %s in its first layer" % (render_elem(variable), render_elem(leaf)))
 
 
-def _jumps(base, v) -> bool:
-    """Whether the step value v holds a bare jump.  Each step element is
-    classified here, once, when its step is taken: one that is no exit
-    Inl(Inl y), jump Inl(Inr s) or node Inr(OpNode) raises TypeError."""
-    jumps = False
-    for _s, e, _s2 in base.moves(v):
+def _walk(base, v):
+    """The moves of the step value v as propagate reads them, and whether
+    one is a bare jump.  The jump Inl(Inr s) is the point Inr(s), and an
+    exit Inl(Inl y) or a node Inr(OpNode) is the result Inl(e) of itself.
+    Each step element is classified here, when its step is taken: one that
+    is no exit, jump or node raises TypeError."""
+    walk, jumps = [], False
+    for s, e, s2 in base.moves(v):
         if isinstance(e, Inl) and isinstance(e.value, Inr):
             jumps = True
-        elif not (isinstance(e, Inl) and isinstance(e.value, Inl)
-                  or isinstance(e, Inr) and isinstance(e.value, OpNode)):
+            walk.append((s, e.value, s2))
+        elif isinstance(e, Inl) and isinstance(e.value, Inl) \
+                or isinstance(e, Inr) and isinstance(e.value, OpNode):
+            walk.append((s, Inl(e), s2))
+        else:
             raise TypeError("not an exit, a bare jump or a node: %r" % (e,))
-    return jumps
+    return walk, jumps
 
 
-def _as_move(e):
-    """A classified step element as propagate reads it: the jump Inl(Inr s)
-    is the point Inr(s), and an exit or a node is the result e itself."""
-    return e.value if isinstance(e, Inl) and isinstance(e.value, Inr) else Inl(e)
+class _Walked:
+    """What propagate reads of pre_iterate's points: a point's step_at
+    value is the list of its moves, already classified by _walk, so no
+    step is mapped into propagate's shape."""
+
+    @staticmethod
+    def moves(walk):
+        return walk
 
 
 def pre_iterate(base, step):
@@ -57,41 +67,48 @@ def pre_iterate(base, step):
     nodes Inr(node).
 
     Each seed's step is taken once, and its elements are classified then.
-    A step with no bare jump is kept as its seed's solution, as it is.  The
-    first seed observed that jumps and is not yet solved runs propagate
-    from itself, and every point the run expands is kept, solved.  A run
-    walks the _as_move map of each step, built when a run first walks it
-    and kept, so a later run walks a solved point again and what is
-    computed does not depend on the order in which seeds are observed."""
-    moved, solved = {}, {}
+    A step with no bare jump is kept as its seed's solution, as it is; a
+    step that jumps is kept only as its _walk list.  The first seed looked
+    up that jumps and has no table yet runs propagate from itself over
+    those lists, and every point the run expands and that is not solved
+    keeps the run's table: a point is packed from it when it is itself
+    first looked up, so a point that is never looked up is never packed.
+    A run's table holds the least fixpoint at every point it expands, and
+    a later run walks a point again, so what is computed does not depend
+    on the order in which seeds are observed."""
+    walked, solved, runs = {}, {}, {}
 
     def taken(seed):
         v = step(seed)
-        if not _jumps(base, v):
+        walk, jumps = _walk(base, v)
+        if jumps:
+            walked[seed] = walk
+        else:
             solved[seed] = v
-        return v
+        return walk
 
     def moves(seed):
-        v = moved.get(seed)
-        if v is None:
+        walk = walked.get(seed)
+        if walk is None:
             # a solved point that no run has walked is its own jump-free step
             v = solved.get(seed)
-            v = moved[seed] = base.map(taken(seed) if v is None else v, _as_move)
-        return v
+            walk = walked[seed] = taken(seed) if v is None else _walk(base, v)[0]
+        return walk
 
     def at(seed):
         v = solved.get(seed)
         if v is None:
-            if seed not in moved:
-                v = taken(seed)
-                if seed in solved:
-                    return v
-                moved[seed] = base.map(v, _as_move)
-            first, _stable, points = propagate(base, (seed,), moves)
-            for p in points:
-                if p not in solved:
-                    solved[p] = base.pack(first, p)
-            v = solved[seed]
+            if seed not in runs:
+                if seed not in walked:
+                    taken(seed)
+                    v = solved.get(seed)
+                    if v is not None:
+                        return v
+                first, _stable, points = propagate(_Walked, (seed,), moves)
+                for p in points:
+                    if p not in solved:
+                        runs[p] = first
+            v = solved[seed] = base.pack(runs.pop(seed), seed)
         return v
 
     return at

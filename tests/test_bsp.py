@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import random
 import signal
 
 import pytest
 
-from elgot.base_monads import FinSetMonad
-from elgot.core import Inl, Inr, Pair
+from elgot.cli import main
+from elgot.core import CarrierMismatchError, Inl, Inr, Pair
 from elgot import bsp
+from elgot.iteration import pre_iterate
 from elgot.bsp import (MAX_STATES, BspLoadError, BspSpec, build_equations, load_bsp,
                        lts_to_csv, lts_to_dot, lts_to_text, parse_bsp_json,
                        parse_bsp_text, solve_and_unfold)
@@ -140,6 +143,53 @@ def test_build_equations_matches_the_equation_shape():
     assert step(row) == rm.base.unit(Inl(Inr(Inl(Pair(1, 0)))))
 
 
+def test_build_equations_takes_a_step_on_its_first_lookup():
+    spec = parse_bsp_text(TWO_STATE)
+    _rm, step = build_equations(spec)
+    assert len(step.table) == 0
+    row = step(Inr(Pair(0, 1)))
+    assert list(step.table) == [Inr(Pair(0, 1))]
+    assert step(Inr(Pair(0, 1))) is row
+
+
+@pytest.mark.parametrize("seed", [
+    Inl(Pair(0, 3)), Inr(Pair(0, 2)), Inr(Pair(1, 1)), Inl(Pair(2, 0)),
+    Inl(Pair(-1, 0)), Inl(Pair(0, -1)), Inl(Pair("0", 0)), Inl((0, 0)),
+    Inl("x"), Pair(0, 0), "x", None])
+def test_a_seed_off_the_definition_is_a_carrier_mismatch(seed):
+    # state 0 has width 2 and state 1 width 1: the seeds are Inl((0,0..2)),
+    # Inl((1,0..1)), Inr((0,0..1)) and Inr((1,0))
+    spec = parse_bsp_text(TWO_STATE)
+    _rm, step = build_equations(spec)
+    with pytest.raises(CarrierMismatchError, match="is not an element of carrier seeds"):
+        step(seed)
+    assert len(step.table) == 0
+    assert step(Inl(Pair(0, 2))) == bsp.FinSetMonad().bottom()
+
+
+def test_solving_takes_no_row_seed_step_and_no_step_twice(monkeypatch):
+    # a variable (i,k) with k < width(i) builds one set, a row seed one,
+    # and the empty choice none
+    looked, built = [], []
+    equations, finset = bsp.build_equations, bsp.finset
+
+    def counted(spec):
+        rm, step = equations(spec)
+        return rm, lambda seed: looked.append(seed) or step(seed)
+
+    monkeypatch.setattr(bsp, "build_equations", counted)
+    monkeypatch.setattr(bsp, "finset", lambda elems: built.append(elems) or finset(elems))
+    rng = random.Random(31)
+    for _ in range(20):
+        del looked[:], built[:]
+        spec = _random_spec(rng, max_states=5, max_width=4)
+        solve_and_unfold(spec, 2)
+        # every variable a root's chain reaches, each once, and no row seed
+        assert sorted(looked) == sorted(Inl(Pair(i, k)) for i in range(spec.states)
+                                        for k in range(spec.widths[i] + 1))
+        assert len(built) == sum(spec.widths)
+
+
 def test_every_first_layer_has_at_most_one_bare_leaf():
     rng = random.Random(4)
     for _ in range(20):
@@ -198,15 +248,45 @@ def test_two_state_depth_two_count_matches_oracle():
 
 def test_unfolding_lists_each_root_layer_once(monkeypatch):
     # an occurrence of a state has its root's layer, so no occurrence's
-    # layer is listed again, at any depth
-    listed = []
-    elements = FinSetMonad.elements
-    monkeypatch.setattr(FinSetMonad, "elements",
-                        lambda self, v: listed.append(v) or elements(self, v))
+    # layer is read again, at any depth: each root's pre_iterate entry is
+    # looked up once, and no other entry is
+    looked = []
+    pre_iterate = bsp.pre_iterate
+
+    def counted(base, step):
+        at = pre_iterate(base, step)
+        return lambda seed: looked.append(seed) or at(seed)
+
+    monkeypatch.setattr(bsp, "pre_iterate", counted)
     spec = parse_bsp_text(TWO_STATE)
     lts = solve_and_unfold(spec, 3)
     assert len(lts.edges) == 3 + 4 + 5
-    assert len(listed) == spec.states
+    assert looked == [Inl(Pair(i, 0)) for i in range(spec.states)]
+
+
+def test_each_state_lists_its_edges_in_its_root_layer_order():
+    # the export sorts (label, row) pairs; the layer's canonical order,
+    # which sorts the nodes by canon_key, is the same order
+    rng = random.Random(37)
+    duplicates = deadlocks = 0
+    for _ in range(50):
+        spec = _random_spec(rng, max_states=6, max_width=5)
+        duplicates += any(len(set(row)) < len(row) for row in spec.b)
+        deadlocks += any(spec.widths[t] == 0 for row in spec.j for t in row)
+        rm, step = build_equations(spec)
+        solved = pre_iterate(rm.base, step)
+        deadlocked = min((i for i in range(spec.states) if spec.widths[i] == 0),
+                         default=None)
+        lts = solve_and_unfold(spec, 1)
+        by_name = {n.name: n.state for n in lts.nodes}
+        for i in range(spec.states):
+            want = []
+            for e in rm.base.elements(solved(Inl(Pair(i, 0)))):
+                j = spec.j[i][e.value.child("*").value.snd]
+                want.append((e.value.param, deadlocked if spec.widths[j] == 0 else j))
+            assert [(lbl, by_name[d]) for s, lbl, d in lts.edges
+                    if s == "s%d" % i] == want
+    assert duplicates > 10 and deadlocks > 10
 
 
 def test_deadlock_state_has_no_edges():
@@ -263,6 +343,8 @@ def test_unfolding_counts_a_level_before_building_it(monkeypatch):
 
 
 def _random_spec(rng, max_states=3, max_width=3):
+    # a state has no rows one time in max_width + 1, and with at most three
+    # labels a wide row repeats one
     actions = tuple("abc"[:rng.randint(1, 3)])
     states = rng.randint(1, max_states)
     widths, b, j = [], [], []
@@ -311,3 +393,37 @@ def test_exports():
     assert "s0,a,s1_1" in csv
     text = lts_to_text(lts)
     assert text.splitlines()[0] == "initial s0"
+
+
+BAD_LABELS = {"comma": "c,d", "quote": 'x"y', "backslash": "a\\b", "space": "a b",
+              "empty": "", "tab": "a\tb", "bell": "a\x07"}
+
+
+@pytest.mark.parametrize("spec_format, name", [
+    (spec_format, name) for name, label in BAD_LABELS.items()
+    for spec_format in ("text", "json")
+    # the text format splits a line at whitespace, so it has no such label
+    if spec_format == "json" or label.split() == [label]])
+def test_a_label_no_export_reads_back_is_refused(tmp_path, spec_format, name):
+    label = BAD_LABELS[name]
+    if spec_format == "text":
+        path = tmp_path / "spec.bsp"
+        path.write_text("actions a %s\nstates 1\nb 0 %s\nj 0 0\n" % (label, label))
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"actions": ["a", label], "states": 1,
+                                    "b": [[label]], "j": [[0]]}))
+    for fmt in ("dot", "csv", "text"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bsp", str(path), "--format", fmt])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (
+            "error: action label %r is empty or holds whitespace, a comma, a double "
+            "quote, a backslash or a non-printable character\n" % (label,))
+
+
+def test_a_label_of_any_other_printable_characters_is_kept():
+    spec = load_bsp(json.dumps({"actions": ["x-1", "é", "a#b"], "states": 1,
+                                "b": [["é", "a#b"]], "j": [[0, 0]]}))
+    assert lts_to_csv(solve_and_unfold(spec, 1)) == "src,label,dst\ns0,a#b,s0_1\ns0,é,s0_2\n"

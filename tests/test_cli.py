@@ -57,6 +57,17 @@ def test_bsp_dot_matches_golden():
     assert r.stdout == (GOLDEN / "two_state_depth1.dot").read_text()
 
 
+@pytest.mark.parametrize("fmt, golden", [("text", "dup_rows_depth2.txt"),
+                                         ("csv", "dup_rows_depth2.csv")])
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_bsp_duplicate_rows_match_their_golden(fmt, golden, hash_seed):
+    # equal labels out of row order, and edges into two deadlocked states
+    r = cli("bsp", str(GOLDEN / "dup_rows.bsp"), "--depth", "2", "--format", fmt,
+            env={"PYTHONHASHSEED": hash_seed})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / golden).read_text()
+
+
 def test_bsp_same_label_edges_keep_their_order(tmp_path):
     # state 0 has two a-transitions, to states 0 and 1: nothing in the
     # table orders them, so the text pins the order the solver gives them

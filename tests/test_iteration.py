@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from elgot import iteration
-from elgot.core import Inl, Inr, carrier, copair, kleisli_unit, make_kleisli, \
+from elgot.core import Inl, Inr, Pair, carrier, copair, kleisli_unit, make_kleisli, \
     sum_carrier, KleisliFn
-from elgot.base_monads import FinSetMonad, Just, NOTHING, finset, propagate
+from elgot.base_monads import (FinSetMonad, Just, NOTHING, NdState, elgot_instance, finset,
+                               propagate)
 from elgot.iteration import (UnguardedError, bare_recursive_leaf,
                              guard_transform, pre_iterate, solve_guarded, solve_system)
 from elgot.resumption import OpNode, ResTree, ResumptionMonad, TOp, TCUT, TLeaf
@@ -485,6 +486,60 @@ def test_bsp_solution_matches_truncated_lfp_oracle():
     want = _flat_lfp_oracle(rm.base, step, step.dom.elements, 3)
     for s in step.dom.elements:
         assert rm.truncate(sol(s), 3) == want[s]
+
+
+def _random_flat_system(rng, base, n):
+    """Steps of the seeds 0..n-1 over exits, bare jumps and act nodes."""
+    def elem():
+        r = rng.random()
+        if r < 0.2:
+            return Inl(Inl("y%d" % rng.randrange(2)))
+        if r < 0.7:
+            return Inl(Inr(rng.randrange(n)))
+        return Inr(OpNode("act", rng.choice(("p0", "p1")), (("*", rng.randrange(n)),)))
+
+    if isinstance(base, FinSetMonad):
+        return {s: finset(elem() for _ in range(rng.randint(0, 3))) for s in range(n)}
+    return {s: NdState(tuple((q, finset(Pair(elem(), rng.choice(base.states))
+                                        for _ in range(rng.randint(0, 2))))
+                             for q in base.states))
+            for s in range(n)}
+
+
+@pytest.mark.parametrize("kind", ["finset", "nondetstate"])
+def test_a_flat_system_solves_alike_in_any_order_of_lookup(monkeypatch, kind):
+    # each entry is packed from a run's table when it is first looked up,
+    # once, and only when its step jumps; the entries, and the trees they
+    # unfold, do not depend on which seed was looked up first
+    base = elgot_instance(kind, ("s0", "s1"))
+    rm = ResumptionMonad(base, two_op_signature())
+    packed = []
+    pack = type(base).pack
+    monkeypatch.setattr(type(base), "pack",
+                        lambda self, results, x: packed.append(x) or pack(self, results, x))
+    rng = random.Random("flat:" + kind)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        steps = _random_flat_system(rng, base, n)
+        jumping = {s for s, v in steps.items()
+                   if any(isinstance(e, Inl) and isinstance(e.value, Inr)
+                          for _q, e, _q2 in base.moves(v))}
+        want = _flat_lfp_oracle(base, steps.__getitem__, range(n), 3)
+        entries = None
+        for _order in range(3):
+            looked = rng.sample(range(n), rng.randint(1, n))
+            del packed[:]
+            pre = pre_iterate(base, steps.__getitem__)
+            got = {s: pre(s) for s in looked + looked}
+            assert packed == [s for s in looked if s in jumping]
+            if entries is not None:
+                assert all(got[s] == entries[s] for s in looked if s in entries)
+            entries = {**(entries or {}), **got}
+            sol = solve_system(rm, steps.__getitem__)
+            for s in looked:
+                rm.out(sol(s))
+            for s in looked:
+                assert rm.truncate(sol(s), 3) == want[s]
 
 
 def test_guard_transform_idempotent_up_to_bisimulation(rm_finset):
