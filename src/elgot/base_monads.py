@@ -7,12 +7,12 @@ Inl(y) in f(x') for some x' that x reaches through Inr edges (over (point,
 state) pairs on nondetstate).  One engine, propagate, computes the Kleene
 chain from bottom (approximants) in one pass over the recursion graph,
 through two hooks per instance, moves and pack: reach_iterate takes its
-stable table, and the handler its fuel-th table at a tree's root.  The
-chain is their specification, written as its definition: each round binds
-every point against the last table.  kleene_iterate takes it until it is
-stable, detected by exact equality on the finite hom-lattice, never by a
-step budget, and the law suites and the tests check both callers against
-it.
+stable table, and the handler its fuel-th table at a tree's root, from
+handling steps that are already lists of moves.  The chain is their
+specification, written as its definition: each round binds every point
+against the last table.  kleene_iterate takes it until it is stable,
+detected by exact equality on the finite hom-lattice, never by a step
+budget, and the law suites and the tests check both callers against it.
 
 A FinSet is a frozenset, so binds, maps, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -268,6 +268,17 @@ def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
     return first, None, expanded
 
 
+class MoveLists:
+    """The m that propagate reads a step through when step_at already
+    returns the list of its moves: moves is the identity.  pre_iterate's
+    classified walks and the handler's zeta are such steps, so neither
+    builds a value only for propagate to take it apart."""
+
+    @staticmethod
+    def moves(walk):
+        return walk
+
+
 def reach_iterate(f: KleisliFn) -> KleisliFn:
     """Least solution of h = [unit, h]* . f for f : X -> T(Y+X): the stable
     table of `propagate` from the domain, rounds ignored, each point's value
@@ -402,7 +413,8 @@ class FinSetMonad(_KleeneMonad):
         return finset(e for e in v.elems if rng.random() < 0.6)
 
     def decode(self, data, elem):
-        if isinstance(data, dict) and "set" in data:
+        # a string is no list of elements
+        if isinstance(data, dict) and isinstance(data.get("set"), list):
             return finset(elem(e) for e in data["set"])
         raise ValueError("malformed finset value: %r" % (data,))
 
@@ -465,15 +477,28 @@ class NondetStateMonad(_KleeneMonad):
             lambda s: finset(e for e in v.at(s).elems if rng.random() < 0.6))
 
     def decode(self, data, elem):
-        if isinstance(data, dict) and "states" in data:
-            table = data["states"]
-            for s in list(table) + [s2 for rows in table.values() for _x, s2 in rows]:
-                if s not in self.states:
+        # the rows of a state are a list of [result, state] lists; a string
+        # is neither
+        table = data.get("states") if isinstance(data, dict) else None
+        if not isinstance(table, dict):
+            raise ValueError("malformed nondetstate value: %r" % (data,))
+        for s in table:
+            if s not in self.states:
+                raise ValueError("malformed nondetstate value: state %r is not "
+                                 "in the state set" % (s,))
+        for s, rows in table.items():
+            if not isinstance(rows, list):
+                raise ValueError("malformed nondetstate value: the rows of state "
+                                 "%r are %r, not a list" % (s, rows))
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 2):
+                    raise ValueError("malformed nondetstate value: row %r of state "
+                                     "%r is not a [result, state] pair" % (row, s))
+                if row[1] not in self.states:
                     raise ValueError("malformed nondetstate value: state %r is not "
-                                     "in the state set" % (s,))
-            return self._value(lambda s: finset(
-                Pair(elem(x), s2) for x, s2 in table.get(s, [])))
-        raise ValueError("malformed nondetstate value: %r" % (data,))
+                                     "in the state set" % (row[1],))
+        return self._value(lambda s: finset(
+            Pair(elem(x), s2) for x, s2 in table.get(s, [])))
 
 
 def elgot_instance(kind: str, state_set: Iterable[str] | None = None) -> ElgotMonad:

@@ -8,8 +8,11 @@ reached is the Kleene chain `base_monads.approximants`; fuel counts its
 rounds, and on trees whose reachable node set is finite the chain stabilizes
 and the result is exact.  The chain is handle's specification, not its
 engine: handle takes the fuel-th table from base_monads.propagate, the
-engine that solves base iteration too, and the tests check it against the
-chain.
+engine that solves base iteration too, from steps that zeta composes move
+by move, with no target value built.  The chain's step, the target value
+that binds sigma's value of a layer to each node's effect, is kept only in
+the tests, as the value-level oracle that zeta's moves and handle's tables
+are checked against.
 Unfolding (coit), lifting (bind, map, strength) and the guarded solver build
 one tree per seed, so a tree built from finitely many seeds, such as the
 denotation of a while program, reaches finitely many nodes and converges.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .base_monads import propagate
+from .base_monads import MoveLists, propagate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
                    SuiteReport, render_elem)
 from .resumption import ResTree, ResumptionMonad
@@ -105,25 +108,57 @@ class EffectInterpretation:
 
 
 def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
-         upsilon: EffectInterpretation):
-    """One handling step: a target value over (result + remaining tree)."""
+         upsilon: EffectInterpretation) -> list:
+    """One handling step, as the list of its moves (s, e, s') in the
+    target, the state None on maybe and finset: sigma's value of t's first
+    layer, each leaf moving on as itself and each node by its generic
+    effect.  A move (s, Inl(y), s1) of sigma's value is a move of the step;
+    a move (s, Inr(node), s1) gives (s, Inr(node.child(a)), s2) for each
+    move (s1, a, s2) of the node's effect.  No target value is built and
+    nothing is sorted: propagate reads the list as it is.
+
+    A node whose operation has no effect, or whose effect offers an answer,
+    from any state, that it has no child at, raises InterpretationError;
+    when a layer holds two such nodes, the one named is the first in
+    canonical order, and its first answer in canonical order without a
+    child, whatever order the moves came in.
+    """
     S = sigma.target
     v = sigma.component(rm.out(t))
+    moves = []
+    add = moves.append
+    try:
+        for s, e, s1 in S.moves(v):
+            if isinstance(e, Inl):
+                add((s, e, s1))
+            else:
+                node = e.value
+                for s0, a, s2 in S.moves(upsilon.effect(node.op)(node.param)):
+                    # an answer from any state without a child is a fault,
+                    # as in the value-level step; only moves from s1 count
+                    child = node.child(a)
+                    if s0 == s1:
+                        add((s, Inr(child), s2))
+    except Exception:
+        _raise_first_fault(S, v, upsilon)
+        raise
+    return moves
 
-    def elem(e):
-        if isinstance(e, Inl):
-            return S.unit(Inl(e.value))
-        node = e.value
-        u = upsilon.effect(node.op)
-        def to_child(a):
-            try:
-                return Inr(node.child(a))
-            except KeyError:
-                raise InterpretationError(
-                    "operation %s has no child at %s" % (node.op, render_elem(a)))
-        return S.map(u(node.param), to_child)
 
-    return S.bind(v, elem)
+def _raise_first_fault(S, v, upsilon: EffectInterpretation):
+    """Raise the error of the first malformed node of the step value v,
+    its elements and each node's answers taken in canonical order; return
+    when there is none."""
+    for e in S.elements(v):
+        if not isinstance(e, Inl):
+            node = e.value
+            for a in S.elements(upsilon.effect(node.op)(node.param)):
+                try:
+                    node.child(a)
+                except KeyError:
+                    raise InterpretationError(
+                        "operation %s has no child at %s"
+                        % (node.op, render_elem(a))) from None
 
 
 class HandleResult:
@@ -159,7 +194,7 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
         raise InterpretationError(
             "target %s has no bottom; approximants need one" % S.name)
     first, stable, expanded = propagate(
-        S, (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
+        MoveLists, (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
     rounds = fuel if stable is None else min(stable, fuel)
     value = S.pack({pos: [r for r, k in got.items() if k <= rounds]
                     for pos, got in first.items() if pos[0] is t}, t)

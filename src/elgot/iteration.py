@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from .base_monads import propagate
+from .base_monads import MoveLists, propagate
 from .core import Inl, Inr, KleisliFn, make_kleisli, render_elem
 from .resumption import OpNode, ResTree, ResumptionMonad, unfold_trees
 
@@ -49,16 +49,6 @@ def _walk(base, v):
         else:
             raise TypeError("not an exit, a bare jump or a node: %r" % (e,))
     return walk, jumps
-
-
-class _Walked:
-    """What propagate reads of pre_iterate's points: a point's step_at
-    value is the list of its moves, already classified by _walk, so no
-    step is mapped into propagate's shape."""
-
-    @staticmethod
-    def moves(walk):
-        return walk
 
 
 def pre_iterate(base, step):
@@ -104,7 +94,7 @@ def pre_iterate(base, step):
                     v = solved.get(seed)
                     if v is not None:
                         return v
-                first, _stable, points = propagate(_Walked, (seed,), moves)
+                first, _stable, points = propagate(MoveLists, (seed,), moves)
                 for p in points:
                     if p not in solved:
                         runs[p] = first

@@ -616,7 +616,11 @@ def test_decode_reads_the_readme_literals():
     for m, kind, data in ((mb, "maybe", {"jst": 1}), (mb, "maybe", None),
                           (fs, "finset", {"sett": []}), (fs, "finset", ["a"]),
                           (nd, "nondetstate", {"state": {}}),
-                          (nd, "nondetstate", "nothing")):
+                          (nd, "nondetstate", "nothing"),
+                          # a string is no list of elements
+                          (fs, "finset", {"set": "ht"}), (fs, "finset", {"set": None}),
+                          (nd, "nondetstate", {"states": "s0"}),
+                          (nd, "nondetstate", {"states": [["s0", []]]})):
         with pytest.raises(ValueError, match="^malformed %s value: %s$"
                            % (kind, re.escape(repr(data)))):
             m.decode(data, same)
@@ -625,3 +629,12 @@ def test_decode_reads_the_readme_literals():
         with pytest.raises(ValueError, match="^malformed nondetstate value: state "
                            "'%s' is not in the state set$" % state):
             nd.decode(data, same)
+    for rows, message in (("hb", "the rows of state 's0' are 'hb', not a list"),
+                          ({"h": "b"}, "the rows of state 's0' are {'h': 'b'}, not a list"),
+                          (["hb"], "row 'hb' of state 's0' is not a [result, state] pair"),
+                          ([["h"]], "row ['h'] of state 's0' is not a [result, state] pair"),
+                          ([["h", "s1", "s0"]],
+                           "row ['h', 's1', 's0'] of state 's0' is not a [result, state] pair")):
+        with pytest.raises(ValueError, match="^malformed nondetstate value: %s$"
+                           % re.escape(message)):
+            nd.decode({"states": {"s0": rows}}, same)

@@ -99,6 +99,15 @@ def test_handle_file():
     assert r.stdout == "{heads}\nconverged\n"
 
 
+@pytest.mark.parametrize("name", ["handle_toss", "handle_toss_nd"])
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_handle_matches_its_golden(name, hash_seed):
+    # handle_toss_nd: finset into nondetstate, an effect that moves the state
+    r = cli("handle", str(GOLDEN / (name + ".json")), env={"PYTHONHASHSEED": hash_seed})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / (name + ".txt")).read_text()
+
+
 def test_package_runs_as_a_module():
     r = subprocess.run([sys.executable, "-m", "elgot", "handle",
                         str(GOLDEN / "handle_toss.json")],
@@ -197,6 +206,31 @@ def cli_in_process(*args):
         except SystemExit as exc:      # argparse refuses a flag or its value
             code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def test_a_string_is_no_list_in_a_value_literal(tmp_path):
+    # a set, a state's rows or a row written as a string is refused, not
+    # read character by character
+    toss = json.loads((GOLDEN / "handle_toss.json").read_text())
+    toss["effects"]["toss"]["*"] = {"set": "ht"}
+    nd = dict(json.loads(json.dumps(ND_SPEC)), state_set=["a", "b"])
+    row, rows = (json.loads(json.dumps(nd)) for _ in "12")
+    row["effects"]["toss"]["*"] = {"states": {"a": ["hb"], "b": [["t", "b"]]}}
+    rows["effects"]["toss"]["*"] = {"states": {"a": "hb"}}
+    tree = json.loads(json.dumps(ND_SPEC))
+    tree["tree"]["set"][0]["children"]["t"] = {"set": "tails"}
+    for name, doc, message in [
+            ("set", toss, "malformed finset value: {'set': 'ht'}"),
+            ("row", row, "malformed nondetstate value: row 'hb' of state 'a' "
+                         "is not a [result, state] pair"),
+            ("rows", rows, "malformed nondetstate value: the rows of state 'a' "
+                           "are 'hb', not a list"),
+            ("tree", tree, "malformed finset value: {'set': 'tails'}")]:
+        path = tmp_path / ("string_%s.json" % name)
+        path.write_text(json.dumps(doc))
+        r = cli_in_process("handle", str(path))
+        assert (r.returncode, r.stdout) == (2, ""), r.stdout
+        assert r.stderr == "error: malformed handle file: %s\n" % message
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -14,7 +14,7 @@ from elgot.handler import (EffectInterpretation, InterpretationError,
                            maybe_to_finset, maybe_to_nondetstate,
                            finset_to_nondetstate, zeta)
 from elgot import handler
-from elgot.resumption import ResTree, ResumptionMonad, sig_val
+from elgot.resumption import OpNode, ResTree, ResumptionMonad, sig_val
 
 from conftest import resumption, two_op_signature
 
@@ -32,25 +32,46 @@ def _setup_finset_target():
     return rm, target, sigma, upsilon
 
 
+def _zeta_value(rm, t, sigma, ups):
+    """The handling step as a target value over (result + remaining tree):
+    each element of sigma's value made a value of its own, by S.unit for a
+    leaf and S.map of its generic effect for a node, and all of them joined
+    by S.bind.  The oracle that zeta's moves and the chain are checked
+    against, built apart from handle's engine."""
+    S = sigma.target
+
+    def elem(e):
+        if isinstance(e, Inl):
+            return S.unit(Inl(e.value))
+        node = e.value
+        return S.map(ups.effect(node.op)(node.param), lambda a: Inr(node.child(a)))
+
+    return S.bind(sigma.component(rm.out(t)), elem)
+
+
 def test_zeta_on_unit():
     rm, S, sigma, ups = _setup_finset_target()
-    assert zeta(rm, rm.unit("x"), sigma, ups) == finset([Inl("x")])
+    assert _zeta_value(rm, rm.unit("x"), sigma, ups) == finset([Inl("x")])
+    assert zeta(rm, rm.unit("x"), sigma, ups) == [(None, Inl("x"), None)]
 
 
 def test_zeta_on_ext():
     rm, S, sigma, ups = _setup_finset_target()
     m = Just("v")
-    assert zeta(rm, rm.ext(m), sigma, ups) == S.map(sigma.component(m), Inl)
+    value = _zeta_value(rm, rm.ext(m), sigma, ups)
+    assert value == S.map(sigma.component(m), Inl)
+    assert zeta(rm, rm.ext(m), sigma, ups) == list(S.moves(value))
 
 
 def test_zeta_on_operation_returns_child_trees():
     rm, S, sigma, ups = _setup_finset_target()
     t = rm.iota("ask", "*", {"l": "x", "r": "y"})
-    v = zeta(rm, t, sigma, ups)
+    v = _zeta_value(rm, t, sigma, ups)
     els = S.elements(v)
     assert len(els) == 2 and all(isinstance(e, Inr) for e in els)
     results = sorted(rm.out(e.value).value.value for e in els)
     assert results == ["x", "y"]
+    assert set(zeta(rm, t, sigma, ups)) == {(None, e, None) for e in els}
 
 
 def test_zeta_unknown_operation_is_an_error():
@@ -60,6 +81,158 @@ def test_zeta_unknown_operation_is_an_error():
     t = rm.iota("ask", "*", {"l": "x", "r": "y"})
     with pytest.raises(InterpretationError):
         zeta(rm, t, sigma, stripped)
+
+
+# (source, target) -> the morphism; equal kinds take the identity
+MORPHISMS = {("maybe", "finset"): maybe_to_finset,
+             ("maybe", "nondetstate"): maybe_to_nondetstate,
+             ("finset", "nondetstate"): finset_to_nondetstate}
+
+
+def _instance(kind):
+    return elgot_instance(kind, **({"state_set": ("s0", "s1")}
+                                   if kind == "nondetstate" else {}))
+
+
+def _handling(source, target, seed):
+    """Trees over source, and sigma and random generic effects into target."""
+    from elgot.laws import Gen, GenConfig
+    rm = ResumptionMonad(_instance(source), two_op_signature())
+    if source == target:
+        S, sigma = rm.base, identity_morphism(rm.base)
+    else:
+        S = _instance(target)
+        sigma = MORPHISMS[source, target](rm.base, S)
+    return rm, sigma, Gen(GenConfig(seed=seed)).effect_interpretation(rm.sig, S)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["finite", "cyclic"]),
+       st.sampled_from(sorted(MORPHISMS) + [(k, k) for k in
+                                            ("maybe", "finset", "nondetstate")]),
+       st.integers(0, 2 ** 16))
+def test_zeta_lists_the_moves_of_the_value_level_step(shape, kinds, seed):
+    from elgot.laws import Gen, GenConfig
+    rm, sigma, ups = _handling(*kinds, seed)
+    S = sigma.target
+    gen = Gen(GenConfig(seed=seed, node_budget=10))
+    x = gen.carrier("x", 2)
+    if shape == "finite":
+        t = gen.tree(rm, x)
+    else:
+        rng = random.Random(seed)
+        unfold = _coalgebra_trees(rm, rng, x)
+        t = unfold(rng.choice(unfold.dom.elements))
+    # every tree the steps reach, up to 30 of them
+    todo, seen = [t], {t}
+    while todo and len(seen) < 30:
+        tree = todo.pop()
+        moves = zeta(rm, tree, sigma, ups)
+        assert set(moves) == set(S.moves(_zeta_value(rm, tree, sigma, ups)))
+        for _s, e, _s2 in moves:
+            if isinstance(e, Inr) and e.value not in seen:
+                seen.add(e.value)
+                todo.append(e.value)
+
+
+@pytest.mark.parametrize("kinds", sorted(MORPHISMS))
+def test_zeta_builds_no_target_value(kinds, monkeypatch):
+    # the step is composed move by move: nothing of the target is bound,
+    # mapped or made a unit, while handling a fan of nodes and leaves
+    rm, sigma, _random = _handling(*kinds, 5)
+    S = sigma.target
+    ups = EffectInterpretation(rm.sig, S, {
+        op.name: make_kleisli(S, op.param, op.arity,
+                              lambda p, _op=op: S.choice(_op.arity.elements))
+        for op in rm.sig.ops})
+
+    def fan():
+        return rm.op_call("ask", "*", {
+            "l": ResTree(fn=lambda: fan().out()),
+            "r": rm.op_call("act", "p1", {"*": rm.unit("x")})})
+
+    want = handle(rm, fan(), sigma, ups, 5)
+
+    def refused(*_args):
+        raise AssertionError("the handling step built a target value")
+
+    for name in ("bind", "map", "unit"):
+        monkeypatch.setattr(S, name, refused)
+    got = handle(rm, fan(), sigma, ups, 5)
+    assert zeta(rm, fan(), sigma, ups)
+    assert S.render(got.value) == S.render(want.value)
+    assert (got.converged, got.rounds, got.reached) == \
+        (want.converged, want.rounds, want.reached)
+
+
+# layers with two faults each: a fault is named as the value-level step
+# meets it, the first node in canonical order and its first answer
+FAULTS = """
+import sys
+from elgot.base_monads import elgot_instance, finset
+from elgot.core import Inl, Inr, make_kleisli, unit_carrier
+from elgot.handler import (EffectInterpretation, InterpretationError, handle,
+                           identity_morphism)
+from elgot.resumption import OpNode, ResumptionMonad
+from conftest import two_op_signature
+
+rm = ResumptionMonad(elgot_instance("finset"), two_op_signature())
+S = rm.base
+ups = EffectInterpretation(rm.sig, S, {
+    "act": make_kleisli(S, rm.sig.op("act").param, unit_carrier(),
+                        lambda p: S.unit("*")),
+    "ask": make_kleisli(S, unit_carrier(), rm.sig.op("ask").arity,
+                        lambda p: finset(["l", "r"]))})
+leaf = rm.unit("x")
+for layer in ([OpNode("zz", "*", ()), OpNode("yy", "*", ())],
+              [OpNode("ask", "*", (("l", leaf),)), OpNode("act", "p0", ())],
+              [OpNode("zz", "*", ()), OpNode("ask", "*", (("r", leaf),))],
+              [OpNode("ask", "*", ())]):
+    t = rm.out_inv(finset([Inl("y")] + [Inr(node) for node in layer]))
+    try:
+        handle(rm, t, identity_morphism(S), ups, 3)
+    except InterpretationError as exc:
+        print(exc)
+"""
+
+
+def test_a_malformed_layer_names_its_first_fault_under_any_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = [subprocess.run([sys.executable, "-c", FAULTS], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path,
+                                               PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    assert [out.stderr for out in outs] == ["", ""]
+    assert [out.stdout for out in outs] == [
+        "unknown operation yy\n"
+        "operation act has no child at *\n"
+        "operation ask has no child at l\n"
+        "operation ask has no child at l\n"] * 2
+
+
+def test_a_missing_child_at_an_answer_from_another_state_is_an_error():
+    # the node is reached only in s0, where its effect answers l; the
+    # effect's answer r from s1 has no child, and that is still a fault
+    S = elgot_instance("nondetstate", state_set=("s0", "s1"))
+    rm = ResumptionMonad(S, two_op_signature())
+    ups = EffectInterpretation(rm.sig, S, {
+        "act": make_kleisli(S, rm.sig.op("act").param, unit_carrier(),
+                            lambda p: S.unit("*")),
+        "ask": make_kleisli(S, unit_carrier(), rm.sig.op("ask").arity,
+                            lambda p: NdState((("s0", finset([Pair("l", "s0")])),
+                                               ("s1", finset([Pair("r", "s1")])))))})
+    node = OpNode("ask", "*", (("l", rm.unit("x")),))
+    t = rm.out_inv(NdState((("s0", finset([Pair(Inr(node), "s0")])),
+                            ("s1", finset([Pair(Inl("y"), "s1")])))))
+    with pytest.raises(InterpretationError, match="^operation ask has no child at r$"):
+        handle(rm, t, identity_morphism(S), ups, 3)
+    with pytest.raises(KeyError):
+        _zeta_value(rm, t, identity_morphism(S), ups)
 
 
 def test_broken_interpretation_wrong_arity_rejected():
@@ -162,7 +335,7 @@ def test_handle_returns_the_kth_table_of_the_chain(kind, kw):
                                        "r": ResTree(fn=lambda: spine(n + 1).out())})
 
     t = spine(0)
-    chain = approximants(base, (t,), lambda tree: zeta(rm, tree, sigma, ups))
+    chain = approximants(base, (t,), lambda tree: _zeta_value(rm, tree, sigma, ups))
     tables = [table for table, _stable in itertools.islice(chain, 4)]
     for k, table in enumerate(tables, 1):
         r = handle(rm, t, sigma, ups, k)
@@ -243,7 +416,7 @@ def _chain_handle(rm, t, sigma, ups, fuel):
 
     def step_at(tree):
         expanded.append(tree)
-        return zeta(rm, tree, sigma, ups)
+        return _zeta_value(rm, tree, sigma, ups)
 
     value = S.bottom()
     for rounds, (table, stable) in enumerate(approximants(S, (t,), step_at), 1):
