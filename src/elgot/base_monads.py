@@ -6,13 +6,14 @@ these finite instances it is reachability: h(x) holds the results y with
 Inl(y) in f(x') for some x' that x reaches through Inr edges (over (point,
 state) pairs on nondetstate).  One engine, propagate, computes the Kleene
 chain from bottom (approximants) in one pass over the recursion graph,
-through two hooks per instance, moves and pack: reach_iterate takes its
-stable table, and the handler its fuel-th table at a tree's root, from
-handling steps that are already lists of moves.  The chain is their
-specification, written as its definition: each round binds every point
-against the last table.  kleene_iterate takes it until it is stable,
-detected by exact equality on the finite hom-lattice, never by a step
-budget, and the law suites and the tests check both callers against it.
+reading each point's step as the list of its moves: reach_iterate takes its
+stable table through two hooks per instance, moves and pack, and the
+handler its fuel-th table at a tree's root, from handling steps that are
+already lists of moves.  The chain is their specification, written as its
+definition: each round binds every point against the last table.
+kleene_iterate takes it until it is stable, detected by exact equality on
+the finite hom-lattice, never by a step budget, and the law suites and the
+tests check both callers against it.
 
 A FinSet is a frozenset, so binds, maps, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -202,16 +203,17 @@ def kleene_iterate(f: KleisliFn) -> KleisliFn:
             return KleisliFn(m, dom, cod, table)
 
 
-def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
-    """The Kleene chain `approximants` of step_at from roots, computed in
+def propagate(roots, moves_at: Callable, fuel: int | None = None):
+    """The Kleene chain `approximants` of a step from roots, computed in
     one pass: (first, stable, expanded).
 
-    A position is a point with a start state.  m.moves(v) lists the
-    (state, element, next state) moves of the step value v, the state None
-    on maybe and finset.  The points within fuel + 1 of roots, or all the
-    points they reach when fuel is None, are expanded breadth first, each
-    by one step_at whose value is walked once, through moves and in its own
-    order: Inl(y) moving to s' makes (y, s') a result of the position
+    A position is a point with a start state.  moves_at(p) lists the
+    (state, element, next state) moves of p's step, the state None on
+    maybe and finset: m.moves of its value, for a step into an instance m.
+    The points within fuel + 1 of roots, or all the points they reach when
+    fuel is None, are expanded breadth first, each by one moves_at whose
+    list is walked once, in its own order: Inl(y) moving to s' makes
+    (y, s') a result of the position
     (p, s) in round v(p) = max(dist(p), 1), the round in which the chain
     first values p, and Inr(q) moving to s' makes (p, s) read (q, s') and
     finds q.  A result of round k at q then reaches each reader p in round
@@ -232,7 +234,7 @@ def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
         found, vp = [], d or 1
         add = bucket.setdefault(vp, []).append
         for p in level:
-            for s, e, s2 in m.moves(step_at(p)):
+            for s, e, s2 in moves_at(p):
                 pos = p, s
                 if isinstance(e, Inl):
                     got, r = first.setdefault(pos, {}), (e.value, s2)
@@ -268,28 +270,18 @@ def propagate(m: ElgotMonad, roots, step_at: Callable, fuel: int | None = None):
     return first, None, expanded
 
 
-class MoveLists:
-    """The m that propagate reads a step through when step_at already
-    returns the list of its moves: moves is the identity.  pre_iterate's
-    classified walks and the handler's zeta are such steps, so neither
-    builds a value only for propagate to take it apart."""
-
-    @staticmethod
-    def moves(walk):
-        return walk
-
-
 def reach_iterate(f: KleisliFn) -> KleisliFn:
     """Least solution of h = [unit, h]* . f for f : X -> T(Y+X): the stable
-    table of `propagate` from the domain, rounds ignored, each point's value
-    packed by m.pack from the results of its positions.  An Inr off f's
-    table or a non-sum element raises TypeError in the walk's order; the
-    chain, run then, raises its own error in its canonical order.
+    table of `propagate` from the domain over the moves of f's values,
+    rounds ignored, each point's value packed by m.pack from the results of
+    its positions.  An Inr off f's table or a non-sum element raises
+    TypeError in the walk's order; the chain, run then, raises its own
+    error in its canonical order.
     """
     m = f.monad
     cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
     try:
-        first, _stable, points = propagate(m, f.dom.elements, f)
+        first, _stable, points = propagate(f.dom.elements, lambda x: m.moves(f(x)))
     except TypeError:
         return kleene_iterate(f)
     return KleisliFn(m, f.dom, cod, {x: m.pack(first, x) for x in points})

@@ -154,12 +154,10 @@ def parse_bsp_text(text: str) -> BspSpec:
         if not 0 <= i < states:
             raise BspLoadError("line %d: %s row for state %d out of range "
                                "(states %d)" % (lineno, key, i, states))
-    def row(table, i, default):
-        return table.get(i, default)
     return BspSpec(actions, states,
-                   tuple(row(widths, i, len(row(b_rows, i, ()))) for i in range(states)),
-                   tuple(row(b_rows, i, ()) for i in range(states)),
-                   tuple(row(j_rows, i, ()) for i in range(states)))
+                   tuple(widths.get(i, len(b_rows.get(i, ()))) for i in range(states)),
+                   tuple(b_rows.get(i, ()) for i in range(states)),
+                   tuple(j_rows.get(i, ()) for i in range(states)))
 
 
 def parse_bsp_json(text: str) -> BspSpec:
@@ -245,12 +243,11 @@ def build_equations(spec: BspSpec):
 
 
 class LtsNode:
-    __slots__ = ("name", "state", "depth", "cut")
+    __slots__ = ("name", "state", "cut")
 
-    def __init__(self, name: str, state: int, depth: int):
+    def __init__(self, name: str, state: int):
         self.name = name
         self.state = state
-        self.depth = depth
         self.cut = False
 
 
@@ -296,9 +293,9 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
 
     lts = Lts("s0")
     counters = [0] * spec.states
-    frontier = [LtsNode("s%d" % i, i, 0) for i in range(spec.states)]
+    frontier = [LtsNode("s%d" % i, i) for i in range(spec.states)]
     lts.nodes.extend(frontier)
-    for level in range(depth):
+    for _ in range(depth):
         if not frontier:
             break
         if len(lts.nodes) + sum(len(succ[n.state]) for n in frontier) > MAX_NODES:
@@ -308,7 +305,7 @@ def solve_and_unfold(spec: BspSpec, depth: int) -> Lts:
         for node in frontier:
             for label, state in succ[node.state]:
                 counters[state] += 1
-                child = LtsNode("s%d_%d" % (state, counters[state]), state, level + 1)
+                child = LtsNode("s%d_%d" % (state, counters[state]), state)
                 lts.edges.append((node.name, label, child.name))
                 nxt.append(child)
         lts.nodes.extend(nxt)

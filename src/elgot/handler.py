@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .base_monads import MoveLists, propagate
+from .base_monads import propagate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
                    SuiteReport, render_elem)
 from .resumption import ResTree, ResumptionMonad
@@ -194,7 +194,7 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
         raise InterpretationError(
             "target %s has no bottom; approximants need one" % S.name)
     first, stable, expanded = propagate(
-        MoveLists, (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
+        (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
     rounds = fuel if stable is None else min(stable, fuel)
     value = S.pack({pos: [r for r, k in got.items() if k <= rounds]
                     for pos, got in first.items() if pos[0] is t}, t)

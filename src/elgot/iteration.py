@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from .base_monads import MoveLists, propagate
+from .base_monads import propagate
 from .core import Inl, Inr, KleisliFn, make_kleisli, render_elem
 from .resumption import OpNode, ResTree, ResumptionMonad, unfold_trees
 
@@ -37,7 +37,8 @@ def _walk(base, v):
     one is a bare jump.  The jump Inl(Inr s) is the point Inr(s), and an
     exit Inl(Inl y) or a node Inr(OpNode) is the result Inl(e) of itself.
     Each step element is classified here, when its step is taken: one that
-    is no exit, jump or node raises TypeError."""
+    is no exit, jump or node raises TypeError, naming the first such element
+    in canonical order, whatever order the moves came in."""
     walk, jumps = [], False
     for s, e, s2 in base.moves(v):
         if isinstance(e, Inl) and isinstance(e.value, Inr):
@@ -47,7 +48,10 @@ def _walk(base, v):
                 or isinstance(e, Inr) and isinstance(e.value, OpNode):
             walk.append((s, Inl(e), s2))
         else:
-            raise TypeError("not an exit, a bare jump or a node: %r" % (e,))
+            bad = next(e for e in base.elements(v)
+                       if not (isinstance(e, Inl) and isinstance(e.value, (Inl, Inr))
+                               or isinstance(e, Inr) and isinstance(e.value, OpNode)))
+            raise TypeError("not an exit, a bare jump or a node: %r" % (bad,))
     return walk, jumps
 
 
@@ -57,44 +61,39 @@ def pre_iterate(base, step):
     nodes Inr(node).
 
     Each seed's step is taken once, and its elements are classified then.
-    A step with no bare jump is kept as its seed's solution, as it is; a
-    step that jumps is kept only as its _walk list.  The first seed looked
-    up that jumps and has no table yet runs propagate from itself over
-    those lists, and every point the run expands and that is not solved
-    keeps the run's table: a point is packed from it when it is itself
-    first looked up, so a point that is never looked up is never packed.
-    A run's table holds the least fixpoint at every point it expands, and
-    a later run walks a point again, so what is computed does not depend
-    on the order in which seeds are observed."""
+    Every step's _walk list is kept, and a step with no bare jump is kept
+    as its seed's solution too, as it is.  The first seed looked up that
+    jumps and has no table yet runs propagate from itself over those lists,
+    taking a step only where none is kept, and every point the run expands
+    and that is not solved keeps the run's table: a point is packed from
+    it when it is itself first looked up, so a point that is never looked
+    up is never packed.  A run's table holds the least fixpoint at every
+    point it expands, and a later run reads a point's kept list again, so
+    what is computed does not depend on the order in which seeds are
+    observed."""
     walked, solved, runs = {}, {}, {}
 
     def taken(seed):
         v = step(seed)
         walk, jumps = _walk(base, v)
-        if jumps:
-            walked[seed] = walk
-        else:
+        walked[seed] = walk
+        if not jumps:
             solved[seed] = v
         return walk
 
     def moves(seed):
         walk = walked.get(seed)
-        if walk is None:
-            # a solved point that no run has walked is its own jump-free step
-            v = solved.get(seed)
-            walk = walked[seed] = taken(seed) if v is None else _walk(base, v)[0]
-        return walk
+        return taken(seed) if walk is None else walk
 
     def at(seed):
         v = solved.get(seed)
         if v is None:
             if seed not in runs:
-                if seed not in walked:
-                    taken(seed)
-                    v = solved.get(seed)
-                    if v is not None:
-                        return v
-                first, _stable, points = propagate(MoveLists, (seed,), moves)
+                moves(seed)
+                v = solved.get(seed)
+                if v is not None:       # a jump-free step, solved when taken
+                    return v
+                first, _stable, points = propagate((seed,), moves)
                 for p in points:
                     if p not in solved:
                         runs[p] = first

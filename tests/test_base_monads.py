@@ -323,13 +323,13 @@ def test_propagation_equals_the_kleene_chain(kind, kw, data):
         if stable:
             break
     for k, table in enumerate(tables):
-        first, _stable, expanded = propagate(m, dom.elements, f, k)
+        first, _stable, expanded = propagate(dom.elements, lambda x: m.moves(f(x)), k)
         by_k = {pos: [r for r, n in got.items() if n <= k] for pos, got in first.items()}
         assert set(table) <= set(expanded)
         assert {x: m.pack(by_k, x) for x in expanded} == \
             {x: table.get(x, m.bottom()) for x in expanded}
     # without fuel, every result arrives, in the round the chain stabilizes
-    first, stable, expanded = propagate(m, dom.elements, f)
+    first, stable, expanded = propagate(dom.elements, lambda x: m.moves(f(x)))
     assert stable == len(tables) - 1
     assert {x: m.pack(first, x) for x in expanded} == \
         {x: tables[-1].get(x, m.bottom()) for x in expanded}

@@ -123,6 +123,16 @@ def test_handle_fuel_zero_is_approximate():
     assert r.stdout == "{}\napproximate\n"
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_laws_and_its_report_match_their_goldens(tmp_path, hash_seed):
+    report = tmp_path / "report.json"
+    r = cli("laws", "--suite", "all", "--seed", "42", "--samples", "5",
+            "--report", str(report), env={"PYTHONHASHSEED": hash_seed})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "laws_all_seed42.txt").read_text()
+    assert report.read_bytes() == (GOLDEN / "laws_all_seed42_report.json").read_bytes()
+
+
 def test_laws_exit_zero(tmp_path):
     report = tmp_path / "report.json"
     r = cli("laws", "--suite", "base", "--seed", "42", "--samples", "5",

@@ -192,9 +192,9 @@ def test_iterate_binds_on_demand_and_shares_the_base_fixpoint(monkeypatch):
 
     runs = []
 
-    def counted(m, roots, step_at):
+    def counted(roots, moves_at):
         runs.append(tuple(roots))
-        return propagate(m, roots, step_at)
+        return propagate(roots, moves_at)
 
     monkeypatch.setattr(iteration, "propagate", counted)
     rm = ResumptionMonad(Counting(), two_op_signature(), depth=6)
@@ -222,9 +222,9 @@ def test_a_guarded_definition_runs_no_base_fixpoint(monkeypatch):
     # leaf: each is its own solution, and nothing is iterated
     runs = []
 
-    def counted(m, roots, step_at):
+    def counted(roots, moves_at):
         runs.append(tuple(roots))
-        return propagate(m, roots, step_at)
+        return propagate(roots, moves_at)
 
     monkeypatch.setattr(iteration, "propagate", counted)
     rm = resumption("finset")
@@ -264,6 +264,51 @@ def test_a_malformed_step_element_is_refused_when_first_observed(rm_finset, bad)
         for _ in range(2):
             with pytest.raises(TypeError, match=re.escape(repr(bad))):
                 rm_finset.out(sol(seed))
+
+
+_MALFORMED = """
+from elgot.base_monads import finset
+from elgot.core import Inl, Pair, KleisliFn, carrier, sum_carrier
+from elgot.iteration import iterate_res
+from conftest import resumption
+rm = resumption("finset")
+x, y = carrier("x", ("x0",)), carrier("y", ("y0",))
+layer = finset([Pair("a", 1), Pair("b", 2), Pair("c", 3), Inl(Pair("d", 4))])
+f = KleisliFn(rm, x, sum_carrier(y, x), {"x0": rm.out_inv(layer)})
+try:
+    rm.out(iterate_res(rm, f)("x0"))
+except TypeError as exc:
+    print(exc)
+"""
+
+
+def test_a_malformed_step_names_the_same_element_under_any_hash_seed():
+    # four malformed elements, which the set walks in an order that tagged
+    # values' hashes, and so the process, decide; the first in canonical
+    # order is named
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outs = {subprocess.run([sys.executable, "-c", _MALFORMED], check=True,
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "0", "1", "1")}
+    assert outs == {"not an exit, a bare jump or a node: "
+                    "Inl(value=Pair(fst='d', snd=4))\n"}
+
+
+def test_a_solve_walks_each_step_once(monkeypatch):
+    # b is jump-free, and solved when it is looked up; the run from a, which
+    # jumps to b, reads b's kept walk instead of walking b's step again
+    walked = []
+    walk = iteration._walk
+    monkeypatch.setattr(iteration, "_walk",
+                        lambda base, v: walked.append(v) or walk(base, v))
+    steps = {"a": finset([Inl(Inr("b"))]), "b": finset([Inl(Inl("y0"))])}
+    pre = pre_iterate(FinSetMonad(), steps.__getitem__)
+    assert pre("b") is steps["b"]
+    assert pre("a") == steps["b"]
+    assert walked == [steps["b"], steps["a"]]
 
 
 def test_points_that_reach_one_subtree_share_its_lifting(rm_maybe):
