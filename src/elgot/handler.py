@@ -9,10 +9,12 @@ rounds, and on trees whose reachable node set is finite the chain stabilizes
 and the result is exact.  The chain is handle's specification, not its
 engine: handle takes the fuel-th table from base_monads.propagate, the
 engine that solves base iteration too, from steps that zeta composes move
-by move, with no target value built.  The chain's step, the target value
-that binds sigma's value of a layer to each node's effect, is kept only in
-the tests, as the value-level oracle that zeta's moves and handle's tables
-are checked against.
+by move, reading sigma's moves of a layer (MonadMorphism.moves) and each
+node's answers as listed once by EffectInterpretation, with no target
+value built and no effect called per node.  The chain's step, the target
+value that binds sigma's value of a layer to each node's effect, is kept
+only in the tests, as the value-level oracle that zeta's moves and
+handle's tables are checked against.
 Unfolding (coit), lifting (bind, map, strength) and the guarded solver build
 one tree per seed, so a tree built from finitely many seeds, such as the
 denotation of a while program, reaches finitely many nodes and converges.
@@ -42,7 +44,8 @@ class MonadMorphism:
 
     component must be element-agnostic: it may rearrange the effect
     structure but never inspect result elements.  A partial morphism's
-    component gives None where it has no value.
+    component gives None where it has no value.  moves(v) lists the target
+    moves of component(v), the form in which zeta reads sigma.
     """
 
     __slots__ = ("name", "source", "target", "component")
@@ -54,37 +57,60 @@ class MonadMorphism:
         self.target = target
         self.component = component
 
+    def moves(self, v):
+        return self.target.moves(self.component(v))
+
 
 def identity_morphism(m: ElgotMonad) -> MonadMorphism:
     return MonadMorphism("identity", m, m, lambda v: v)
 
 
-def _choice_morphism(name: str, source, target) -> MonadMorphism:
+class _ChoiceMorphism(MonadMorphism):
     """The morphism that keeps a value's results and forgets its effect:
-    the target value returning each element of the source value."""
-    return MonadMorphism(name, source, target,
+    the target value returning each element of the source value, from
+    each of the target's states (None on finset) back to that state.  Its
+    moves are read off the source value's moves, in their own order, with
+    no target value built."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, name: str, source, target):
+        super().__init__(name, source, target,
                          lambda v: target.choice(source.elements(v)))
+        self.states = getattr(target, "states", (None,))
+
+    def moves(self, v):
+        xs = [x for _s, x, _s1 in self.source.moves(v)]
+        return [(s, x, s) for s in self.states for x in xs]
 
 
 def maybe_to_finset(source, target) -> MonadMorphism:
-    return _choice_morphism("maybe-to-finset", source, target)
+    return _ChoiceMorphism("maybe-to-finset", source, target)
 
 
 def finset_to_nondetstate(source, target) -> MonadMorphism:
-    return _choice_morphism("finset-to-nondetstate", source, target)
+    return _ChoiceMorphism("finset-to-nondetstate", source, target)
 
 
 def maybe_to_nondetstate(source, target) -> MonadMorphism:
-    return _choice_morphism("maybe-to-nondetstate", source, target)
+    return _ChoiceMorphism("maybe-to-nondetstate", source, target)
 
 
 class EffectInterpretation:
-    """Generic effects u_op : param -> S(arity) for every signature op."""
+    """Generic effects u_op : param -> S(arity) for every signature op.
+
+    answers maps each (op, param) that effects covers to the list of moves
+    (s, a, s') of its effect's value.  Each value is evaluated once, here,
+    where every answer a of a signature operation is checked against its
+    arity, and zeta reads a node's answers from this table, not from its
+    effect.
+    """
 
     def __init__(self, sig, target: ElgotMonad, effects: dict):
         self.sig = sig
         self.target = target
         self.effects = effects
+        self.answers = {}
         for op in sig.ops:
             u = effects.get(op.name)
             if u is None:
@@ -94,11 +120,20 @@ class EffectInterpretation:
                     "generic effect for %s is defined on %s, expected the "
                     "parameter carrier %s" % (op.name, u.dom.name, op.param.name))
             for p in u.dom.elements:
-                for a in target.elements(u(p)):
-                    if a not in op.arity.elements:
-                        raise InterpretationError(
-                            "generic effect for %s yields %s outside its arity "
-                            "carrier %s" % (op.name, render_elem(a), op.arity.name))
+                v = u(p)
+                moves = self.answers[op.name, p] = list(target.moves(v))
+                if any(a not in op.arity for _s, a, _s2 in moves):
+                    # the answer named is the first in canonical order
+                    a = next(a for a in target.elements(v)
+                             if a not in op.arity)
+                    raise InterpretationError(
+                        "generic effect for %s yields %s outside its arity "
+                        "carrier %s" % (op.name, render_elem(a), op.arity.name))
+        known = {op.name for op in sig.ops}
+        for name, u in effects.items():
+            if name not in known:   # an effect for an operation off the signature
+                for p in u.dom.elements:
+                    self.answers[name, p] = list(target.moves(u(p)))
 
     def effect(self, op_name: str) -> KleisliFn:
         u = self.effects.get(op_name)
@@ -110,12 +145,13 @@ class EffectInterpretation:
 def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
          upsilon: EffectInterpretation) -> list:
     """One handling step, as the list of its moves (s, e, s') in the
-    target, the state None on maybe and finset: sigma's value of t's first
-    layer, each leaf moving on as itself and each node by its generic
-    effect.  A move (s, Inl(y), s1) of sigma's value is a move of the step;
+    target, the state None on maybe and finset: the moves of sigma's value
+    of t's first layer, each leaf moving on as itself and each node by its
+    generic effect.  A move (s, Inl(y), s1) of sigma is a move of the step;
     a move (s, Inr(node), s1) gives (s, Inr(node.child(a)), s2) for each
-    move (s1, a, s2) of the node's effect.  No target value is built and
-    nothing is sorted: propagate reads the list as it is.
+    answer (s1, a, s2) of the node's effect.  Sigma's moves come from
+    sigma.moves and the effect's from upsilon.answers, so no target value
+    is built and nothing is sorted: propagate reads the list as it is.
 
     A node whose operation has no effect, or whose effect offers an answer,
     from any state, that it has no child at, raises InterpretationError;
@@ -123,32 +159,32 @@ def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     canonical order, and its first answer in canonical order without a
     child, whatever order the moves came in.
     """
-    S = sigma.target
-    v = sigma.component(rm.out(t))
+    layer = rm.out(t)
+    answers = upsilon.answers
     moves = []
     add = moves.append
     try:
-        for s, e, s1 in S.moves(v):
+        for s, e, s1 in sigma.moves(layer):
             if isinstance(e, Inl):
                 add((s, e, s1))
             else:
                 node = e.value
-                for s0, a, s2 in S.moves(upsilon.effect(node.op)(node.param)):
+                for s0, a, s2 in answers[node.op, node.param]:
                     # an answer from any state without a child is a fault,
                     # as in the value-level step; only moves from s1 count
                     child = node.child(a)
                     if s0 == s1:
                         add((s, Inr(child), s2))
     except Exception:
-        _raise_first_fault(S, v, upsilon)
+        _raise_first_fault(sigma.target, sigma.component(layer), upsilon)
         raise
     return moves
 
 
 def _raise_first_fault(S, v, upsilon: EffectInterpretation):
-    """Raise the error of the first malformed node of the step value v,
-    its elements and each node's answers taken in canonical order; return
-    when there is none."""
+    """Raise the error of the first malformed node of sigma's value v of a
+    layer, its elements and each node's answers taken in canonical order;
+    return when there is none."""
     for e in S.elements(v):
         if not isinstance(e, Inl):
             node = e.value

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import subprocess
@@ -355,7 +356,7 @@ def test_a_call_off_the_table_names_the_same_point_under_any_hash_seed():
     src = str(Path(__file__).resolve().parent.parent / "src")
     for seed in ("0", "1"):
         out = subprocess.run([sys.executable, "-c", _OFF_TABLE], capture_output=True,
-                             text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+                             text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
         assert out.stdout == \
             "CarrierMismatchError q0 is not an element of carrier x\n" * 2, out.stderr
 

@@ -99,10 +99,11 @@ def test_handle_file():
     assert r.stdout == "{heads}\nconverged\n"
 
 
-@pytest.mark.parametrize("name", ["handle_toss", "handle_toss_nd"])
+@pytest.mark.parametrize("name", ["handle_toss", "handle_toss_nd", "handle_toss_maybe_nd"])
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_handle_matches_its_golden(name, hash_seed):
-    # handle_toss_nd: finset into nondetstate, an effect that moves the state
+    # handle_toss_nd: finset into nondetstate, an effect that moves the state;
+    # handle_toss_maybe_nd: maybe into nondetstate, with a nothing child
     r = cli("handle", str(GOLDEN / (name + ".json")), env={"PYTHONHASHSEED": hash_seed})
     assert r.returncode == 0, r.stderr
     assert r.stdout == (GOLDEN / (name + ".txt")).read_text()

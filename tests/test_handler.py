@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgot.core import Inl, Inr, Pair, carrier, make_kleisli, sum_carrier, \
-    unit_carrier
+from elgot.core import Inl, Inr, KleisliFn, Pair, carrier, make_kleisli, \
+    sum_carrier, unit_carrier
 from elgot.base_monads import FinSetMonad, Just, NOTHING, NdState, \
     approximants, elgot_instance, finset
 from elgot.handler import (EffectInterpretation, InterpretationError,
@@ -78,6 +78,7 @@ def test_zeta_unknown_operation_is_an_error():
     rm, S, sigma, ups = _setup_finset_target()
     stripped = EffectInterpretation.__new__(EffectInterpretation)
     stripped.sig, stripped.target, stripped.effects = ups.sig, S, {"act": ups.effects["act"]}
+    stripped.answers = {}
     t = rm.iota("ask", "*", {"l": "x", "r": "y"})
     with pytest.raises(InterpretationError):
         zeta(rm, t, sigma, stripped)
@@ -163,6 +164,118 @@ def test_zeta_builds_no_target_value(kinds, monkeypatch):
     assert S.render(got.value) == S.render(want.value)
     assert (got.converged, got.rounds, got.reached) == \
         (want.converged, want.rounds, want.reached)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MORPHISMS) + [(k, k) for k in
+                                            ("maybe", "finset", "nondetstate")]),
+       st.integers(0, 2 ** 16))
+def test_sigma_moves_are_the_moves_of_its_value(kinds, seed):
+    # bottom is nothing, the empty set or the empty table
+    rm, sigma, _ups = _handling(*kinds, seed)
+    rng = random.Random(seed)
+    values = [rm.base.bottom()] + [
+        rm.base.sample_value(rng, lambda: rng.choice("abcd"), 3) for _ in range(4)]
+    for v in values:
+        moves = list(sigma.moves(v))
+        assert len(set(moves)) == len(moves)
+        assert set(moves) == set(sigma.target.moves(sigma.component(v)))
+
+
+@pytest.mark.parametrize("kinds", sorted(MORPHISMS))
+def test_handling_a_chain_reads_no_choice_and_no_effect(kinds, monkeypatch):
+    # the effects' answers are listed when the interpretation is built;
+    # after that, no node makes sigma's value or calls its effect
+    rm, sigma, _random = _handling(*kinds, 5)
+    S = sigma.target
+    calls = []
+
+    class Counted(KleisliFn):
+        __slots__ = ()
+
+        def __call__(self, x):
+            calls.append("effect")
+            return KleisliFn.__call__(self, x)
+
+    effects = {}
+    for op in rm.sig.ops:
+        u = make_kleisli(S, op.param, op.arity,
+                         lambda p, _op=op: S.choice(_op.arity.elements[:1]))
+        effects[op.name] = Counted(u.monad, u.dom, u.cod, u.table)
+    ups = EffectInterpretation(rm.sig, S, effects)
+    choice = S.choice
+
+    def counted_choice(xs):
+        calls.append("choice")
+        return choice(xs)
+
+    monkeypatch.setattr(S, "choice", counted_choice)
+    n = 12
+    t = rm.unit("x")
+    for i in range(n):
+        t = (rm.op_call("act", "p%d" % (i % 2), {"*": t}) if i % 3
+             else rm.op_call("ask", "*", {"l": t, "r": rm.unit("y")}))
+    calls.clear()
+    r = handle(rm, t, sigma, ups, 2 * n + 1)
+    assert calls == []
+    assert r.converged and r.reached == n + 1
+    assert r.value == S.unit("x")
+
+
+def test_a_node_off_the_signature_is_read_through_its_effect():
+    # an effect given for an operation off the signature handles that
+    # operation's nodes
+    rm, S, sigma, ups = _setup_finset_target()
+    toss = make_kleisli(S, unit_carrier(), carrier("hs", ("h",)),
+                        lambda p: S.unit("h"))
+    extra = EffectInterpretation(rm.sig, S, dict(ups.effects, toss=toss))
+    t = rm.out_inv(Just(Inr(OpNode("toss", "*", (("h", rm.unit("x")),)))))
+    r = handle(rm, t, sigma, extra, 5)
+    assert r.converged and r.value == finset(["x"])
+
+
+ARITY = """
+from elgot.base_monads import NdState, elgot_instance, finset
+from elgot.core import Pair, make_kleisli, unit_carrier
+from elgot.handler import EffectInterpretation, InterpretationError
+from elgot.resumption import ResumptionMonad
+from conftest import two_op_signature
+
+off = ["q%d" % i for i in range(8, -1, -1)]
+for kind in ("finset", "nondetstate"):
+    S = elgot_instance(kind, **({"state_set": ("s0", "s1")}
+                                if kind == "nondetstate" else {}))
+    rm = ResumptionMonad(S, two_op_signature())
+    value = (finset(off + ["l"]) if kind == "finset" else
+             NdState((("s0", finset(Pair(a, "s1") for a in ["r"] + off[:4])),
+                      ("s1", finset(Pair(a, "s0") for a in off[4:])))))
+    try:
+        EffectInterpretation(rm.sig, S, {
+            "act": make_kleisli(S, rm.sig.op("act").param, unit_carrier(),
+                                lambda p: S.unit("*")),
+            "ask": make_kleisli(S, unit_carrier(), rm.sig.op("ask").arity,
+                                lambda p: value)})
+    except InterpretationError as exc:
+        print(exc)
+"""
+
+
+def test_an_effect_names_its_first_answer_off_the_arity_under_any_hash_seed():
+    # nine answers off the arity in one set, whose own order moves with the seed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = [subprocess.run([sys.executable, "-c", ARITY], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path,
+                                               PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    assert [out.stderr for out in outs] == ["", ""]
+    assert [out.stdout for out in outs] == [
+        "generic effect for ask yields q0 outside its arity carrier 2\n"
+        "generic effect for ask yields q5 outside its arity carrier 2\n"] * 2
 
 
 # layers with two faults each: a fault is named as the value-level step
