@@ -13,7 +13,8 @@ already lists of moves.  The chain is their specification, written as its
 definition: each round binds every point against the last table.
 kleene_iterate takes it until it is stable, detected by exact equality on
 the finite hom-lattice, never by a step budget, and the law suites and the
-tests check both callers against it.
+tests check both callers against it; no engine runs it.  A walk that raises
+is run again over canonical_moves, to name its first fault.
 
 A FinSet is a frozenset, so binds, maps, joins, the equality test of every
 Kleene round and the propagation pass build and compare sets without
@@ -143,7 +144,7 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
     every expanded point against the last table, in the order of expansion,
     and yields (table, stable), a fresh table that is never mutated
     afterwards.  A point not in the table is at bottom; stable = none found,
-    no point moved.
+    no point moved.  A non-sum element raises TypeError when expanded.
     """
     bot, unit = m.bottom(), m.unit
     seen, steps = set(roots), {}
@@ -153,6 +154,8 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
         for p in batch:
             v = steps[p] = step_at(p)
             for e in m.elements(v):
+                if not isinstance(e, (Inl, Inr)):
+                    raise TypeError("iteration over a non-sum element %r" % (e,))
                 if isinstance(e, Inr) and e.value not in seen:
                     seen.add(e.value)
                     found.append(e.value)
@@ -161,15 +164,8 @@ def approximants(m: ElgotMonad, roots, step_at: Callable):
     batch, prev = expand(roots), {}
     while True:
         batch = expand(batch)
-
-        def step(e, _prev=prev):
-            if isinstance(e, Inl):
-                return unit(e.value)
-            if isinstance(e, Inr):
-                return _prev.get(e.value, bot)
-            raise TypeError("iteration over a non-sum element %r" % (e,))
-
-        table = {p: m.bind(v, step) for p, v in steps.items()}
+        table = {p: m.bind(v, lambda e: unit(e.value) if isinstance(e, Inl)
+                           else prev.get(e.value, bot)) for p, v in steps.items()}
         yield table, not batch and all(m.equal(v, prev.get(p, bot))
                                        for p, v in table.items())
         prev = table
@@ -270,20 +266,28 @@ def propagate(roots, moves_at: Callable, fuel: int | None = None):
     return first, None, expanded
 
 
+def canonical_moves(m: ElgotMonad, v) -> list:
+    """m.moves(v) in canonical order, state by state on nondetstate."""
+    if isinstance(v, NdState):
+        return [(s, p.fst, p.snd) for s, fs in v.table for p in fs.elems]
+    return [(None, e, None) for e in m.elements(v)]
+
+
 def reach_iterate(f: KleisliFn) -> KleisliFn:
     """Least solution of h = [unit, h]* . f for f : X -> T(Y+X): the stable
     table of `propagate` from the domain over the moves of f's values,
     rounds ignored, each point's value packed by m.pack from the results of
     its positions.  An Inr off f's table or a non-sum element raises
-    TypeError in the walk's order; the chain, run then, raises its own
-    error in its canonical order.
+    TypeError: propagate, run again over canonical_moves, raises at the
+    first fault in breadth-first canonical order, as the chain does.
     """
     m = f.monad
     cod = f.cod.parts[0] if f.cod is not None and f.cod.kind == "sum" else None
     try:
         first, _stable, points = propagate(f.dom.elements, lambda x: m.moves(f(x)))
     except TypeError:
-        return kleene_iterate(f)
+        propagate(f.dom.elements, lambda x: canonical_moves(m, f(x)))
+        raise
     return KleisliFn(m, f.dom, cod, {x: m.pack(first, x) for x in points})
 
 

@@ -308,10 +308,7 @@ def cmd_handle(args) -> int:
     except (TypeError, AttributeError, ValueError) as exc:
         # the JSON parsed, but its shape or values do not describe a job
         raise UsageError("malformed handle file: %s" % exc) from None
-    try:
-        result = handle(*job)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+    result = handle(*job)
     print(target.render(result.value))
     print("converged" if result.converged else "approximate")
     return 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .base_monads import propagate
+from .base_monads import canonical_moves, propagate
 from .core import (SKIP, ElgotMonad, Inl, Inr, KleisliFn, LawResult,
                    SuiteReport, render_elem)
 from .resumption import ResTree, ResumptionMonad
@@ -153,48 +153,44 @@ def zeta(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     sigma.moves and the effect's from upsilon.answers, so no target value
     is built and nothing is sorted: propagate reads the list as it is.
 
-    A node whose operation has no effect, or whose effect offers an answer,
-    from any state, that it has no child at, raises InterpretationError;
-    when a layer holds two such nodes, the one named is the first in
-    canonical order, and its first answer in canonical order without a
-    child, whatever order the moves came in.
+    A node whose operation has no effect, or whose effect answers, from any
+    state, where it has no child, raises InterpretationError; the step run
+    again over canonical_moves names the first such fault in canonical order.
     """
-    layer = rm.out(t)
-    answers = upsilon.answers
+    try:
+        return _step(sigma.moves(rm.out(t)), lambda n: upsilon.answers[n.op, n.param])
+    except Exception:
+        _canonical_zeta(rm, t, sigma, upsilon)
+        raise
+
+
+def _canonical_zeta(rm, t, sigma, upsilon) -> list:
+    """zeta at t over the canonical_moves of sigma's value and the effects."""
+    S = sigma.target
+    return _step(canonical_moves(S, sigma.component(rm.out(t))),
+                 lambda node: canonical_moves(S, upsilon.effect(node.op)(node.param)))
+
+
+def _step(layer_moves, answers: Callable) -> list:
+    """zeta's moves from sigma's moves of a layer and a node's answers(node)."""
     moves = []
     add = moves.append
-    try:
-        for s, e, s1 in sigma.moves(layer):
-            if isinstance(e, Inl):
-                add((s, e, s1))
-            else:
-                node = e.value
-                for s0, a, s2 in answers[node.op, node.param]:
-                    # an answer from any state without a child is a fault,
-                    # as in the value-level step; only moves from s1 count
-                    child = node.child(a)
-                    if s0 == s1:
-                        add((s, Inr(child), s2))
-    except Exception:
-        _raise_first_fault(sigma.target, sigma.component(layer), upsilon)
-        raise
-    return moves
-
-
-def _raise_first_fault(S, v, upsilon: EffectInterpretation):
-    """Raise the error of the first malformed node of sigma's value v of a
-    layer, its elements and each node's answers taken in canonical order;
-    return when there is none."""
-    for e in S.elements(v):
-        if not isinstance(e, Inl):
+    for s, e, s1 in layer_moves:
+        if isinstance(e, Inl):
+            add((s, e, s1))
+        else:
             node = e.value
-            for a in S.elements(upsilon.effect(node.op)(node.param)):
+            for s0, a, s2 in answers(node):
+                # an answer from any state without a child is a fault,
+                # as in the value-level step; only moves from s1 count
                 try:
-                    node.child(a)
+                    child = node.child(a)
                 except KeyError:
-                    raise InterpretationError(
-                        "operation %s has no child at %s"
-                        % (node.op, render_elem(a))) from None
+                    raise InterpretationError("operation %s has no child at %s"
+                                              % (node.op, render_elem(a))) from None
+                if s0 == s1:
+                    add((s, Inr(child), s2))
+    return moves
 
 
 class HandleResult:
@@ -219,7 +215,8 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     operations over a leaf show its result at fuel 2n and converge in round
     2n + 1).  Convergence is exact equality on the set of nodes reached, so
     a converged result is the final value, and an unconverged one is a
-    sound under-approximation in the target's order.
+    sound under-approximation in the target's order.  A run that raises is
+    taken again over canonical_moves, to name its first fault.
     """
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
@@ -229,8 +226,12 @@ def handle(rm: ResumptionMonad, t: ResTree, sigma: MonadMorphism,
     if not S.has_bottom:
         raise InterpretationError(
             "target %s has no bottom; approximants need one" % S.name)
-    first, stable, expanded = propagate(
-        (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
+    try:
+        first, stable, expanded = propagate(
+            (t,), lambda p: zeta(rm, p, sigma, upsilon), fuel)
+    except Exception:
+        propagate((t,), lambda p: _canonical_zeta(rm, p, sigma, upsilon), fuel)
+        raise
     rounds = fuel if stable is None else min(stable, fuel)
     value = S.pack({pos: [r for r, k in got.items() if k <= rounds]
                     for pos, got in first.items() if pos[0] is t}, t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from .base_monads import propagate
+from .base_monads import canonical_moves, propagate
 from .core import Inl, Inr, KleisliFn, make_kleisli, render_elem
 from .resumption import OpNode, ResTree, ResumptionMonad, unfold_trees
 
@@ -32,15 +32,13 @@ class UnguardedError(ValueError):
             "leaf %s in its first layer" % (render_elem(variable), render_elem(leaf)))
 
 
-def _walk(base, v):
-    """The moves of the step value v as propagate reads them, and whether
-    one is a bare jump.  The jump Inl(Inr s) is the point Inr(s), and an
-    exit Inl(Inl y) or a node Inr(OpNode) is the result Inl(e) of itself.
-    Each step element is classified here, when its step is taken: one that
-    is no exit, jump or node raises TypeError, naming the first such element
-    in canonical order, whatever order the moves came in."""
+def _walk(moves):
+    """The moves of a step value as propagate reads them, and whether one
+    is a bare jump.  The jump Inl(Inr s) is the point Inr(s), and an exit
+    Inl(Inl y) or a node Inr(OpNode) is the result Inl(e) of itself; any
+    other element raises TypeError, the first met in the order of moves."""
     walk, jumps = [], False
-    for s, e, s2 in base.moves(v):
+    for s, e, s2 in moves:
         if isinstance(e, Inl) and isinstance(e.value, Inr):
             jumps = True
             walk.append((s, e.value, s2))
@@ -48,10 +46,7 @@ def _walk(base, v):
                 or isinstance(e, Inr) and isinstance(e.value, OpNode):
             walk.append((s, Inl(e), s2))
         else:
-            bad = next(e for e in base.elements(v)
-                       if not (isinstance(e, Inl) and isinstance(e.value, (Inl, Inr))
-                               or isinstance(e, Inr) and isinstance(e.value, OpNode)))
-            raise TypeError("not an exit, a bare jump or a node: %r" % (bad,))
+            raise TypeError("not an exit, a bare jump or a node: %r" % (e,))
     return walk, jumps
 
 
@@ -70,30 +65,33 @@ def pre_iterate(base, step):
     up is never packed.  A run's table holds the least fixpoint at every
     point it expands, and a later run reads a point's kept list again, so
     what is computed does not depend on the order in which seeds are
-    observed."""
+    observed.  A lookup that raises TypeError is run again over
+    canonical_moves, to name its first fault."""
     walked, solved, runs = {}, {}, {}
-
-    def taken(seed):
-        v = step(seed)
-        walk, jumps = _walk(base, v)
-        walked[seed] = walk
-        if not jumps:
-            solved[seed] = v
-        return walk
 
     def moves(seed):
         walk = walked.get(seed)
-        return taken(seed) if walk is None else walk
+        if walk is None:
+            v = step(seed)
+            walk, jumps = _walk(base.moves(v))
+            walked[seed] = walk
+            if not jumps:
+                solved[seed] = v
+        return walk
 
     def at(seed):
         v = solved.get(seed)
         if v is None:
             if seed not in runs:
-                moves(seed)
-                v = solved.get(seed)
-                if v is not None:       # a jump-free step, solved when taken
-                    return v
-                first, _stable, points = propagate((seed,), moves)
+                try:
+                    moves(seed)
+                    v = solved.get(seed)
+                    if v is not None:   # a jump-free step, solved when taken
+                        return v
+                    first, _stable, points = propagate((seed,), moves)
+                except TypeError:
+                    propagate((seed,), lambda p: _walk(canonical_moves(base, step(p)))[0])
+                    raise
                 for p in points:
                     if p not in solved:
                         runs[p] = first

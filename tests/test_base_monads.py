@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from elgot import base_monads
 from elgot.core import ConfigError, Inl, Inr, Pair, canon_key, carrier, render_elem, \
     sum_carrier, make_kleisli, KleisliFn
 from elgot.base_monads import (EMPTY_SET, FinSet, FinSetMonad, Just, MaybeMonad,
-                               NOTHING, NdState, approximants, elgot_instance, finset,
+                               NOTHING, NdState, approximants, canonical_moves,
+                               elgot_instance, finset,
                                kleene_iterate, partition_iterate_maybe, propagate,
                                reach_iterate)
 from elgot.resumption import OpNode, ResTree
@@ -273,9 +275,9 @@ def _random_value(data, m, kind, elems):
 
 
 _NODE = OpNode("act", "a", (("*", _TREES[0]),))
-# extra elements of a draw: none on half the draws, else calls off the table
-# or a non-sum element
-_BROKEN = [(), (), (Inr("q1"), Inr("q0")), ("bare",)]
+# extra elements of a draw: none on half the draws, else calls off the table,
+# a non-sum element, or both
+_BROKEN = [(), (), (Inr("q1"), Inr("q0")), ("bare",), (Inr("q1"), "bare")]
 
 
 def _outcome(solve, f):
@@ -359,6 +361,33 @@ def test_a_call_off_the_table_names_the_same_point_under_any_hash_seed():
                              text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
         assert out.stdout == \
             "CarrierMismatchError q0 is not an element of carrier x\n" * 2, out.stderr
+
+
+def test_reach_iterate_names_a_fault_without_the_chain(monkeypatch):
+    # the engine names its own first fault: it never runs its specification
+    def chain(*args):
+        raise AssertionError("the Kleene chain was run")
+
+    monkeypatch.setattr(base_monads, "kleene_iterate", chain)
+    monkeypatch.setattr(base_monads, "approximants", chain)
+    m = FinSetMonad()
+    x, y = carrier("x", ("x0", "x1")), carrier("y", ("y0",))
+    off = [Inr("q%d" % i) for i in range(8, -1, -1)]
+    f = make_kleisli(m, x, sum_carrier(y, x), lambda v: finset(off + [Inl("y0")]))
+    with pytest.raises(TypeError, match="^q0 is not an element of carrier x$"):
+        reach_iterate(f)
+
+
+@pytest.mark.parametrize("kind,kw", KINDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_moves_are_the_moves_in_canonical_order(kind, kw, data):
+    m = elgot_instance(kind, **kw)
+    v = _random_value(data, m, kind, [Inl("y0"), Inl("y1"), Inr("p0"), Inr("p1"), "bare"])
+    moves = canonical_moves(m, v)
+    assert Counter(moves) == Counter(m.moves(v))
+    # each element first moves in the order of m.elements
+    assert list(dict.fromkeys(e for _s, e, _s2 in moves)) == list(m.elements(v))
 
 
 def _reversed_chain(m, n):

@@ -439,20 +439,27 @@ _JSON_VALUES = st.one_of(
                     max_size=2))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_handle_fuzzed_file_never_crashes(tmp_path_factory, data):
-    doc = json.loads(data.draw(st.sampled_from(
+@st.composite
+def _fuzzed_handle_files(draw):
+    """The text of a handle file: a good one with one field, at any depth,
+    replaced by a random JSON value."""
+    doc = json.loads(draw(st.sampled_from(
         [(GOLDEN / "handle_toss.json").read_text(), json.dumps(ND_SPEC)])))
-    path = data.draw(st.sampled_from(list(_fields(doc))))
+    path = draw(st.sampled_from(list(_fields(doc))))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = data.draw(_JSON_VALUES)
+    parent[path[-1]] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_fuzzed_handle_files())
+def test_handle_fuzzed_file_never_crashes(tmp_path_factory, text):
     # a fresh file per example: on some file systems rewriting one file
     # takes tens of milliseconds
     file = tmp_path_factory.mktemp("fuzzed") / "handle.json"
-    file.write_text(json.dumps(doc))
+    file.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["handle", str(file)])
@@ -469,20 +476,27 @@ _BSP_VALUES = st.one_of(
     st.none(), st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_bsp_fuzzed_spec_never_crashes(tmp_path_factory, data):
+@st.composite
+def _fuzzed_bsp_specs(draw):
+    """The text of a JSON spec: a good one with a repeated action, or with
+    one field replaced by a random value."""
     doc = json.loads(json.dumps(BSP_SPEC))
-    path = data.draw(st.sampled_from([None] + list(_fields(doc))))
+    path = draw(st.sampled_from([None] + list(_fields(doc))))
     if path is None:
-        doc["actions"].append(data.draw(st.sampled_from(doc["actions"])))
+        doc["actions"].append(draw(st.sampled_from(doc["actions"])))
     else:
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = data.draw(_BSP_VALUES)
+        parent[path[-1]] = draw(_BSP_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_fuzzed_bsp_specs())
+def test_bsp_fuzzed_spec_never_crashes(tmp_path_factory, text):
     file = tmp_path_factory.mktemp("fuzzed") / "spec.json"
-    file.write_text(json.dumps(doc))
+    file.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["bsp", str(file), "--depth", "2"])
@@ -627,18 +641,25 @@ _PROGRAMS = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_run_fuzzed_program_never_crashes(tmp_path_factory, data):
+@st.composite
+def _fuzzed_runs(draw):
+    """(the source of a program, the flags of run after its file)."""
     # --depth stays small: the text of `while true do write` on a
     # nondeterministic base doubles with each unit of depth
-    source = data.draw(st.one_of(
+    source = draw(st.one_of(
         _PROGRAMS, st.integers(1, 2000).map(lambda n: "; ".join(["skip"] * n))))
-    base = data.draw(st.sampled_from(["maybe", "finset", "nondetstate"]))
-    args = ["--base", base, "--input", data.draw(st.sampled_from("07")),
-            "--depth", str(data.draw(st.integers(0, 5)))]
+    base = draw(st.sampled_from(["maybe", "finset", "nondetstate"]))
+    args = ["--base", base, "--input", draw(st.sampled_from("07")),
+            "--depth", str(draw(st.integers(0, 5)))]
     if base == "nondetstate":
-        args += ["--state-set", data.draw(st.sampled_from(["s0", "s0,s1"]))]
+        args += ["--state-set", draw(st.sampled_from(["s0", "s0,s1"]))]
+    return source, args
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=_fuzzed_runs())
+def test_run_fuzzed_program_never_crashes(tmp_path_factory, run):
+    source, args = run
     file = tmp_path_factory.mktemp("fuzzed") / "program.whl"
     file.write_text(source)
     out, err = io.StringIO(), io.StringIO()
@@ -651,6 +672,75 @@ def test_run_fuzzed_program_never_crashes(tmp_path_factory, data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and out.getvalue()
+
+
+# main on each argv list read from stdin, in one process: a JSON list of
+# [exit code, stdout, stderr]
+_MAIN_ON_EACH = """
+import contextlib, io, json, sys
+from elgot.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _main_on_each(argvs, hash_seed):
+    """[exit code, stdout, stderr] of main(argv) for each of argvs, run in
+    one fresh process from the repository root at PYTHONHASHSEED=hash_seed."""
+    r = subprocess.run([sys.executable, "-c", _MAIN_ON_EACH], input=json.dumps(argvs),
+                       capture_output=True, text=True, check=True, cwd=PKG, timeout=600,
+                       env=dict(os.environ, PYTHONPATH=str(PKG / "src"),
+                                PYTHONHASHSEED=hash_seed))
+    return json.loads(r.stdout)
+
+
+def _drawn(strategy, n):
+    """Up to n examples of strategy, the same ones on every call."""
+    drawn = []
+
+    @settings(max_examples=n, deadline=None, derandomize=True, database=None)
+    @given(strategy)
+    def collect(example):
+        drawn.append(example)
+
+    collect()
+    return drawn
+
+
+def test_the_fuzz_corpus_runs_alike_under_any_hash_seed(tmp_path):
+    # the inputs of the three fuzz tests, through main in one process per
+    # run: hash seeds 0, 1 and 0 again, where object addresses differ
+    argvs = []
+    for i, text in enumerate(_drawn(_fuzzed_handle_files(), 60)):
+        (tmp_path / ("h%d.json" % i)).write_text(text)
+        argvs.append(["handle", str(tmp_path / ("h%d.json" % i))])
+    for i, text in enumerate(_drawn(_fuzzed_bsp_specs(), 60)):
+        (tmp_path / ("b%d.json" % i)).write_text(text)
+        argvs.append(["bsp", str(tmp_path / ("b%d.json" % i)), "--depth", "2"])
+    for i, (source, args) in enumerate(_drawn(_fuzzed_runs(), 60)):
+        (tmp_path / ("r%d.whl" % i)).write_text(source)
+        argvs.append(["run", str(tmp_path / ("r%d.whl" % i)), *args])
+    first, *others = (_main_on_each(argvs, seed) for seed in ("0", "1", "0"))
+    for other in others:
+        for argv, want, got in zip(argvs, first, other):
+            assert got == want, argv
+    assert {code for code, _out, _err in first} == {0, 2}
+
+
+def test_cli_errors_match_their_golden():
+    # the inputs CI runs, one argv per line, with paths from the repository
+    # root; each is refused with exit code 2 and one line on stderr
+    argvs = [line.split() for line in (GOLDEN / "cli_errors.args").read_text().splitlines()]
+    for seed in ("0", "1"):
+        results = _main_on_each(argvs, seed)
+        assert [(code, out) for code, out, _err in results] == [(2, "")] * len(argvs)
+        assert "".join(err for _code, _out, err in results) == \
+            (GOLDEN / "cli_errors.txt").read_text()
 
 
 def test_parse_errors_exit_two(tmp_path):

@@ -328,6 +328,73 @@ def test_a_malformed_layer_names_its_first_fault_under_any_hash_seed():
         "operation ask has no child at l\n"] * 2
 
 
+# six sibling subtrees below one layer, each with an unknown operation;
+# the nodes that hold them sort by their subtrees, in creation order
+SIBLINGS = """
+from elgot.base_monads import elgot_instance, finset
+from elgot.core import Inr, make_kleisli, unit_carrier
+from elgot.handler import (EffectInterpretation, InterpretationError, handle,
+                           identity_morphism)
+from elgot.resumption import OpNode, ResumptionMonad
+from conftest import two_op_signature
+
+rm = ResumptionMonad(elgot_instance("finset"), two_op_signature())
+S = rm.base
+ups = EffectInterpretation(rm.sig, S, {
+    "act": make_kleisli(S, rm.sig.op("act").param, unit_carrier(),
+                        lambda p: S.unit("*")),
+    "ask": make_kleisli(S, unit_carrier(), rm.sig.op("ask").arity,
+                        lambda p: finset(["l", "r"]))})
+subtrees = [rm.out_inv(finset([Inr(OpNode("bad%d" % i, "*", ()))])) for i in range(6)]
+t = rm.out_inv(finset(Inr(OpNode("act", "p0", (("*", s),))) for s in subtrees))
+try:
+    handle(rm, t, identity_morphism(S), ups, 5)
+except InterpretationError as exc:
+    print(exc)
+"""
+
+
+def test_faults_in_sibling_subtrees_name_the_same_one_under_any_hash_seed():
+    # trees hash by address, so the first run meets the subtrees in an
+    # order that moves between runs even at one seed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = [subprocess.run([sys.executable, "-c", SIBLINGS], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path,
+                                               PYTHONHASHSEED=seed))
+            for seed in ("0", "0", "1", "1")]
+    assert [out.stderr for out in outs] == [""] * 4
+    assert [out.stdout for out in outs] == ["unknown operation bad0\n"] * 4
+
+
+def test_a_fault_below_an_answer_no_state_takes_is_not_named():
+    # the node is entered in s1 only, where its effect answers r; the
+    # subtree at l, answered from s0, is never reached, and its fault,
+    # though first in canonical order, is not the one named
+    S = elgot_instance("nondetstate", state_set=("s0", "s1"))
+    rm = ResumptionMonad(S, two_op_signature())
+    ups = EffectInterpretation(rm.sig, S, {
+        "act": make_kleisli(S, rm.sig.op("act").param, unit_carrier(),
+                            lambda p: S.unit("*")),
+        "ask": make_kleisli(S, unit_carrier(), rm.sig.op("ask").arity,
+                            lambda p: NdState((("s0", finset([Pair("l", "s0")])),
+                                               ("s1", finset([Pair("r", "s1")])))))})
+
+    def faulty(op):
+        return rm.out_inv(NdState(tuple(
+            (s, finset([Pair(Inr(OpNode(op, "*", ())), s)])) for s in S.states)))
+
+    node = OpNode("ask", "*", (("l", faulty("unreached")), ("r", faulty("reached"))))
+    t = rm.out_inv(NdState((("s0", finset([Pair(Inr(node), "s1")])),
+                            ("s1", finset([])))))
+    with pytest.raises(InterpretationError, match="^unknown operation reached$"):
+        handle(rm, t, identity_morphism(S), ups, 5)
+
+
 def test_a_missing_child_at_an_answer_from_another_state_is_an_error():
     # the node is reached only in s0, where its effect answers l; the
     # effect's answer r from s1 has no child, and that is still a fault
